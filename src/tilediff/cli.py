@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -38,6 +39,20 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _checked(kind, ok, what: str):
+    """argparse type: parse with ``kind``; reject non-finite or not ``ok``."""
+    def parse(token: str):
+        try:
+            x = kind(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{token!r} is not a valid {kind.__name__}") from None
+        if not (math.isfinite(x) and ok(x)):
+            raise argparse.ArgumentTypeError(f"{token!r} must be {what}")
+        return x
+    return parse
 
 
 def _outdir() -> Path:
@@ -151,8 +166,7 @@ def cmd_peaks(args) -> int:
     peaks = diffraction.peak_list(
         model, center=center, radius=args.radius,
         internal_cutoff=args.internal_cutoff, threshold=args.threshold,
-        weights=weights, deformation=deformation, n=args.iters,
-        threads=args.threads)
+        weights=weights, deformation=deformation, n=args.iters)
 
     base = args.out or f"peaks_{model.name}" + (
         f"_{deformation.name}" if deformation is not None else "")
@@ -250,11 +264,14 @@ def build_parser() -> _Parser:
     pp.add_argument("--deformation")
     pp.add_argument("--weights", default="equal")
     pp.add_argument("--center")
-    pp.add_argument("--radius", type=float, default=0.6)
-    pp.add_argument("--internal-cutoff", type=float, default=None)
-    pp.add_argument("--threshold", type=float, default=1e-6)
-    pp.add_argument("--iters", type=int, default=None)
-    pp.add_argument("--threads", type=int, default=1)
+    pp.add_argument("--radius", default=0.6,
+                    type=_checked(float, lambda x: x >= 0, "finite and >= 0"))
+    pp.add_argument("--internal-cutoff", default=None,
+                    type=_checked(float, lambda x: x > 0, "finite and > 0"))
+    pp.add_argument("--threshold", default=1e-6,
+                    type=_checked(float, lambda x: x > 0, "finite and > 0"))
+    pp.add_argument("--iters", default=None,
+                    type=_checked(int, lambda x: x >= 1, ">= 1"))
     pp.add_argument("--out")
     pp.set_defaults(func=cmd_peaks)
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec
+from .models import ModelDataError, ModelSpec
 
-__all__ = ["FourierEvaluator", "AmplitudeVector", "fourier_matrix",
-           "cocycle_limit", "amplitudes"]
+__all__ = ["FourierEvaluator", "AmplitudeVector"]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -55,16 +54,24 @@ class FourierEvaluator:
         self.pf = float(model.pf_eigenvalue.embed_phys()[0])
         self.contraction = model.int_contraction_matrix
 
-        t_star, cells = [], []
-        for i, j, t in disp.iter_translations():
+        t_star, rows, cols = [], [], []
+        for i, j, t in disp.iter_translations():       # row-major order
             t_star.append(t.embed_int())
-            cells.append(i * self.n + j)
-        self.t_star = np.array(t_star)                  # (m, d)
-        # dense scatter matrix: column c sums the translations of cell c
-        scatter = np.zeros((len(cells), self.n * self.n))
-        for row, c in enumerate(cells):
-            scatter[row, c] = 1.0
-        self._scatter = scatter
+            rows.append(i)
+            cols.append(j)
+        # exponentials are evaluated once per distinct starred translation
+        # and gathered per translation through _phase
+        self._t_star, self._phase = np.unique(np.array(t_star), axis=0,
+                                              return_inverse=True)
+        self._col = np.array(cols)
+        rows = np.array(rows)
+        if len(np.unique(rows)) != self.n:
+            raise ModelDataError("every tile type needs a translation")
+        # translations are sorted by row and by cell: segment starts for
+        # the sums into rows (sweep) and into cells (Fourier matrix)
+        self._row_start = np.searchsorted(rows, np.arange(self.n))
+        self._cells, self._cell_start = np.unique(rows * self.n + self._col,
+                                                  return_index=True)
 
         self.M = disp.card_matrix()
         lam, vecs = np.linalg.eig(self.M.astype(float))
@@ -81,12 +88,18 @@ class FourierEvaluator:
 
     # -- Fourier matrix ---------------------------------------------------------
 
+    def _exponentials(self, K: np.ndarray) -> np.ndarray:
+        """exp(2 pi i <t*, k>) per translation, shape (nk, m)."""
+        E = np.exp((_TWO_PI * 1j) * (K @ self._t_star.T))
+        return E[:, self._phase]
+
     def fourier_matrix_batch(self, K: np.ndarray) -> np.ndarray:
         """B(k) for a batch of internal arguments, shape (nk, n, n)."""
         K = np.atleast_2d(np.asarray(K, dtype=float))
-        phases = K @ self.t_star.T                       # (nk, m)
-        E = np.exp((_TWO_PI * 1j) * phases)
-        return (E @ self._scatter).reshape(-1, self.n, self.n)
+        B = np.zeros((len(K), self.n * self.n), dtype=complex)
+        B[:, self._cells] = np.add.reduceat(self._exponentials(K),
+                                            self._cell_start, axis=1)
+        return B.reshape(-1, self.n, self.n)
 
     def fourier_matrix(self, k_int) -> np.ndarray:
         return self.fourier_matrix_batch(np.atleast_1d(k_int))[0]
@@ -124,11 +137,26 @@ class FourierEvaluator:
         return c0
 
     def amplitude_batch(self, K: np.ndarray, n: int | None = None) -> np.ndarray:
-        """H_i(k) for a batch of internal arguments, shape (nk, n_tiles)."""
+        """H_i(k) for a batch of internal arguments, shape (nk, n_tiles).
+
+        Matrix-free: the cocycle is applied to the right PF vector from
+        the innermost factor outwards, x <- pf^-1 B((A^T)^j k) x for
+        j = n-1, ..., 0, each step a segmented sum over the translations.
+        """
         if n is None:
             n = self.model.default_iters
-        P = self.cocycle_limit_batch(K, n)
-        c = np.einsum("kij,j->ki", P, self.right) / float(self.left @ self.right)
+        if n < 1:
+            raise ValueError("need at least one cocycle factor")
+        args = [np.atleast_2d(np.asarray(K, dtype=float))]
+        for _ in range(n - 1):
+            args.append(args[-1] @ self.contraction)     # k -> A^T k, row form
+        inv = 1.0 / self.pf
+        x = self.right[None, :]
+        for a in reversed(args):
+            y = self._exponentials(a)
+            y *= x[:, self._col]
+            x = np.add.reduceat(y, self._row_start, axis=1) * inv
+        c = x / float(self.left @ self.right)
         norm = self.model.density / complex(self._c0(n).sum())
         return c * norm
 
@@ -143,16 +171,3 @@ class FourierEvaluator:
         residual = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
         return AmplitudeVector(H=c * norm, n_iters=n, rank1_residual=residual)
 
-
-# -- functional wrappers matching the operation names -----------------------
-
-def fourier_matrix(ev: FourierEvaluator, k_int) -> np.ndarray:
-    return ev.fourier_matrix(k_int)
-
-
-def cocycle_limit(ev: FourierEvaluator, k_int, n: int) -> np.ndarray:
-    return ev.cocycle_limit(k_int, n)
-
-
-def amplitudes(ev: FourierEvaluator, k_int, n: int | None = None) -> AmplitudeVector:
-    return ev.amplitudes(k_int, n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,22 +122,17 @@ def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> co
 
 
 def _amplitude_sweep(ev: FourierEvaluator, args: np.ndarray, n: int,
-                     threads: int = 1, chunk: int = 2048) -> np.ndarray:
+                     chunk: int = 2048) -> np.ndarray:
     """Batched amplitude evaluation, chunked to bound memory."""
-    nk = args.shape[0]
-    chunks = [args[i:i + chunk] for i in range(0, nk, chunk)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: ev.amplitude_batch(a, n), chunks))
-    else:
-        results = [ev.amplitude_batch(a, n) for a in chunks]
+    results = [ev.amplitude_batch(args[i:i + chunk], n)
+               for i in range(0, args.shape[0], chunk)]
     return np.vstack(results) if results else np.zeros((0, ev.n), complex)
 
 
 def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
               internal_cutoff: float | None = None, threshold: float = 1e-6,
               weights="equal", deformation: DeformationMap | str | None = None,
-              n: int | None = None, threads: int = 1) -> list:
+              n: int | None = None) -> list:
     """All Bragg peaks with intensity >= threshold in a physical ball.
 
     Deterministic: peaks are sorted by descending intensity, ties broken
@@ -164,7 +158,7 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     else:
         DT = deformation.matrix.T
         args = np.array([p.k_int - DT @ p.k_phys for p in pts])
-    H = _amplitude_sweep(ev, args, n, threads=threads)
+    H = _amplitude_sweep(ev, args, n)
     totals = H @ w
     intensities = np.abs(totals) ** 2
     name = deformation.name if deformation is not None else None

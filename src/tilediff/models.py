@@ -282,37 +282,54 @@ def save_displacement(disp: DisplacementMatrix, path) -> None:
         fh.write("\n")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _translation(field: FieldSpec, vec) -> AlgebraicElement:
+    if not isinstance(vec, list) or len(vec) != field.degree:
+        raise ModelDataError(f"translation needs {field.degree} coordinates")
+    coords = []
+    for pair in vec:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(_is_int(x) for x in pair)):
+            raise ModelDataError(
+                f"coordinate must be an integer pair [num, den], got {pair!r}")
+        if pair[1] <= 0:
+            raise ModelDataError("denominator must be positive")
+        coords.append(Fraction(pair[0], pair[1]))
+    return field.element(coords)
+
+
 def displacement_from_dict(data: dict) -> DisplacementMatrix:
+    """Build a displacement matrix from the schema above.
+
+    Malformed data of any shape raises :class:`ModelDataError`.
+    """
+    if not isinstance(data, dict):
+        raise ModelDataError("displacement data must be a JSON object")
     try:
         fname = data["field"]
         n = data["n"]
         raw = data["entries"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ModelDataError(f"missing displacement key: {exc}") from exc
-    if fname not in FIELDS:
+    if not isinstance(fname, str) or fname not in FIELDS:
         raise ModelDataError(f"unknown field {fname!r}")
     field = FIELDS[fname]
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise ModelDataError("n must be a positive integer")
-    if len(raw) != n or any(len(row) != n for row in raw):
+    if not (isinstance(raw, list) and len(raw) == n
+            and all(isinstance(row, list) and len(row) == n for row in raw)):
         raise ModelDataError(f"entries must form an {n}x{n} matrix")
     entries = []
-    for row in raw:
+    for i, row in enumerate(raw):
         out_row = []
-        for cell in row:
-            stars = []
-            for vec in cell:
-                if len(vec) != field.degree:
-                    raise ModelDataError(
-                        f"translation needs {field.degree} coordinates")
-                coords = []
-                for pair in vec:
-                    num, den = int(pair[0]), int(pair[1])
-                    if den <= 0:
-                        raise ModelDataError("denominator must be positive")
-                    coords.append(Fraction(num, den))
-                stars.append(field.element(coords))
-            out_row.append(tuple(stars))
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list):
+                raise ModelDataError(
+                    f"entry ({i}, {j}) must be a list of translations")
+            out_row.append(tuple(_translation(field, vec) for vec in cell))
         entries.append(tuple(out_row))
     return DisplacementMatrix(field, entries)
 

@@ -97,6 +97,15 @@ def test_peaks_missing_data_exit_code(capsys):
     assert "displacement" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--radius", "-1"), ("--radius", "nan"), ("--internal-cutoff", "0"),
+    ("--threshold", "0"), ("--threshold", "-1"), ("--iters", "0")])
+def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
+    code, _, err = run(["peaks", "--model", "silver", flag, value], capsys)
+    assert code == 1
+    assert "usage error" in err and flag in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(["peaks", "--model", "nosuch"], capsys)
     assert code == 1
@@ -164,5 +173,11 @@ def test_bad_data_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     code, _, err = run(["verify", "--model", "cap", "--data", str(bad)], capsys)
+    assert code == 3
+    assert "data error" in err
+    bad.write_text(json.dumps({"field": "silver", "n": 2,
+                               "entries": [[1, 2], [3, 4]]}))
+    code, _, err = run(["peaks", "--model", "silver", "--data", str(bad)],
+                       capsys)
     assert code == 3
     assert "data error" in err

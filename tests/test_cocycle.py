@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tilediff.cocycle import FourierEvaluator
+from tilediff.cps import enumerate_module, internal_argument
 from tilediff.diffraction import analytic_silver
 from tilediff.models import ModelDataError, builtin
 
@@ -183,3 +184,21 @@ def test_scaffold_has_no_evaluator():
 def test_cocycle_requires_positive_n(ev_silver):
     with pytest.raises(ValueError):
         ev_silver.cocycle_limit(0.3, 0)
+    with pytest.raises(ValueError, match="at least one cocycle factor"):
+        ev_silver.amplitude_batch(np.array([[0.3]]), 0)
+
+
+@pytest.mark.parametrize("name,deformation", [
+    ("cap", None), ("cap", "hat"), ("silver", None), ("silver_twisted", None)])
+@pytest.mark.parametrize("n", [None, 30])
+def test_sweep_matches_product_path(name, deformation, n):
+    """The matrix-free sweep against C_n(k) v from the full product."""
+    model = builtin(name)
+    ev = FourierEvaluator(model)
+    pts = enumerate_module(model.lattice, np.zeros(model.dim), 0.4,
+                           model.internal_cutoff)[:60]
+    d = model.deformations[deformation] if deformation else None
+    args = np.array([internal_argument(p, d) for p in pts])
+    H = ev.amplitude_batch(args, n)
+    ref = np.array([ev.amplitudes(a, n).H for a in args])
+    assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -6,10 +6,10 @@ import pytest
 
 from tilediff.algebra import Surd
 from tilediff.cps import module_point
-from tilediff.diffraction import (amplitude_at, analytic_silver,
-                                  deformation_from_lengths, evaluator,
-                                  mean_log_intensity, peak_list, peaks_to_csv,
-                                  peaks_to_json, peaks_to_svg,
+from tilediff.diffraction import (_amplitude_sweep, amplitude_at,
+                                  analytic_silver, deformation_from_lengths,
+                                  evaluator, mean_log_intensity, peak_list,
+                                  peaks_to_csv, peaks_to_json, peaks_to_svg,
                                   periodicity_residual, symmetry_report,
                                   weight_vector, weyl_sum)
 from tilediff.inflation import inflate, seed_patch
@@ -328,8 +328,13 @@ def test_peak_svg(tmp_path, cap, cap_equal_peaks):
     assert (tmp_path / "empty.svg").read_text().startswith("<svg")
 
 
-def test_threads_agree(silver):
-    p1 = peak_list(silver, radius=2.0, threshold=1e-4, n=25, threads=1)
-    p4 = peak_list(silver, radius=2.0, threshold=1e-4, n=25, threads=4)
-    assert [(p.k.coords, p.intensity) for p in p1] == \
-        [(p.k.coords, p.intensity) for p in p4]
+def test_chunk_sizes_agree(cap):
+    """The sweep is per argument: chunking changes only BLAS rounding."""
+    rng = np.random.default_rng(3)
+    args = rng.uniform(-2, 2, size=(150, 2))
+    ev = evaluator(cap)
+    ref = _amplitude_sweep(ev, args, 15)
+    assert np.array_equal(ref, _amplitude_sweep(ev, args, 15))
+    for chunk in (1, 37):
+        H = _amplitude_sweep(ev, args, 15, chunk=chunk)
+        assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilediff.algebra import CAP, SILVER, Surd
 from tilediff.models import (DisplacementMatrix, ModelDataError, builtin,
@@ -182,6 +184,51 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"field": "silver", "n": 2, "entries": [[[]]]}))
     with pytest.raises(ModelDataError, match="2x2"):
         load_displacement(path)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_displacement_from_dict_fuzz(data):
+    """Any JSON-shaped dict either loads or raises ModelDataError.
+
+    Starts from valid silver data and replaces one node, at any depth,
+    by arbitrary JSON, so every level of the schema sees bad input.
+    """
+    doc = displacement_to_dict(builtin("silver").displacement)
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 7))):
+        if not (isinstance(node, (dict, list)) and node):
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        doc = data.draw(st.dictionaries(st.text(max_size=6), _json))
+    else:
+        parent[key] = data.draw(st.integers(-3, 3) | _json)
+    try:
+        disp = displacement_from_dict(doc)
+    except ModelDataError:
+        return
+    assert isinstance(disp, DisplacementMatrix) and disp.n == doc["n"]
+
+
+@pytest.mark.parametrize("data", [
+    [], "silver", None,
+    {"field": "silver", "n": 2, "entries": [[1, 2], [3, 4]]},
+    {"field": "silver", "n": 1, "entries": [[[[["a", 1], [0, 1]]]]]},
+    {"field": "silver", "n": 1, "entries": [[[[[1.5, 1], [0, 1]]]]]}])
+def test_displacement_from_dict_rejects(data):
+    with pytest.raises(ModelDataError):
+        displacement_from_dict(data)
 
 
 def _synthetic_casper_displacement(card):
