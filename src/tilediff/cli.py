@@ -55,6 +55,26 @@ def _checked(kind, ok, what: str):
     return parse
 
 
+def _finite_floats(token: str) -> list:
+    """argparse type: comma-separated finite floats."""
+    try:
+        xs = [float(x) for x in token.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{token!r} is not a comma-separated list of numbers") from None
+    if not all(map(math.isfinite, xs)):
+        raise argparse.ArgumentTypeError(f"{token!r} must be finite")
+    return xs
+
+
+def _zoom(token: str) -> tuple:
+    """argparse type: 'lo,hi' with finite lo < hi."""
+    xs = _finite_floats(token)
+    if len(xs) != 2 or not xs[0] < xs[1]:
+        raise argparse.ArgumentTypeError(f"{token!r} must be lo,hi with lo < hi")
+    return tuple(xs)
+
+
 def _outdir() -> Path:
     return Path(os.environ.get("TILEDIFF_OUTDIR", "."))
 
@@ -158,13 +178,14 @@ def cmd_peaks(args) -> int:
         return EXIT_NODATA
     deformation = _resolve_deformation(model, args.deformation) \
         if args.deformation else None
-    weights = _parse_weights(args.weights)
-    center = [float(x) for x in args.center.split(",")] if args.center \
-        else None
-    if center is not None and len(center) != model.dim:
-        raise UsageError(f"center needs {model.dim} coordinates")
+    try:
+        weights = diffraction.weight_vector(model, _parse_weights(args.weights))
+    except ValueError as exc:
+        raise UsageError(f"--weights: {exc}") from exc
+    if args.center is not None and len(args.center) != model.dim:
+        raise UsageError(f"--center needs {model.dim} coordinates")
     peaks = diffraction.peak_list(
-        model, center=center, radius=args.radius,
+        model, center=args.center, radius=args.radius,
         internal_cutoff=args.internal_cutoff, threshold=args.threshold,
         weights=weights, deformation=deformation, n=args.iters)
 
@@ -201,14 +222,10 @@ def cmd_window(args) -> int:
         generations = 22 if model.dim == 1 else 12
     cloud = windows.iterate_windows(model, generations,
                                     resolution=args.resolution)
-    zoom = None
-    if args.zoom:
-        lo, hi = (float(x) for x in args.zoom.split(","))
-        zoom = (lo, hi)
     outdir = _outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / (args.out or f"window_{model.name}.svg")
-    windows.render_windows(cloud, out, model=model, zoom=zoom)
+    windows.render_windows(cloud, out, model=model, zoom=args.zoom)
     v, br = windows.volume(cloud)
     print(f"window cloud generation {cloud.generation}, cell {cloud.cell_size:.3g}; "
           f"total volume {v:.6g} (+- {br:.2g}); wrote {out}")
@@ -263,7 +280,7 @@ def build_parser() -> _Parser:
     add_model_args(pp)
     pp.add_argument("--deformation")
     pp.add_argument("--weights", default="equal")
-    pp.add_argument("--center")
+    pp.add_argument("--center", type=_finite_floats)
     pp.add_argument("--radius", default=0.6,
                     type=_checked(float, lambda x: x >= 0, "finite and >= 0"))
     pp.add_argument("--internal-cutoff", default=None,
@@ -277,11 +294,14 @@ def build_parser() -> _Parser:
 
     pw = sub.add_parser("window", help="render window clouds to SVG")
     add_model_args(pw)
-    pw.add_argument("--generations", type=int, default=None,
+    pw.add_argument("--generations", default=None,
+                    type=_checked(int, lambda x: x >= 1, ">= 1"),
                     help="IFS iterations (default 22 in 1d, 12 in 2d)")
-    pw.add_argument("--resolution", type=int, default=None,
+    pw.add_argument("--resolution", default=None,
+                    type=_checked(int, lambda x: x >= 1, ">= 1"),
                     help="grid bits: cell = diameter * 2^-resolution")
-    pw.add_argument("--zoom", help="lo,hi zoom strip for 1d windows")
+    pw.add_argument("--zoom", type=_zoom,
+                    help="lo,hi zoom strip for 1d windows")
     pw.add_argument("--out")
     pw.set_defaults(func=cmd_window)
 
@@ -291,8 +311,10 @@ def build_parser() -> _Parser:
 
     pa = sub.add_parser("patch", help="export an inflation patch as CSV")
     add_model_args(pa)
-    pa.add_argument("--steps", type=int, default=6)
-    pa.add_argument("--radius", type=float, default=None)
+    pa.add_argument("--steps", default=6,
+                    type=_checked(int, lambda x: x >= 0, ">= 0"))
+    pa.add_argument("--radius", default=None,
+                    type=_checked(float, lambda x: x >= 0, "finite and >= 0"))
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_patch)
     return p

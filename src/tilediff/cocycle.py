@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelDataError, ModelSpec
+from .models import ModelDataError, ModelSpec, pf_data
 
 __all__ = ["FourierEvaluator", "AmplitudeVector"]
 
@@ -74,16 +74,7 @@ class FourierEvaluator:
                                                   return_index=True)
 
         self.M = disp.card_matrix()
-        lam, vecs = np.linalg.eig(self.M.astype(float))
-        idx = int(np.argmax(lam.real))
-        v = np.real(vecs[:, idx])
-        v = v / v.sum()
-        lamT, vecsT = np.linalg.eig(self.M.T.astype(float))
-        idxT = int(np.argmax(lamT.real))
-        u = np.real(vecsT[:, idxT])
-        u = u / float(u @ v)
-        self.right = v
-        self.left = u
+        _, self.left, self.right = pf_data(self.M)
         self._c0_cache: dict[int, np.ndarray] = {}
 
     # -- Fourier matrix ---------------------------------------------------------

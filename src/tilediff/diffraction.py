@@ -112,7 +112,7 @@ def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> co
     """
     if region_measure <= 0:
         raise ValueError("region_measure must be positive")
-    if not patch.points:
+    if not len(patch):
         raise ValueError("empty patch")
     pos = patch.positions_phys()
     k = np.atleast_1d(np.asarray(k_phys, dtype=float))

@@ -1,7 +1,12 @@
 """Finite control-point patches from the inflation fixed-point equations.
 
-Patches are exact: positions stay field elements through every inflation
-step, so membership in the return module and point counts are integer
+Patches are exact.  Every control point is an integer combination of the
+return-module generators, and the expansion acts on generator
+coordinates by an integer matrix (casper's antilinear rho*conj(x)
+included), so one inflation step is an int64 matmul plus integer
+translations.  A patch stores the exact integer field-basis coordinates
+of its points; floats enter only through :meth:`TypedPointSet.positions_phys`.
+Membership in the return module and point counts are integer
 identities.  Patches serve as brute-force oracles for the amplitude
 computations (via Weyl sums) and can be exported as CSV.
 """
@@ -12,33 +17,67 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraicElement
-from .models import ModelSpec
+from .algebra import AlgebraicElement, FieldMismatchError, FieldSpec
+from .models import ModelSpec, pf_data
 
 __all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
            "substitution_matrix", "pf_data", "patch_to_csv"]
 
+# int64 sums and the conversion to float are exact up to this magnitude
+_EXACT = 2 ** 53
 
-@dataclass(frozen=True)
+
+def _field_ints(x: AlgebraicElement) -> list:
+    if any(c.denominator != 1 for c in x.coords):
+        raise ValueError(f"{x} has non-integer field-basis coordinates")
+    return [int(c) for c in x.coords]
+
+
+@dataclass(frozen=True, eq=False)
 class TypedPointSet:
-    """Ordered list of (tile_type, exact position) pairs, no duplicates."""
+    """Ordered (tile type, exact position) pairs, no duplicates.
 
-    points: tuple
+    ``tile_types`` is an int64 array of shape (npoints,); ``coords`` holds
+    the positions' integer coordinates over the field basis, an int64
+    array of shape (npoints, degree) with entries of magnitude <= 2**53.
+    """
+
+    field: FieldSpec
+    tile_types: np.ndarray
+    coords: np.ndarray
+
+    def __post_init__(self):
+        if self.coords.size and int(np.abs(self.coords).max()) > _EXACT:
+            raise ValueError("point coordinates exceed 2**53")
 
     def __len__(self):
-        return len(self.points)
+        return len(self.tile_types)
+
+    @property
+    def points(self) -> tuple:
+        """(type, AlgebraicElement) pairs, built on demand."""
+        return tuple((t, self.field.element(c)) for t, c in
+                     zip(self.tile_types.tolist(), self.coords.tolist()))
 
     def positions_phys(self) -> np.ndarray:
-        """Float physical coordinates, shape (npoints, dim)."""
-        if not self.points:
-            return np.zeros((0, 1))
-        return np.array([x.embed_phys() for _, x in self.points])
+        """Float physical coordinates, shape (npoints, dim).
+
+        Bitwise equal to ``embed_phys()`` of each point: the batched
+        matrix-vector product rounds like the per-point one, where
+        ``F @ P.T`` and einsum do not.
+        """
+        P = self.field.phys_columns
+        return (P[None] @ self.coords.astype(float)[:, :, None])[:, :, 0]
 
     def types(self) -> np.ndarray:
-        return np.array([t for t, _ in self.points], dtype=np.int64)
+        return self.tile_types
 
     def translated(self, t: AlgebraicElement) -> "TypedPointSet":
-        return TypedPointSet(tuple((ty, x + t) for ty, x in self.points))
+        if t.field is not self.field:
+            raise FieldMismatchError(
+                f"cannot combine {self.field.name} with {t.field.name}")
+        shift = np.array(_field_ints(t), dtype=np.int64)
+        return TypedPointSet(self.field, self.tile_types, self.coords + shift)
 
 
 def seed_patch(model: ModelSpec, tile_type: int = 0) -> TypedPointSet:
@@ -48,36 +87,76 @@ def seed_patch(model: ModelSpec, tile_type: int = 0) -> TypedPointSet:
     volume-averaged oracles where the boundary mismatch of an illegal
     seed is absorbed by the tolerance.
     """
-    return TypedPointSet(((tile_type, model.field.zero()),))
+    return TypedPointSet(model.field, np.array([tile_type], dtype=np.int64),
+                         np.zeros((1, model.field.degree), dtype=np.int64))
+
+
+def _generator_coords(model: ModelSpec, x: AlgebraicElement, what: str) -> list:
+    c = model.lattice.integer_coords(x)
+    if c is None:
+        raise ValueError(f"{what} {x} lies outside the return module")
+    return list(c)
 
 
 def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
-    """Apply x -> expansion(x) + t for every displacement entry, `steps` times."""
+    """Apply x -> expansion(x) + t for every displacement entry, `steps` times.
+
+    Points come out sorted by (field-basis coordinates, type).  Raises
+    ValueError for a seed position outside the return module and before
+    a step whose coordinates could pass 2**53.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if seed.field is not model.field:
+        raise FieldMismatchError(
+            f"cannot inflate a {seed.field.name} patch with model {model.name!r}")
     disp = model.require_displacement()
-    pts = list(seed.points)
+    gens = model.lattice.generators
+    r = len(gens)
+    # row form on generator coordinates: expand(c) = c @ E, field coords = c @ G
+    E = np.array([_generator_coords(model, model.apply_expansion(g),
+                                    "expanded generator") for g in gens],
+                 dtype=np.int64)
+    G = np.array([_field_ints(g) for g in gens], dtype=np.int64)
+    dst = [[] for _ in range(disp.n)]
+    shift = [[] for _ in range(disp.n)]
+    for i, j, t in disp.iter_translations():
+        dst[j].append(i)
+        shift[j].append(_generator_coords(model, t, "translation"))
+    dst = [np.array(d, dtype=np.int64) for d in dst]
+    shift = [np.array(s, dtype=np.int64).reshape(-1, r) for s in shift]
+    e_norm = int(np.abs(E).sum(axis=0).max())
+    g_norm = int(np.abs(G).sum(axis=0).max())
+    t_norm = max(int(np.abs(s).max(initial=0)) for s in shift)
+
+    C = np.array([_generator_coords(model, x, "seed position")
+                  for _, x in seed.points], dtype=np.int64).reshape(-1, r)
+    types, F = seed.tile_types, seed.coords
     for _ in range(steps):
-        nxt = {}
-        for ty, x in pts:
-            base = model.apply_expansion(x)
-            for i in range(disp.n):
-                for t in disp.entries[i][ty]:
-                    key = (i, (base + t).coords)
-                    if key not in nxt:
-                        nxt[key] = (i, base + t)
-        pts = sorted(nxt.values(), key=lambda p: (p[1].coords, p[0]))
-    return TypedPointSet(tuple(pts))
+        if (int(np.abs(C).max(initial=0)) * e_norm + t_norm) * g_norm > _EXACT:
+            raise ValueError("inflated coordinates could exceed 2**53")
+        base = C @ E
+        parts, kinds = [], []
+        for j in range(disp.n):
+            src = base[types == j]
+            parts.append((src[:, None, :] + shift[j][None]).reshape(-1, r))
+            kinds.append(np.tile(dst[j], len(src)))
+        C, types = np.concatenate(parts), np.concatenate(kinds)
+        F = C @ G
+        order = np.lexsort((types,) + tuple(F.T[::-1]))
+        C, F, types = C[order], F[order], types[order]
+        new = np.ones(len(C), dtype=bool)
+        new[1:] = (types[1:] != types[:-1]) | np.any(F[1:] != F[:-1], axis=1)
+        C, F, types = C[new], F[new], types[new]
+    return TypedPointSet(model.field, types, F)
 
 
 def truncate(patch: TypedPointSet, radius: float, center=None) -> TypedPointSet:
     """Keep points with |phys(x) - center| <= radius."""
-    if not patch.points:
-        return patch
     pos = patch.positions_phys()
     c = np.zeros(pos.shape[1]) if center is None else np.atleast_1d(center)
     keep = np.linalg.norm(pos - c, axis=1) <= radius + 1e-12
-    return TypedPointSet(tuple(p for p, k in zip(patch.points, keep) if k))
+    return TypedPointSet(patch.field, patch.tile_types[keep], patch.coords[keep])
 
 
 def substitution_matrix(model: ModelSpec) -> np.ndarray:
@@ -85,48 +164,14 @@ def substitution_matrix(model: ModelSpec) -> np.ndarray:
     return model.require_displacement().card_matrix()
 
 
-def pf_data(M: np.ndarray, inv_density: float | None = None):
-    """Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix.
-
-    The right eigenvector is frequency-normalized (entries sum to 1).
-    The left eigenvector is scaled so that <u|v> equals ``inv_density``
-    when given (the reciprocal model density), else so that <u|v> = 1.
-    """
-    M = np.asarray(M)
-    _check_primitive(M)
-    lam, vecs = np.linalg.eig(M.astype(float))
-    idx = int(np.argmax(lam.real))
-    if abs(lam[idx].imag) > 1e-9:
-        raise ValueError("leading eigenvalue is not real")
-    v = np.real(vecs[:, idx])
-    v = v / v.sum()
-    lamT, vecsT = np.linalg.eig(M.T.astype(float))
-    idxT = int(np.argmax(lamT.real))
-    u = np.real(vecsT[:, idxT])
-    scale = (inv_density if inv_density is not None else 1.0) / float(u @ v)
-    return float(lam[idx].real), u * scale, v
-
-
-def _check_primitive(M: np.ndarray) -> None:
-    if np.any(M < 0):
-        raise ValueError("matrix has negative entries")
-    n = M.shape[0]
-    acc = M.astype(object)
-    A = M.astype(object)
-    for _ in range(2 * n):
-        if all(x > 0 for x in np.ravel(acc)):
-            return
-        acc = acc @ A
-    raise ValueError("matrix is not primitive")
-
-
 def patch_to_csv(patch: TypedPointSet, path, model: ModelSpec | None = None) -> None:
     """Write (type, x, y) rows; y is 0 for one-dimensional models."""
     labels = model.tile_labels if model is not None else None
+    pos = patch.positions_phys()
+    ys = pos[:, 1] if pos.shape[1] == 2 else np.zeros(len(pos))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("type,x,y\n")
-        for ty, x in patch.points:
-            v = x.embed_phys()
-            y = v[1] if v.shape == (2,) else 0.0
-            name = labels[ty] if labels else str(ty)
-            fh.write(f"{name},{format(v[0], '.17g')},{format(y, '.17g')}\n")
+        fh.writelines(
+            f"{labels[ty] if labels else ty},{format(x, '.17g')},{format(y, '.17g')}\n"
+            for ty, x, y in zip(patch.tile_types.tolist(), pos[:, 0].tolist(),
+                                ys.tolist()))

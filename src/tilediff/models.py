@@ -38,7 +38,7 @@ from .cps import LatticeBasis
 __all__ = [
     "DisplacementMatrix", "DeformationMap", "ModelSpec", "ModelDataError",
     "builtin", "builtin_names", "load_displacement", "save_displacement",
-    "validate_symmetry", "SymmetryReport",
+    "validate_symmetry", "SymmetryReport", "pf_data",
 ]
 
 BUILTIN_NAMES = ("silver", "silver_twisted", "cap", "casper_scaffold")
@@ -220,9 +220,7 @@ class ModelSpec:
             if not lat.contains(t):
                 raise ModelDataError(
                     f"translation at entry ({i},{j}) outside the return module: {t}")
-        M = disp.card_matrix()
-        _require_primitive(M)
-        lam = float(np.max(np.abs(np.linalg.eigvals(M.astype(float)))))
+        lam = pf_data(disp.card_matrix())[0]
         lam_doc = float(self.pf_eigenvalue.embed_phys()[0])
         if abs(lam - lam_doc) > pf_tol:
             raise ModelDataError(
@@ -244,18 +242,43 @@ class ModelSpec:
                 f"field={self.field.name!r}, displacement={data})")
 
 
+def pf_data(M: np.ndarray, inv_density: float | None = None):
+    """Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix.
+
+    Raises :class:`ModelDataError` unless M is nonnegative and primitive.
+    The right eigenvector is frequency-normalized (entries sum to 1).  The
+    left eigenvector is scaled so that <u|v> = 1, then multiplied by
+    ``inv_density`` when given (the reciprocal model density).
+    """
+    M = np.asarray(M)
+    _require_primitive(M)
+    lam, vecs = np.linalg.eig(M.astype(float))
+    idx = int(np.argmax(lam.real))
+    if abs(lam[idx].imag) > 1e-9:
+        raise ModelDataError("leading eigenvalue is not real")
+    v = np.real(vecs[:, idx])
+    v = v / v.sum()
+    lamT, vecsT = np.linalg.eig(M.T.astype(float))
+    u = np.real(vecsT[:, int(np.argmax(lamT.real))])
+    u = u / float(u @ v)
+    if inv_density is not None:
+        u = u * inv_density
+    return float(lam[idx].real), u, v
+
+
 def _require_primitive(M: np.ndarray) -> None:
-    n = M.shape[0]
+    """Wielandt: a nonnegative n x n matrix is primitive iff its pattern
+    raised to any power >= (n-1)^2 + 1 is positive."""
     if np.any(M < 0):
-        raise ModelDataError("cardinality matrix has negative entries")
-    P = np.eye(n, dtype=object)
-    A = M.astype(object)
-    acc = A
-    for _ in range(2 * n):
-        if np.all(np.array([[x > 0 for x in row] for row in acc])):
-            return
-        acc = acc @ A
-    raise ModelDataError("substitution matrix is not primitive")
+        raise ModelDataError("matrix has negative entries")
+    n = M.shape[0]
+    pattern = (M > 0).astype(np.int64)
+    power = 1
+    while power < (n - 1) ** 2 + 1:
+        pattern = (pattern @ pattern > 0).astype(np.int64)
+        power *= 2
+    if not pattern.all():
+        raise ModelDataError("matrix is not primitive")
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,13 @@ class WindowCloud:
 
 
 def _star_maps(model: ModelSpec):
+    """Internal contraction A and, per target type i, the pairs
+    (source type j, starred translations of entry (i, j))."""
     disp = model.require_displacement()
-    A = model.int_contraction_matrix
-    maps = []
-    for i in range(disp.n):
-        row = []
-        for j in range(disp.n):
-            if disp.entries[i][j]:
-                row.append(np.array([t.embed_int() for t in disp.entries[i][j]]))
-            else:
-                row.append(None)
-        maps.append(row)
-    return A, maps
+    maps = [[(j, np.array([t.embed_int() for t in cell]))
+             for j, cell in enumerate(row) if cell]
+            for row in disp.entries]
+    return model.int_contraction_matrix, maps
 
 
 def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
@@ -99,25 +94,21 @@ def seed_clouds(model: ModelSpec, cell_size: float | None = None,
 
 def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
     """One application of the star-mapped inflation maps, grid-deduplicated."""
-    A, maps = _star_maps(model)
+    return _step(cloud, *_star_maps(model))
+
+
+def _step(cloud: WindowCloud, A: np.ndarray, maps) -> WindowCloud:
     h = cloud.cell_size
+    mapped = [(c.astype(float) * h) @ A.T for c in cloud.cells]   # rows: A @ p
     out = []
-    for i in range(cloud.n_types):
-        chunks = []
-        for j in range(cloud.n_types):
-            tstars = maps[i][j]
-            if tstars is None or cloud.cells[j].size == 0:
-                continue
-            pts = cloud.cells[j].astype(float) * h
-            mapped = pts @ A.T                      # rows: A @ p
-            for t in tstars:
-                chunks.append(mapped + t)
+    for row in maps:
+        chunks = [(mapped[j][:, None, :] + tstars[None]).reshape(-1, cloud.dim)
+                  for j, tstars in row]
         if chunks:
-            allpts = np.vstack(chunks)
-            snapped = np.unique(np.round(allpts / h).astype(np.int64), axis=0)
+            snapped = np.round(np.vstack(chunks) / h).astype(np.int64)
         else:
             snapped = np.zeros((0, cloud.dim), dtype=np.int64)
-        out.append(snapped)
+        out.append(_unique_cells(snapped))
     return WindowCloud(tuple(out), h, cloud.generation + 1)
 
 
@@ -125,37 +116,48 @@ def iterate_windows(model: ModelSpec, generations: int,
                     cell_size: float | None = None,
                     resolution: int | None = None) -> WindowCloud:
     cloud = seed_clouds(model, cell_size, resolution)
+    A, maps = _star_maps(model)
     for _ in range(generations):
-        cloud = ifs_step(cloud, model)
+        cloud = _step(cloud, A, maps)
     return cloud
 
 
 def _cell_keys(cells: np.ndarray):
-    """Encode integer cells as sorted unique int64 keys plus the encoding."""
-    if cells.shape[1] == 1:
-        keys = cells[:, 0].astype(np.int64)
-        enc = (np.array([0]), np.array([1], dtype=np.int64))
-    else:
-        mins = cells.min(axis=0) - 2
-        spans = cells.max(axis=0) - mins + 4
-        mult = np.array([spans[1], 1], dtype=np.int64)
-        keys = (cells[:, 0] - mins[0]) * mult[0] + (cells[:, 1] - mins[1])
-        enc = (mins, mult)
-    return np.sort(keys), enc
+    """Encode nonempty integer cells as one int64 key per row.
+
+    Mixed radix over the occupied bounding box with one spare slot per
+    axis, so keys ascend in lexicographic row order and an axis
+    neighbor (key +- mult[k]) outside the box never aliases an
+    occupied cell.  Returns the keys and the per-axis multipliers.
+    """
+    cols = cells.T
+    mins = [int(c.min()) for c in cols]
+    spans = [int(c.max()) - m + 2 for c, m in zip(cols, mins)]
+    if math.prod(spans) >= 2 ** 63:
+        raise ValueError("cell grid too large for int64 keys")
+    keys = np.zeros(len(cells), dtype=np.int64)
+    for c, m, span in zip(cols, mins, spans):
+        keys = keys * span + (c - m)
+    mult = np.array([math.prod(spans[k + 1:]) for k in range(len(spans))],
+                    dtype=np.int64)
+    return keys, mult
+
+
+def _unique_cells(cells: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order, as np.unique(cells, axis=0)."""
+    if not len(cells):
+        return cells
+    _, first = np.unique(_cell_keys(cells)[0], return_index=True)
+    return cells[first]
 
 
 def _interior_mask(cells: np.ndarray) -> np.ndarray:
     """True for occupied cells whose axis neighbors are all occupied."""
     if cells.size == 0:
         return np.zeros(0, dtype=bool)
-    d = cells.shape[1]
-    keys, (mins, mult) = _cell_keys(cells)
-    if d == 1:
-        own = cells[:, 0].astype(np.int64)
-        offsets = [1, -1]
-    else:
-        own = (cells[:, 0] - mins[0]) * mult[0] + (cells[:, 1] - mins[1])
-        offsets = [mult[0], -mult[0], 1, -1]
+    own, mult = _cell_keys(cells)
+    keys = np.sort(own)
+    offsets = np.concatenate([mult, -mult])
     mask = np.ones(len(cells), dtype=bool)
     for off in offsets:
         idx = np.searchsorted(keys, own + off)
@@ -186,8 +188,7 @@ def volume(cloud: WindowCloud, per_type: bool = False):
     if per_type:
         return [(c.shape[0] * cell_vol, _boundary_count(c) * cell_vol)
                 for c in cloud.cells]
-    union = np.unique(np.vstack([c for c in cloud.cells]), axis=0) \
-        if cloud.cells else np.zeros((0, d), np.int64)
+    union = _unique_cells(np.vstack(cloud.cells))
     return union.shape[0] * cell_vol, _boundary_count(union) * cell_vol
 
 
@@ -259,11 +260,11 @@ def box_counting_dimension(cloud: WindowCloud, levels: int = 4):
 
     Convergence is slow; no acceptance threshold is attached to this.
     """
-    union = np.unique(np.vstack([c for c in cloud.cells]), axis=0)
+    union = _unique_cells(np.vstack(cloud.cells))
     sizes, counts = [], []
     for lev in range(levels):
         factor = 2 ** lev
-        coarse = np.unique(union // factor, axis=0)
+        coarse = _unique_cells(union // factor)
         sizes.append(cloud.cell_size * factor)
         counts.append(coarse.shape[0])
     logs = np.log(np.array(sizes))

@@ -106,6 +106,24 @@ def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     assert "usage error" in err and flag in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["patch", "--model", "silver", "--steps", "-1"], "--steps"),
+    (["patch", "--model", "silver", "--radius", "-1"], "--radius"),
+    (["patch", "--model", "silver", "--radius", "nan"], "--radius"),
+    (["window", "--model", "silver", "--generations", "0"], "--generations"),
+    (["window", "--model", "silver", "--resolution", "-3"], "--resolution"),
+    (["window", "--model", "silver", "--zoom", "1"], "--zoom"),
+    (["window", "--model", "silver", "--zoom", "0.5,0"], "--zoom"),
+    (["peaks", "--model", "cap", "--center", "0,nan"], "--center"),
+    (["peaks", "--model", "silver", "--weights", "1"], "--weights")])
+def test_rejects_bad_flags(argv, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert "usage error" in err and flag in err
+    assert not out and not any(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(["peaks", "--model", "nosuch"], capsys)
     assert code == 1

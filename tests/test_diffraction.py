@@ -12,7 +12,7 @@ from tilediff.diffraction import (_amplitude_sweep, amplitude_at,
                                   peaks_to_csv, peaks_to_json, peaks_to_svg,
                                   periodicity_residual, symmetry_report,
                                   weight_vector, weyl_sum)
-from tilediff.inflation import inflate, seed_patch
+from tilediff.inflation import inflate, seed_patch, truncate
 from tilediff.models import ModelDataError, builtin
 
 S2, S3, S5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
@@ -147,9 +147,9 @@ def test_weyl_translation_covariance(silver, silver_patch):
 def test_weyl_errors(silver_patch):
     with pytest.raises(ValueError):
         weyl_sum(silver_patch, [0.0], np.ones(2), 0.0)
-    from tilediff.inflation import TypedPointSet
     with pytest.raises(ValueError):
-        weyl_sum(TypedPointSet(()), [0.0], np.ones(2), 1.0)
+        weyl_sum(truncate(silver_patch, 0.5, center=[-1e6]), [0.0],
+                 np.ones(2), 1.0)
 
 
 # -- peak lists ---------------------------------------------------------------

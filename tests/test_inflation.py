@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tilediff.inflation import (inflate, patch_to_csv, pf_data, seed_patch,
                                 substitution_matrix, truncate)
 from tilediff.models import ModelDataError, builtin
+from test_cocycle import _with_synthetic_spectre_data
 
 S2 = math.sqrt(2)
 LAM = 1 + S2
@@ -78,6 +80,47 @@ def test_cap_inflation_stays_in_module():
     lat = cap.lattice
     for _, x in patch.points:
         assert lat.integer_coords(x) is not None
+
+
+def _fraction_inflate(model, steps):
+    """Per-point Fraction inflation of a type-0 seed at the origin: the
+    exact reference for the int64 path."""
+    disp = model.require_displacement()
+    pts = [(0, model.field.zero())]
+    for _ in range(steps):
+        nxt = {}
+        for ty, x in pts:
+            base = model.apply_expansion(x)
+            for i in range(disp.n):
+                for t in disp.entries[i][ty]:
+                    nxt.setdefault((i, (base + t).coords), (i, base + t))
+        pts = sorted(nxt.values(), key=lambda p: (p[1].coords, p[0]))
+    return pts
+
+
+@pytest.mark.parametrize("name,steps", [
+    ("silver", 8), ("silver_twisted", 8), ("cap", 4), ("synthetic-spectre", 4)])
+def test_integer_inflation_matches_fractions(name, steps):
+    model = _with_synthetic_spectre_data() if name == "synthetic-spectre" \
+        else builtin(name)
+    patch = inflate(seed_patch(model), model, steps)
+    ref = _fraction_inflate(model, steps)
+    assert [(t, x.coords) for t, x in patch.points] == \
+        [(t, x.coords) for t, x in ref]
+    exact = np.array([x.embed_phys() for _, x in ref])
+    assert patch.positions_phys().tobytes() == exact.tobytes()
+
+
+def test_inflate_rejects_inexact_seeds(silver):
+    cap = builtin("cap")
+    outside = seed_patch(cap).translated(cap.field.one())
+    with pytest.raises(ValueError, match="outside the return module"):
+        inflate(outside, cap, 1)
+    far = seed_patch(silver).translated(silver.field.element([2 ** 52, 0]))
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        inflate(far, silver, 1)
+    with pytest.raises(ValueError):
+        seed_patch(silver).translated(silver.field.element([Fraction(1, 2), 0]))
 
 
 def test_truncate(silver):

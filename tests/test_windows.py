@@ -73,6 +73,41 @@ def test_hausdorff_contraction_rate(silver):
     assert abs(np.mean(ratios) - (LAM - 2)) < 0.1
 
 
+def _unique_step(cloud, model):
+    """One IFS step deduplicated by np.unique(axis=0): the reference for
+    the int64-key dedup."""
+    disp = model.require_displacement()
+    A, h = model.int_contraction_matrix, cloud.cell_size
+    out = []
+    for i in range(cloud.n_types):
+        pts = [(cloud.cells[j].astype(float) * h) @ A.T + t.embed_int()
+               for j in range(cloud.n_types) for t in disp.entries[i][j]]
+        out.append(np.unique(np.round(np.vstack(pts) / h).astype(np.int64),
+                             axis=0))
+    return WindowCloud(tuple(out), h, cloud.generation + 1)
+
+
+@pytest.mark.parametrize("name,generations,resolution", [
+    ("cap", 8, 7), ("silver_twisted", 20, 12)])
+def test_ifs_step_matches_unique_oracle(name, generations, resolution):
+    model = builtin(name)
+    ref = got = seed_clouds(model, resolution=resolution)
+    for _ in range(generations):
+        ref, got = _unique_step(ref, model), ifs_step(got, model)
+    once = iterate_windows(model, generations, resolution=resolution)
+    assert once.generation == got.generation == ref.generation
+    for a, b, c in zip(got.cells, ref.cells, once.cells):
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b) and np.array_equal(c, b)
+    # the int64 keys also find axis neighbors: interior cells vs a set scan
+    axes = [tuple(s * e) for e in np.eye(got.dim, dtype=int) for s in (1, -1)]
+    for i, cells in enumerate(got.cells):
+        occupied = set(map(tuple, cells.tolist()))
+        expect = {c for c in occupied
+                  if all(tuple(np.add(c, e).tolist()) in occupied for e in axes)}
+        assert interior_cells(got, i) == expect
+
+
 def test_silver_volume(silver):
     cloud = iterate_windows(silver, 24)
     v, bracket = volume(cloud)
