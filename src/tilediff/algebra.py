@@ -464,9 +464,6 @@ class AlgebraicElement:
         v = self.embed_phys()
         return complex(v[0], v[1]) if v.shape == (2,) else complex(v[0], 0.0)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

@@ -79,10 +79,15 @@ def _outdir() -> Path:
     return Path(os.environ.get("TILEDIFF_OUTDIR", "."))
 
 
-def _load_model(args):
+def _load_model(args, need_data: bool = True):
+    """The --model built-in with --data attached.  Without displacement
+    data, raises ModelDataError (exit 3) when ``need_data``."""
     model = builtin(args.model)
     if getattr(args, "data", None):
         model = model.with_displacement(load_displacement(args.data))
+    if need_data and not model.has_displacement:
+        raise ModelDataError(
+            f"model {model.name!r} needs displacement data (--data FILE)")
     return model
 
 
@@ -172,10 +177,6 @@ def cmd_models(args) -> int:
 
 def cmd_peaks(args) -> int:
     model = _load_model(args)
-    if not model.has_displacement:
-        print(f"error: model {model.name!r} needs displacement data "
-              "(--data FILE)", file=sys.stderr)
-        return EXIT_NODATA
     deformation = _resolve_deformation(model, args.deformation) \
         if args.deformation else None
     try:
@@ -213,10 +214,6 @@ def cmd_peaks(args) -> int:
 
 def cmd_window(args) -> int:
     model = _load_model(args)
-    if not model.has_displacement:
-        print(f"error: model {model.name!r} needs displacement data "
-              "(--data FILE)", file=sys.stderr)
-        return EXIT_NODATA
     generations = args.generations
     if generations is None:
         generations = 22 if model.dim == 1 else 12
@@ -233,7 +230,7 @@ def cmd_window(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = _load_model(args)
+    model = _load_model(args, need_data=False)
     checks, ok = run_verification(model)
     width = max(len(c.name) for c in checks)
     for c in checks:
@@ -245,13 +242,11 @@ def cmd_verify(args) -> int:
 
 def cmd_patch(args) -> int:
     model = _load_model(args)
-    if not model.has_displacement:
-        print(f"error: model {model.name!r} needs displacement data "
-              "(--data FILE)", file=sys.stderr)
-        return EXIT_NODATA
     patch = inflation.inflate(inflation.seed_patch(model), model, args.steps)
     if args.radius is not None:
-        patch = inflation.truncate(patch, args.radius)
+        # an inflated seed tile grows away from the origin: centre on the patch
+        center = patch.positions_phys().mean(axis=0)
+        patch = inflation.truncate(patch, args.radius, center)
     outdir = _outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / (args.out or f"patch_{model.name}.csv")

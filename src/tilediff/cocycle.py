@@ -54,20 +54,15 @@ class FourierEvaluator:
         self.pf = float(model.pf_eigenvalue.embed_phys()[0])
         self.contraction = model.int_contraction_matrix
 
-        t_star, rows, cols = [], [], []
-        for i, j, t in disp.iter_translations():       # row-major order
-            t_star.append(t.embed_int())
-            rows.append(i)
-            cols.append(j)
         # exponentials are evaluated once per distinct starred translation
         # and gathered per translation through _phase
-        self._t_star, self._phase = np.unique(np.array(t_star), axis=0,
+        self._t_star, self._phase = np.unique(disp.stars, axis=0,
                                               return_inverse=True)
-        self._col = np.array(cols)
-        rows = np.array(rows)
+        self._col = disp.cols
+        rows = disp.rows
         if len(np.unique(rows)) != self.n:
             raise ModelDataError("every tile type needs a translation")
-        # translations are sorted by row and by cell: segment starts for
+        # the table is sorted by row and by cell: segment starts for
         # the sums into rows (sweep) and into cells (Fourier matrix)
         self._row_start = np.searchsorted(rows, np.arange(self.n))
         self._cells, self._cell_start = np.unique(rows * self.n + self._col,

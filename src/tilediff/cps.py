@@ -119,13 +119,6 @@ class LatticeBasis:
     def contains(self, x: AlgebraicElement) -> bool:
         return self.integer_coords(x) is not None
 
-    def element_from_coords(self, coords: Sequence[int]) -> AlgebraicElement:
-        acc = self.field.zero()
-        for c, g in zip(coords, self.generators):
-            if c:
-                acc = acc + g * int(c)
-        return acc
-
     def __repr__(self):
         return f"LatticeBasis({self.field.name}, rank={self.rank})"
 

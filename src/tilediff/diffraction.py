@@ -31,6 +31,9 @@ __all__ = [
 
 _SILVER_LAMBDA = 1.0 + math.sqrt(2.0)
 
+# peaks whose intensities agree to this relative tolerance are tied
+_TIE_RTOL = 1e-12
+
 _EVALUATORS: "weakref.WeakKeyDictionary[ModelSpec, FourierEvaluator]" = \
     weakref.WeakKeyDictionary()
 
@@ -135,8 +138,12 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
               n: int | None = None) -> list:
     """All Bragg peaks with intensity >= threshold in a physical ball.
 
-    Deterministic: peaks are sorted by descending intensity, ties broken
-    lexicographically in module coordinates.
+    Deterministic: peaks are sorted by descending intensity, and each
+    peak whose intensity lies within a relative ``_TIE_RTOL`` of the
+    previous one joins its group.  Groups (orbit-equivalent peaks whose
+    intensities differ by rounding only) are ordered lexicographically
+    in module coordinates, so the order does not depend on the
+    summation order of the kernel.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -164,8 +171,11 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     name = deformation.name if deformation is not None else None
     peaks = [Peak(p, name, complex(a), float(ii), n)
              for p, a, ii in zip(pts, totals, intensities) if ii >= threshold]
-    peaks.sort(key=lambda pk: (-pk.intensity, pk.k.coords))
-    return peaks
+    peaks.sort(key=lambda pk: -pk.intensity)
+    I = np.array([pk.intensity for pk in peaks])
+    group = np.cumsum(np.concatenate([[0], I[:-1] - I[1:] > _TIE_RTOL * I[:-1]]))
+    return [pk for _, pk in sorted(zip(group.tolist(), peaks),
+                                   key=lambda gp: (gp[0], gp[1].k.coords))]
 
 
 def deformation_from_lengths(ell_a, ell_b) -> DeformationMap:

@@ -118,16 +118,13 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
                                     "expanded generator") for g in gens],
                  dtype=np.int64)
     G = np.array([_field_ints(g) for g in gens], dtype=np.int64)
-    dst = [[] for _ in range(disp.n)]
-    shift = [[] for _ in range(disp.n)]
-    for i, j, t in disp.iter_translations():
-        dst[j].append(i)
-        shift[j].append(_generator_coords(model, t, "translation"))
-    dst = [np.array(d, dtype=np.int64) for d in dst]
-    shift = [np.array(s, dtype=np.int64).reshape(-1, r) for s in shift]
+    # generator coordinates of each translation, in the table's order
+    T = np.array([_generator_coords(model, t, "translation")
+                  for _, _, t in disp.iter_translations()],
+                 dtype=np.int64).reshape(-1, r)
     e_norm = int(np.abs(E).sum(axis=0).max())
     g_norm = int(np.abs(G).sum(axis=0).max())
-    t_norm = max(int(np.abs(s).max(initial=0)) for s in shift)
+    t_norm = int(np.abs(T).max(initial=0))
 
     C = np.array([_generator_coords(model, x, "seed position")
                   for _, x in seed.points], dtype=np.int64).reshape(-1, r)
@@ -136,12 +133,10 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
         if (int(np.abs(C).max(initial=0)) * e_norm + t_norm) * g_norm > _EXACT:
             raise ValueError("inflated coordinates could exceed 2**53")
         base = C @ E
-        parts, kinds = [], []
-        for j in range(disp.n):
-            src = base[types == j]
-            parts.append((src[:, None, :] + shift[j][None]).reshape(-1, r))
-            kinds.append(np.tile(dst[j], len(src)))
-        C, types = np.concatenate(parts), np.concatenate(kinds)
+        # one part per translation: its source-type points, moved to its target
+        parts = [base[types == j] + t for j, t in zip(disp.cols, T)]
+        C = np.concatenate(parts)
+        types = np.repeat(disp.rows, [len(p) for p in parts])
         F = C @ G
         order = np.lexsort((types,) + tuple(F.T[::-1]))
         C, F, types = C[order], F[order], types[order]

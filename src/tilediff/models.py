@@ -50,7 +50,13 @@ class ModelDataError(ValueError):
 
 class DisplacementMatrix:
     """Set-valued displacement matrix; entry (i, j) lists the translations
-    of type-i tiles inside an inflated type-j tile."""
+    of type-i tiles inside an inflated type-j tile.
+
+    The flat translation table holds one row per translation in
+    :meth:`iter_translations` order (row-major): ``rows`` (int64 target
+    types), ``cols`` (int64 source types) and ``stars`` (float starred
+    translations, shape (m, dim)).
+    """
 
     def __init__(self, field: FieldSpec, entries):
         self.field = field
@@ -63,6 +69,13 @@ class DisplacementMatrix:
                 for t in cell:
                     if t.field is not field:
                         raise ModelDataError("translation from wrong field")
+        flat = list(self.iter_translations())
+        self.rows = np.array([i for i, _, _ in flat], dtype=np.int64)
+        self.cols = np.array([j for _, j, _ in flat], dtype=np.int64)
+        self.stars = np.array([_finite_star(i, j, t) for i, j, t in flat],
+                              dtype=float).reshape(len(flat), field.dim)
+        for table in (self.rows, self.cols, self.stars):   # shared, like entries
+            table.flags.writeable = False
 
     def card_matrix(self) -> np.ndarray:
         return np.array([[len(cell) for cell in row] for row in self.entries],
@@ -84,6 +97,19 @@ class DisplacementMatrix:
                 if {t.coords for t in c1} != {t.coords for t in c2}:
                     return False
         return True
+
+
+def _finite_star(i: int, j: int, t: AlgebraicElement) -> np.ndarray:
+    """Float starred image of the translation t at entry (i, j)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            star = t.embed_int()
+        if np.isfinite(star).all():
+            return star
+    except OverflowError:
+        pass
+    raise ModelDataError(
+        f"translation at entry ({i},{j}) has no finite starred image")
 
 
 @dataclass(frozen=True)
@@ -189,12 +215,6 @@ class ModelSpec:
         if self.antilinear:
             return self.expansion * x.conj()
         return self.expansion * x
-
-    def apply_contraction_star(self, y: AlgebraicElement) -> AlgebraicElement:
-        """Internal IFS linear part on exact star coordinates."""
-        if self.antilinear:
-            return self.contraction * y.conj()
-        return self.contraction * y
 
     def require_displacement(self) -> DisplacementMatrix:
         if self.displacement is None:

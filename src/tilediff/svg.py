@@ -53,16 +53,6 @@ class SvgCanvas:
             f'<rect x="{_f(px)}" y="{_f(py)}" width="{_f(w * self.scale)}" '
             f'height="{_f(h * self.scale)}" fill="{color}"{op}/>')
 
-    def line(self, x0, y0, x1, y1, color="#888888", width=1.0):
-        p0, p1 = self.map(x0, y0), self.map(x1, y1)
-        self._parts.append(
-            f'<line x1="{_f(p0[0])}" y1="{_f(p0[1])}" x2="{_f(p1[0])}" '
-            f'y2="{_f(p1[1])}" stroke="{color}" stroke-width="{_f(width)}"/>')
-
-    def arrow(self, x0, y0, x1, y1, color="#1f77b4", width=2.0):
-        self.line(x0, y0, x1, y1, color=color, width=width)
-        self.circle(x1, y1, 3.0, color=color)
-
     def text(self, x, y, s, size=12, color="#333333"):
         px, py = self.map(x, y)
         self._parts.append(

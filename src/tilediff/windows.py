@@ -59,23 +59,12 @@ class WindowCloud:
         return self.cells[i].astype(float) * self.cell_size
 
 
-def _star_maps(model: ModelSpec):
-    """Internal contraction A and, per target type i, the pairs
-    (source type j, starred translations of entry (i, j))."""
-    disp = model.require_displacement()
-    maps = [[(j, np.array([t.embed_int() for t in cell]))
-             for j, cell in enumerate(row) if cell]
-            for row in disp.entries]
-    return model.int_contraction_matrix, maps
-
-
 def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
     """Grid resolution: 2^-resolution of a window diameter bound."""
-    disp = model.require_displacement()
+    stars = model.require_displacement().stars
     A = model.int_contraction_matrix
     contr = float(np.linalg.norm(A, 2))
-    tmax = max((float(np.linalg.norm(t.embed_int()))
-                for _, _, t in disp.iter_translations()), default=1.0)
+    tmax = float(np.linalg.norm(stars, axis=1).max()) if len(stars) else 1.0
     diam_bound = tmax / (1.0 - contr)
     if resolution is None:
         resolution = 10 if model.dim == 1 else 9
@@ -93,17 +82,18 @@ def seed_clouds(model: ModelSpec, cell_size: float | None = None,
 
 
 def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
-    """One application of the star-mapped inflation maps, grid-deduplicated."""
-    return _step(cloud, *_star_maps(model))
+    """One application of the star-mapped inflation maps, grid-deduplicated.
 
-
-def _step(cloud: WindowCloud, A: np.ndarray, maps) -> WindowCloud:
-    h = cloud.cell_size
+    Each source cloud is mapped by A once; the targets are built one at
+    a time from their slice of the row-sorted translation table.
+    """
+    disp = model.require_displacement()
+    A, h = model.int_contraction_matrix, cloud.cell_size
     mapped = [(c.astype(float) * h) @ A.T for c in cloud.cells]   # rows: A @ p
+    bounds = np.searchsorted(disp.rows, np.arange(disp.n + 1))
     out = []
-    for row in maps:
-        chunks = [(mapped[j][:, None, :] + tstars[None]).reshape(-1, cloud.dim)
-                  for j, tstars in row]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        chunks = [mapped[j] + t for j, t in zip(disp.cols[lo:hi], disp.stars[lo:hi])]
         if chunks:
             snapped = np.round(np.vstack(chunks) / h).astype(np.int64)
         else:
@@ -116,9 +106,8 @@ def iterate_windows(model: ModelSpec, generations: int,
                     cell_size: float | None = None,
                     resolution: int | None = None) -> WindowCloud:
     cloud = seed_clouds(model, cell_size, resolution)
-    A, maps = _star_maps(model)
     for _ in range(generations):
-        cloud = _step(cloud, A, maps)
+        cloud = ifs_step(cloud, model)
     return cloud
 
 
@@ -236,23 +225,14 @@ def hull_intervals(model: ModelSpec, steps: int = 80) -> list:
         raise ValueError("hull intervals only defined for 1d internal space")
     disp = model.require_displacement()
     a = float(model.contraction.embed_phys()[0])
-    tstars = [[[float(t.embed_int()[0]) for t in cell] for cell in row]
-              for row in disp.entries]
-    n = disp.n
-    hulls = [(0.0, 0.0)] * n
+    hulls = np.zeros((disp.n, 2))
     for _ in range(steps):
-        nxt = []
-        for i in range(n):
-            lo, hi = math.inf, -math.inf
-            for j in range(n):
-                for t in tstars[i][j]:
-                    e1 = a * hulls[j][0] + t
-                    e2 = a * hulls[j][1] + t
-                    lo = min(lo, e1, e2)
-                    hi = max(hi, e1, e2)
-            nxt.append((lo, hi))
-        hulls = nxt
-    return hulls
+        ends = a * hulls[disp.cols] + disp.stars     # both images per translation
+        lo, hi = np.full(disp.n, math.inf), np.full(disp.n, -math.inf)
+        np.minimum.at(lo, disp.rows, ends.min(axis=1))
+        np.maximum.at(hi, disp.rows, ends.max(axis=1))
+        hulls = np.column_stack([lo, hi])
+    return [(float(lo), float(hi)) for lo, hi in hulls]
 
 
 def box_counting_dimension(cloud: WindowCloud, levels: int = 4):

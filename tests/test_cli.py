@@ -176,6 +176,25 @@ def test_patch_command(tmp_path, capsys, monkeypatch):
     assert len(lines) > 20
 
 
+def test_patch_radius_centres_on_patch(tmp_path, capsys, monkeypatch):
+    # an inflated seed tile drifts from the origin; --radius keeps the
+    # points around the centroid of the whole patch
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    for model, steps, rows in (("cap", "4", 54), ("silver", "12", 33)):
+        code, out, _ = run(["patch", "--model", model, "--steps", steps,
+                            "--radius", "20", "--out", f"{model}.csv"], capsys)
+        assert code == 0
+        lines = (tmp_path / f"{model}.csv").read_text().splitlines()
+        assert len(lines) == 1 + rows
+        assert out.startswith(f"{rows} control points")
+
+
+def test_patch_missing_data(capsys):
+    code, out, err = run(["patch", "--model", "casper_scaffold"], capsys)
+    assert code == 3 and not out
+    assert "displacement" in err
+
+
 def test_data_loading_via_flag(tmp_path, capsys, monkeypatch):
     # round-trip the silver displacement through --data
     from tilediff.models import builtin, save_displacement
@@ -199,3 +218,11 @@ def test_bad_data_exit_code(tmp_path, capsys):
                        capsys)
     assert code == 3
     assert "data error" in err
+    # a translation whose starred image overflows a float
+    bad.write_text(json.dumps({"field": "silver", "n": 2, "entries": [
+        [[[[0, 1], [0, 1]]], [[[0, 1], [0, 1]]]],
+        [[[[0, 1], [1, 1]], [[10 ** 400, 1], [1, 1]]], [[[0, 1], [1, 1]]]]]}))
+    code, _, err = run(["peaks", "--model", "silver", "--data", str(bad)],
+                       capsys)
+    assert code == 3
+    assert "data error" in err and "starred" in err

@@ -228,6 +228,24 @@ def test_cap_symmetries(cap, cap_equal_peaks):
     assert repm.max_discrepancy > 1e-4
 
 
+@pytest.mark.parametrize("deformation", [None, "hat"])
+def test_tied_peaks_ordered_by_coords(cap, cap_equal_peaks, deformation):
+    """Orbit-equivalent peaks, whose intensities agree up to rounding,
+    come out in module-coordinate order, not in rounding-noise order."""
+    peaks = cap_equal_peaks if deformation is None else peak_list(
+        cap, radius=0.6, threshold=1e-6, deformation=deformation, n=15)
+    tied = 0
+    for a, b in zip(peaks, peaks[1:]):
+        gap = a.intensity - b.intensity
+        if abs(gap) <= 1e-12 * a.intensity:
+            tied += 1
+            assert a.k.coords < b.k.coords
+        else:
+            # distinct intensities descend, far from the tie tolerance
+            assert gap > 1e-9 * a.intensity
+    assert tied > 300
+
+
 def test_symmetry_report_empty():
     rep = symmetry_report([], "rotation6")
     assert rep.max_discrepancy == 0.0 and rep.n_matched == 0

@@ -225,10 +225,32 @@ def test_displacement_from_dict_fuzz(data):
     [], "silver", None,
     {"field": "silver", "n": 2, "entries": [[1, 2], [3, 4]]},
     {"field": "silver", "n": 1, "entries": [[[[["a", 1], [0, 1]]]]]},
-    {"field": "silver", "n": 1, "entries": [[[[[1.5, 1], [0, 1]]]]]}])
+    {"field": "silver", "n": 1, "entries": [[[[[1.5, 1], [0, 1]]]]]},
+    # starred images that overflow float conversion or the float embedding
+    {"field": "silver", "n": 1, "entries": [[[[[10 ** 400, 1], [0, 1]]]]]},
+    {"field": "silver", "n": 1,
+     "entries": [[[[[10 ** 308, 1], [-10 ** 308, 1]]]]]}])
 def test_displacement_from_dict_rejects(data):
     with pytest.raises(ModelDataError):
         displacement_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",
+                                  "synthetic-spectre"])
+def test_translation_table(name):
+    """rows, cols and stars list iter_translations() with starred images."""
+    from test_cocycle import _with_synthetic_spectre_data
+    model = _with_synthetic_spectre_data() if name == "synthetic-spectre" \
+        else builtin(name)
+    disp = model.displacement
+    flat = list(disp.iter_translations())
+    assert disp.rows.dtype == disp.cols.dtype == np.int64
+    assert disp.rows.tolist() == [i for i, _, _ in flat]
+    assert disp.cols.tolist() == [j for _, j, _ in flat]
+    assert np.all(np.diff(disp.rows) >= 0)
+    assert disp.stars.shape == (len(flat), model.dim)
+    assert np.array_equal(disp.stars,
+                          np.array([t.embed_int() for _, _, t in flat]))
 
 
 def _synthetic_casper_displacement(card):

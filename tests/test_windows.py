@@ -34,6 +34,40 @@ def test_silver_hull_endpoints(silver):
     assert abs(a_lo - b_hi) < 1e-12
 
 
+def _loop_hulls(model, steps=80):
+    """Per-translation interval recursion in plain floats: the reference
+    for the table-driven hull_intervals."""
+    disp = model.require_displacement()
+    a = float(model.contraction.embed_phys()[0])
+    tstars = [[[float(t.embed_int()[0]) for t in cell] for cell in row]
+              for row in disp.entries]
+    n = disp.n
+    hulls = [(0.0, 0.0)] * n
+    for _ in range(steps):
+        nxt = []
+        for i in range(n):
+            lo, hi = math.inf, -math.inf
+            for j in range(n):
+                for t in tstars[i][j]:
+                    e1 = a * hulls[j][0] + t
+                    e2 = a * hulls[j][1] + t
+                    lo = min(lo, e1, e2)
+                    hi = max(hi, e1, e2)
+            nxt.append((lo, hi))
+        hulls = nxt
+    return hulls
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted"])
+def test_hull_intervals_match_loop(name):
+    model = builtin(name)
+    for steps in (1, 5, 80):
+        got = hull_intervals(model, steps)
+        assert all(type(x) is float for h in got for x in h)
+        bits = lambda hulls: [tuple(map(float.hex, h)) for h in hulls]
+        assert bits(got) == bits(_loop_hulls(model, steps))
+
+
 def test_hull_requires_1d():
     with pytest.raises(ValueError):
         hull_intervals(builtin("cap"))
