@@ -13,14 +13,13 @@ produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .algebra import Surd
 from .models import ModelDataError, builtin, builtin_names, load_displacement
@@ -144,9 +143,12 @@ def _parse_weights(token: str):
     if token in ("equal", "zero-central"):
         return token
     try:
-        return [complex(x) for x in token.split(",")]
+        weights = [complex(x) for x in token.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse weights {token!r}") from exc
+    if not all(map(cmath.isfinite, weights)):
+        raise UsageError(f"--weights {token!r} must be finite")
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +187,14 @@ def cmd_peaks(args) -> int:
         raise UsageError(f"--weights: {exc}") from exc
     if args.center is not None and len(args.center) != model.dim:
         raise UsageError(f"--center needs {model.dim} coordinates")
-    peaks = diffraction.peak_list(
-        model, center=args.center, radius=args.radius,
-        internal_cutoff=args.internal_cutoff, threshold=args.threshold,
-        weights=weights, deformation=deformation, n=args.iters)
+    try:
+        peaks = diffraction.peak_list(
+            model, center=args.center, radius=args.radius,
+            internal_cutoff=args.internal_cutoff, threshold=args.threshold,
+            weights=weights, deformation=deformation, n=args.iters)
+    except ValueError as exc:   # a search box above cps.MAX_CANDIDATES or int64
+        raise UsageError(f"{exc}; reduce --radius, --center or "
+                         "--internal-cutoff") from exc
 
     base = args.out or f"peaks_{model.name}" + (
         f"_{deformation.name}" if deformation is not None else "")
@@ -242,7 +248,10 @@ def cmd_verify(args) -> int:
 
 def cmd_patch(args) -> int:
     model = _load_model(args)
-    patch = inflation.inflate(inflation.seed_patch(model), model, args.steps)
+    try:
+        patch = inflation.inflate(inflation.seed_patch(model), model, args.steps)
+    except ValueError as exc:   # e.g. above inflation.MAX_PATCH_POINTS
+        raise UsageError(f"--steps: {exc}") from exc
     if args.radius is not None:
         # an inflated seed tile grows away from the origin: centre on the patch
         center = patch.positions_phys().mean(axis=0)

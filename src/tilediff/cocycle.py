@@ -70,7 +70,6 @@ class FourierEvaluator:
 
         self.M = disp.card_matrix()
         _, self.left, self.right = pf_data(self.M)
-        self._c0_cache: dict[int, np.ndarray] = {}
 
     # -- Fourier matrix ---------------------------------------------------------
 
@@ -110,30 +109,21 @@ class FourierEvaluator:
 
     # -- amplitudes ---------------------------------------------------------------
 
-    def _c_from_product(self, P: np.ndarray) -> np.ndarray:
-        # rank-one column factor: C x / <u|x> with x the right PF vector
-        return (P @ self.right) / float(self.left @ self.right)
-
-    def _c0(self, n: int) -> np.ndarray:
-        c0 = self._c0_cache.get(n)
-        if c0 is None:
-            zero = np.zeros((1, self.d))
-            c0 = self._c_from_product(self.cocycle_limit_batch(zero, n)[0])
-            self._c0_cache[n] = c0
-        return c0
-
     def amplitude_batch(self, K: np.ndarray, n: int | None = None) -> np.ndarray:
         """H_i(k) for a batch of internal arguments, shape (nk, n_tiles).
 
         Matrix-free: the cocycle is applied to the right PF vector from
         the innermost factor outwards, x <- pf^-1 B((A^T)^j k) x for
         j = n-1, ..., 0, each step a segmented sum over the translations.
+        k = 0 rides along as row 0 and normalizes sum_i H_i(0) to the
+        density.
         """
         if n is None:
             n = self.model.default_iters
         if n < 1:
             raise ValueError("need at least one cocycle factor")
-        args = [np.atleast_2d(np.asarray(K, dtype=float))]
+        K = np.atleast_2d(np.asarray(K, dtype=float))
+        args = [np.concatenate([np.zeros((1, self.d)), K])]
         for _ in range(n - 1):
             args.append(args[-1] @ self.contraction)     # k -> A^T k, row form
         inv = 1.0 / self.pf
@@ -142,18 +132,16 @@ class FourierEvaluator:
             y = self._exponentials(a)
             y *= x[:, self._col]
             x = np.add.reduceat(y, self._row_start, axis=1) * inv
-        c = x / float(self.left @ self.right)
-        norm = self.model.density / complex(self._c0(n).sum())
-        return c * norm
+        return self.model.density * x[1:] / x[0].sum()
 
     def amplitudes(self, k_int, n: int | None = None) -> AmplitudeVector:
         """Amplitudes with the rank-one convergence diagnostic."""
         if n is None:
             n = self.model.default_iters
-        P = self.cocycle_limit_batch(np.atleast_1d(k_int), n)[0]
-        c = self._c_from_product(P)
-        norm = self.model.density / complex(self._c0(n).sum())
+        P0, P = self.cocycle_limit_batch(
+            np.vstack([np.zeros(self.d), np.atleast_1d(k_int)]), n)
+        H = self.model.density * (P @ self.right) / (P0 @ self.right).sum()
         sv = np.linalg.svd(P, compute_uv=False)
         residual = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
-        return AmplitudeVector(H=c * norm, n_iters=n, rank1_residual=residual)
+        return AmplitudeVector(H=H, n_iters=n, rank1_residual=residual)
 

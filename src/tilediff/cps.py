@@ -12,18 +12,23 @@ and internal projections are float evaluations of one exact element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import (AlgebraicElement, FieldSpec, fraction_det,
-                      fraction_matrix_inverse, fraction_solve)
+                      fraction_matrix_inverse)
 
-__all__ = ["LatticeBasis", "ModulePoint", "dual_basis", "enumerate_module",
-           "internal_argument"]
+__all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "dual_basis",
+           "enumerate_module", "internal_argument", "MAX_CANDIDATES"]
+
+# Largest search box enumerate_module scans; the casper r=0.5 support
+# scan needs 106,634,437 candidates.
+MAX_CANDIDATES = 2 ** 27
 
 
 class LatticeBasis:
@@ -94,20 +99,27 @@ class LatticeBasis:
     def dual(self) -> "LatticeBasis":
         return LatticeBasis(self.dual_generators)
 
+    def points(self, coords) -> "ModuleSet":
+        """Dual-lattice points with integer coordinates ``coords`` (N, rank).
+        The batched product rounds like ``dual_columns @ c`` per point."""
+        C = np.asarray(coords, dtype=np.int64)
+        vec = (self.dual_columns[None] @ C.astype(float)[:, :, None])[:, :, 0]
+        return ModuleSet(self, C, vec[:, :self.dim], vec[:, self.dim:])
+
     # -- exact coordinate solving ---------------------------------------------
 
-    def _coord_matrix(self):
-        deg = self.field.degree
-        if self.rank != deg:
+    @cached_property
+    def _coord_inverse(self) -> list:
+        """Exact inverse of the field-basis x generator coordinate matrix."""
+        if self.rank != self.field.degree:
             raise ValueError("coordinate solve requires full-rank generators")
-        return [[self.generators[j].coords[i] for j in range(self.rank)]
-                for i in range(deg)]
+        return fraction_matrix_inverse(
+            [[g.coords[i] for g in self.generators] for i in range(self.rank)])
 
     def rational_coords(self, x: AlgebraicElement) -> tuple:
         """Exact rational coordinates of x w.r.t. the generators."""
-        sol = fraction_solve(self._coord_matrix(),
-                             [[c] for c in x.coords])
-        return tuple(row[0] for row in sol)
+        return tuple(sum((a * c for a, c in zip(row, x.coords)), Fraction(0))
+                     for row in self._coord_inverse)
 
     def integer_coords(self, x: AlgebraicElement) -> tuple | None:
         """Integer coordinates of x w.r.t. the generators, or None."""
@@ -158,22 +170,52 @@ class ModulePoint:
         return all(c == 0 for c in self.coords)
 
 
+@dataclass(frozen=True, eq=False)
+class ModuleSet:
+    """Fourier-module points as arrays: int64 ``coords`` (N, rank) and the
+    float projections ``k_phys``, ``k_int`` (N, dim).  An int index (and
+    iteration) gives ``ModulePoint``s, a slice or index array a ``ModuleSet``."""
+
+    lattice: LatticeBasis
+    coords: np.ndarray
+    k_phys: np.ndarray
+    k_int: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return ModulePoint(self.lattice, tuple(self.coords[index].tolist()),
+                               self.k_phys[index], self.k_int[index])
+        return ModuleSet(self.lattice, self.coords[index], self.k_phys[index],
+                         self.k_int[index])
+
+    def arguments(self, deformation=None) -> np.ndarray:
+        """Cocycle arguments: k_int, or k_int - D^T k_phys for a
+        ``DeformationMap`` or a raw matrix D."""
+        if deformation is None:
+            return self.k_int
+        D = np.asarray(getattr(deformation, "matrix", deformation), float)
+        return self.k_int - (D.T[None] @ self.k_phys[:, :, None])[:, :, 0]
+
+
 def module_point(lattice: LatticeBasis, coords: Sequence[int]) -> ModulePoint:
-    d = lattice.dim
-    cols = lattice.dual_columns
-    vec = cols @ np.asarray(coords, dtype=float)
-    return ModulePoint(lattice, tuple(int(c) for c in coords), vec[:d], vec[d:])
+    return lattice.points([coords])[0]
 
 
 def enumerate_module(lattice: LatticeBasis, center, radius: float,
-                     internal_cutoff: float | None = None) -> list[ModulePoint]:
+                     internal_cutoff: float | None = None) -> ModuleSet:
     """All module points with |k_phys - center| <= radius, |k_int| <= cutoff.
 
     Complete by construction: the integer coordinates of a dual vector y
     are ``m_i = <b_i, y>`` with ``b_i`` the primal basis columns, so the
     search box follows from Cauchy-Schwarz on the admissible region.  The
     physical projection of the dual lattice is dense for every registered
-    model, hence the internal cutoff is mandatory.
+    model, hence the internal cutoff is mandatory.  Raises ValueError
+    before allocating when the box leaves int64 or holds more than
+    ``MAX_CANDIDATES`` candidates.  Points come out in lexicographic
+    coordinate order.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -193,14 +235,21 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
         b = cols[:, i]
         mid = float(b @ y_center)
         half = float(np.linalg.norm(b)) * ball
-        los.append(int(np.floor(mid - half)))
-        his.append(int(np.ceil(mid + half)))
+        lo, hi = np.floor(mid - half), np.ceil(mid + half)
+        if not -2.0 ** 62 < lo <= hi < 2.0 ** 62:   # also rejects NaN
+            raise ValueError("module search box leaves int64")
+        los.append(int(lo))
+        his.append(int(hi))
+    count = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"module search box holds {count:.3g} candidates, "
+                         f"above the ceiling {MAX_CANDIDATES}")
 
     dual_cols = lattice.dual_columns
     phys_rows = dual_cols[:d, :]
     int_rows = dual_cols[d:, :]
 
-    out_coords = []
+    out_coords = [np.zeros((0, lattice.rank), dtype=np.int64)]
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
     # chunk over the first axis to keep the grids small
     rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")],
@@ -214,22 +263,10 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
             & (np.linalg.norm(ki, axis=0) <= internal_cutoff + eps)
         if ok.any():
             out_coords.append(grid[:, ok].T)
-    if not out_coords:
-        return []
     coords = np.vstack(out_coords)
-    order = np.lexsort(coords.T[::-1])  # lexicographic in coords
-    coords = coords[order]
-    pts = []
-    for row in coords:
-        vec = dual_cols @ row.astype(float)
-        pts.append(ModulePoint(lattice, tuple(int(c) for c in row),
-                               vec[:d], vec[d:]))
-    return pts
+    return lattice.points(coords[np.lexsort(coords.T[::-1])])
 
 
 def internal_argument(k: ModulePoint, deformation=None) -> np.ndarray:
     """Cocycle argument for a module point: k_int, or k_int - D^T k_phys."""
-    if deformation is None:
-        return k.k_int
-    D = deformation.matrix if hasattr(deformation, "matrix") else np.asarray(deformation, float)
-    return k.k_int - D.T @ k.k_phys
+    return k.lattice.points([k.coords]).arguments(deformation)[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -158,24 +157,19 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     ev = evaluator(model)
     w = weight_vector(model, weights)
     pts = enumerate_module(model.lattice, center, radius, internal_cutoff)
-    if not pts:
-        return []
-    if deformation is None:
-        args = np.array([p.k_int for p in pts])
-    else:
-        DT = deformation.matrix.T
-        args = np.array([p.k_int - DT @ p.k_phys for p in pts])
-    H = _amplitude_sweep(ev, args, n)
-    totals = H @ w
+    totals = _amplitude_sweep(ev, pts.arguments(deformation), n) @ w
     intensities = np.abs(totals) ** 2
+    kept = np.flatnonzero(intensities >= threshold)
+    order = kept[np.argsort(-intensities[kept], kind="stable")]
+    I = intensities[order]
+    gap = np.zeros(len(I), dtype=bool)
+    gap[1:] = I[:-1] - I[1:] > _TIE_RTOL * I[:-1]
+    # np.lexsort's last key is primary: tie group, then coordinates
+    keys = np.vstack([pts.coords[order].T[::-1], np.cumsum(gap)])
+    order = order[np.lexsort(keys)]
     name = deformation.name if deformation is not None else None
-    peaks = [Peak(p, name, complex(a), float(ii), n)
-             for p, a, ii in zip(pts, totals, intensities) if ii >= threshold]
-    peaks.sort(key=lambda pk: -pk.intensity)
-    I = np.array([pk.intensity for pk in peaks])
-    group = np.cumsum(np.concatenate([[0], I[:-1] - I[1:] > _TIE_RTOL * I[:-1]]))
-    return [pk for _, pk in sorted(zip(group.tolist(), peaks),
-                                   key=lambda gp: (gp[0], gp[1].k.coords))]
+    return [Peak(pts[i], name, complex(totals[i]), float(intensities[i]), n)
+            for i in order.tolist()]
 
 
 def deformation_from_lengths(ell_a, ell_b) -> DeformationMap:
@@ -277,13 +271,9 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
     rank = model.lattice.rank
     base = rng.integers(-coord_range, coord_range + 1, size=(n_samples, rank))
     coords = [base] + [base + pc for pc in period_coords]
-    dual_cols = model.lattice.dual_columns
-    DT = deformation.matrix.T
     intensities = []
     for block in coords:
-        vecs = block.astype(float) @ dual_cols.T
-        kp, ki = vecs[:, :model.dim], vecs[:, model.dim:]
-        args = ki - kp @ DT.T
+        args = model.lattice.points(block).arguments(deformation)
         H = _amplitude_sweep(ev, args, n)
         intensities.append(np.abs(H @ w) ** 2)
     base_I = intensities[0]
@@ -307,8 +297,7 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
     center = np.array([(k_lo + k_hi) / 2.0])
     pts = enumerate_module(model.lattice, center, (k_hi - k_lo) / 2.0,
                            internal_cutoff)
-    args = np.array([p.k_int for p in pts])
-    H = _amplitude_sweep(ev, args, n or model.default_iters)
+    H = _amplitude_sweep(ev, pts.arguments(), n or model.default_iters)
     I = np.abs(H @ w) ** 2
     I = I[I > floor]
     return float(np.mean(np.log(I)))

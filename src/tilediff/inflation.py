@@ -21,10 +21,14 @@ from .algebra import AlgebraicElement, FieldMismatchError, FieldSpec
 from .models import ModelSpec, pf_data
 
 __all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
-           "substitution_matrix", "pf_data", "patch_to_csv"]
+           "substitution_matrix", "pf_data", "patch_to_csv", "MAX_PATCH_POINTS"]
 
 # int64 sums and the conversion to float are exact up to this magnitude
 _EXACT = 2 ** 53
+
+# Most points one inflate step may make: admits silver 17 steps from one
+# tile (3,880,899 points, ~0.5 GB peak RSS) and cap 8 (974,170)
+MAX_PATCH_POINTS = 2 ** 22
 
 
 def _field_ints(x: AlgebraicElement) -> list:
@@ -102,8 +106,9 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
     """Apply x -> expansion(x) + t for every displacement entry, `steps` times.
 
     Points come out sorted by (field-basis coordinates, type).  Raises
-    ValueError for a seed position outside the return module and before
-    a step whose coordinates could pass 2**53.
+    ValueError for a seed position outside the return module, before a
+    step whose coordinates could pass 2**53, and, before any step, when
+    a step could make more than ``MAX_PATCH_POINTS`` points.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -111,6 +116,14 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
         raise FieldMismatchError(
             f"cannot inflate a {seed.field.name} patch with model {model.name!r}")
     disp = model.require_displacement()
+    # step s makes at most 1^T M^s e_seed points; Python ints keep it exact
+    bound = np.bincount(seed.tile_types, minlength=disp.n).astype(object)
+    M = disp.card_matrix().astype(object)
+    for step in range(1, steps + 1):
+        bound = M @ bound
+        if bound.sum() > MAX_PATCH_POINTS:
+            raise ValueError(f"step {step} would make up to {bound.sum():.3g} "
+                             f"points, above the ceiling {MAX_PATCH_POINTS}")
     gens = model.lattice.generators
     r = len(gens)
     # row form on generator coordinates: expand(c) = c @ E, field coords = c @ G

@@ -99,7 +99,8 @@ def test_peaks_missing_data_exit_code(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--radius", "-1"), ("--radius", "nan"), ("--internal-cutoff", "0"),
-    ("--threshold", "0"), ("--threshold", "-1"), ("--iters", "0")])
+    ("--threshold", "0"), ("--threshold", "-1"), ("--iters", "0"),
+    ("--weights", "nan,1"), ("--weights", "inf,1")])
 def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     code, _, err = run(["peaks", "--model", "silver", flag, value], capsys)
     assert code == 1
@@ -115,7 +116,12 @@ def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     (["window", "--model", "silver", "--zoom", "1"], "--zoom"),
     (["window", "--model", "silver", "--zoom", "0.5,0"], "--zoom"),
     (["peaks", "--model", "cap", "--center", "0,nan"], "--center"),
-    (["peaks", "--model", "silver", "--weights", "1"], "--weights")])
+    (["peaks", "--model", "silver", "--weights", "1"], "--weights"),
+    # rejected before allocating: a 1.2e12-candidate box, a box past int64,
+    # and 1.2e23 patch points
+    (["peaks", "--model", "cap", "--internal-cutoff", "100"], "--internal-cutoff"),
+    (["peaks", "--model", "silver", "--center", "1e300"], "--center"),
+    (["patch", "--model", "silver", "--steps", "60"], "--steps")])
 def test_rejects_bad_flags(argv, flag, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, err = run(argv, capsys)

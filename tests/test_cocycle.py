@@ -202,3 +202,13 @@ def test_sweep_matches_product_path(name, deformation, n):
     H = ev.amplitude_batch(args, n)
     ref = np.array([ev.amplitudes(a, n).H for a in args])
     assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap"])
+def test_sweep_normalized_to_density(name):
+    """The sweep's own k = 0 row normalizes sum_i H_i(0) to the density."""
+    model = builtin(name)
+    ev = FourierEvaluator(model)
+    for n in (1, None, 30):
+        H0 = ev.amplitude_batch(np.zeros((1, model.dim)), n)[0]
+        assert abs(H0.sum() - model.density) <= 1e-15

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tilediff.algebra import SPECTRE
+from tilediff.algebra import SPECTRE, fraction_solve
 from tilediff.cps import (LatticeBasis, dual_basis, enumerate_module,
                           internal_argument, module_point)
 from tilediff.models import builtin
@@ -131,6 +131,77 @@ def test_module_point_projections(cap):
     # exact element projects to the same floats
     assert np.allclose(p.element.embed_phys(), p.k_phys, atol=1e-12)
     assert np.allclose(p.element.embed_int(), p.k_int, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",
+                                  "casper_scaffold"])
+def test_points_match_per_point_projection(name):
+    lat = builtin(name).lattice
+    C = np.random.default_rng(5).integers(-40, 41, size=(300, lat.rank))
+    pts = lat.points(C)
+    assert pts.coords.dtype == np.int64 and len(pts) == 300
+    for c, kp, ki in zip(C, pts.k_phys, pts.k_int):
+        vec = lat.dual_columns @ c.astype(float)
+        assert kp.tobytes() == vec[:lat.dim].tobytes()
+        assert ki.tobytes() == vec[lat.dim:].tobytes()
+
+
+@pytest.mark.parametrize("name,deformation", [
+    ("silver", "equal-lengths"), ("silver_twisted", "equal-lengths"),
+    ("cap", "hat"), ("casper_scaffold", "hex"), ("casper_scaffold", "ht"),
+    ("casper_scaffold", "spectre")])
+def test_arguments_match_per_point_formula(name, deformation):
+    model = builtin(name)
+    lat = model.lattice
+    d = model.deformations[deformation]
+    C = np.random.default_rng(6).integers(-40, 41, size=(300, lat.rank))
+    pts = lat.points(C)
+    args = pts.arguments(d)
+    for kp, ki, a in zip(pts.k_phys, pts.k_int, args):
+        assert a.tobytes() == (ki - d.matrix.T @ kp).tobytes()
+    assert pts.arguments(d.matrix).tobytes() == args.tobytes()
+    assert pts.arguments() is pts.k_int
+
+
+def test_module_set_indexing(cap):
+    pts = enumerate_module(cap.lattice, np.zeros(2), 0.25, internal_cutoff=1.5)
+    n = len(pts)
+    assert n > 10
+    first, last = pts[0], pts[-1]
+    assert first.coords == tuple(pts.coords[0].tolist())
+    assert all(type(c) is int for c in first.coords)
+    assert last.coords == tuple(pts.coords[n - 1].tolist())
+    assert np.array_equal(last.k_phys, pts.k_phys[n - 1])
+    assert np.array_equal(last.k_int, pts.k_int[n - 1])
+    part = pts[2:7]
+    assert len(part) == 5 and [p.coords for p in part] == \
+        [pts[i].coords for i in range(2, 7)]
+    picked = pts[np.array([4, 0, 4])]
+    assert [p.coords for p in picked] == [pts[4].coords, pts[0].coords,
+                                          pts[4].coords]
+    assert np.array_equal(picked.k_int, pts.k_int[[4, 0, 4]])
+    assert [p.coords for p in pts] == [tuple(c) for c in pts.coords.tolist()]
+    with pytest.raises(ValueError):
+        cap.lattice.points([(1, 2, 3)])
+
+
+def test_enumerate_rejects_huge_boxes(cap, silver):
+    with pytest.raises(ValueError, match="ceiling"):
+        enumerate_module(cap.lattice, np.zeros(2), 0.6, internal_cutoff=100.0)
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_module(silver.lattice, [1e300], 0.6, internal_cutoff=3.0)
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_module(silver.lattice, [0.0], np.inf, internal_cutoff=3.0)
+
+
+@pytest.mark.parametrize("name", ["silver", "cap", "casper_scaffold"])
+def test_rational_coords_match_solve(name):
+    """The cached exact inverse against a Gaussian solve per element."""
+    lat = builtin(name).lattice
+    A = [[g.coords[i] for g in lat.generators] for i in range(lat.rank)]
+    for x in lat.dual_generators + lat.generators:
+        expect = tuple(r[0] for r in fraction_solve(A, [[c] for c in x.coords]))
+        assert lat.rational_coords(x) == expect
 
 
 def test_internal_argument_silver(silver):

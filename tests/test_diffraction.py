@@ -246,6 +246,36 @@ def test_tied_peaks_ordered_by_coords(cap, cap_equal_peaks, deformation):
     assert tied > 300
 
 
+def _list_sort(peaks):
+    """Oracle for the peak order: the list-based sort from enumeration
+    (coordinate) order, a stable sort by descending intensity, then the
+    1e-12 tie groups ordered by coordinates."""
+    peaks = sorted(peaks, key=lambda pk: pk.k.coords)
+    peaks.sort(key=lambda pk: -pk.intensity)
+    I = np.array([pk.intensity for pk in peaks])
+    group = np.cumsum(np.concatenate([[0], I[:-1] - I[1:] > 1e-12 * I[:-1]]))
+    return [pk for _, pk in sorted(zip(group.tolist(), peaks),
+                                   key=lambda gp: (gp[0], gp[1].k.coords))]
+
+
+@pytest.mark.parametrize("name,deformation", [("cap", None), ("cap", "hat"),
+                                              ("silver", None)])
+def test_peak_order_matches_list_sort(cap_equal_peaks, name, deformation):
+    if name == "cap" and deformation is None:
+        peaks = cap_equal_peaks
+    else:
+        peaks = peak_list(builtin(name), radius=0.6 if name == "cap" else 10.0,
+                          threshold=1e-6, deformation=deformation)
+    assert len(peaks) > 100
+    assert [p.k.coords for p in peaks] == [p.k.coords for p in _list_sort(peaks)]
+
+
+def test_peak_list_empty_enumeration(silver):
+    from tilediff.cps import enumerate_module
+    assert len(enumerate_module(silver.lattice, [0.123], 0.0, 1.0)) == 0
+    assert peak_list(silver, center=[0.123], radius=0.0, internal_cutoff=1.0) == []
+
+
 def test_symmetry_report_empty():
     rep = symmetry_report([], "rotation6")
     assert rep.max_discrepancy == 0.0 and rep.n_matched == 0
