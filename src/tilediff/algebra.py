@@ -245,11 +245,12 @@ class FieldSpec:
     and conjugation matrices act on coordinate vectors (columns are the
     images of the basis elements).  ``phys_columns``/``int_columns`` are
     the float images of the basis in physical/internal space, of shape
-    ``(dim, degree)`` with ``dim`` 1 or 2.
+    ``(dim, degree)`` with ``dim`` 1 or 2; ``exact_phys_columns`` holds the
+    physical images as :class:`Surd` entries of the same shape.
     """
 
     def __init__(self, name, basis_names, mul_table, star_matrix, conj_matrix,
-                 phys_columns):
+                 phys_columns, exact_phys_columns):
         self.name = name
         self.basis_names = tuple(basis_names)
         self.degree = len(self.basis_names)
@@ -258,6 +259,9 @@ class FieldSpec:
         self.star_matrix = tuple(tuple(_frac(c) for c in row) for row in star_matrix)
         self.conj_matrix = tuple(tuple(_frac(c) for c in row) for row in conj_matrix)
         self.phys_columns = np.asarray(phys_columns, dtype=float)
+        self.exact_phys_columns = tuple(
+            tuple(x if isinstance(x, Surd) else Surd.rational(x) for x in row)
+            for row in exact_phys_columns)
         self.dim = self.phys_columns.shape[0]
         star_f = np.array([[float(c) for c in row] for row in self.star_matrix])
         self.int_columns = self.phys_columns @ star_f
@@ -349,6 +353,10 @@ class FieldSpec:
                 for c in basis:
                     if ((a * b) * c).coords != (a * (b * c)).coords:
                         raise AssertionError("multiplication not associative")
+        exact = np.array([[float(x) for x in row] for row in self.exact_phys_columns])
+        if exact.shape != self.phys_columns.shape or \
+                np.max(np.abs(exact - self.phys_columns)) > tol:
+            raise AssertionError("exact and float physical embeddings differ")
         for emb in ("embed_phys", "embed_int"):
             for a in basis:
                 for b in basis:
@@ -460,6 +468,11 @@ class AlgebraicElement:
     def embed_int(self) -> np.ndarray:
         return self.field.int_columns @ np.array([float(c) for c in self.coords])
 
+    def embed_phys_exact(self) -> tuple:
+        """Physical embedding as exact :class:`Surd` coordinates."""
+        return tuple(sum((col * c for col, c in zip(row, self.coords)), Surd())
+                     for row in self.field.exact_phys_columns)
+
     def phys_complex(self) -> complex:
         v = self.embed_phys()
         return complex(v[0], v[1]) if v.shape == (2,) else complex(v[0], 0.0)
@@ -501,6 +514,7 @@ def _build_silver() -> FieldSpec:
         star_matrix=[(1, 0), (0, -1)],
         conj_matrix=[(1, 0), (0, 1)],
         phys_columns=[[1.0, s2]],
+        exact_phys_columns=[[1, Surd.root(2)]],
     )
 
 
@@ -535,6 +549,12 @@ def _build_cap() -> FieldSpec:
             [1.0, tau, 0.5, tau / 2.0],
             [0.0, 0.0, s3 / 2.0, tau * s3 / 2.0],
         ],
+        exact_phys_columns=[
+            [1, Surd({1: Fraction(1, 2), 5: Fraction(1, 2)}), Fraction(1, 2),
+             Surd({1: Fraction(1, 4), 5: Fraction(1, 4)})],
+            [0, 0, Surd.root(3, Fraction(1, 2)),
+             Surd({3: Fraction(1, 4), 15: Fraction(1, 4)})],
+        ],
     )
 
 
@@ -568,6 +588,12 @@ def _build_spectre() -> FieldSpec:
         phys_columns=[
             [1.0, 0.5, lam, lam / 2.0],
             [0.0, s3 / 2.0, 0.0, lam * s3 / 2.0],
+        ],
+        exact_phys_columns=[
+            [1, Fraction(1, 2), Surd({1: 4, 15: 1}),
+             Surd({1: 2, 15: Fraction(1, 2)})],
+            [0, Surd.root(3, Fraction(1, 2)), 0,
+             Surd({3: 2, 5: Fraction(3, 2)})],
         ],
     )
 

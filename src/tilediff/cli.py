@@ -111,12 +111,16 @@ def _parse_exact_length(token: str) -> Surd:
 
     total = Surd()
     start = 0
-    for i in range(1, len(token)):
-        if token[i] in "+-" and token[i - 1] not in "+-*/":
-            total = total + atom(token[start:i])
-            start = i
-    total = total + atom(token[start:])
-    return total
+    try:
+        for i in range(1, len(token)):
+            if token[i] in "+-" and token[i - 1] not in "+-*/":
+                total = total + atom(token[start:i])
+                start = i
+        return total + atom(token[start:])
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(
+            f"cannot parse length {token!r}; use rationals in 1 and sqrt2, "
+            "e.g. 4-2*sqrt2") from None
 
 
 def _resolve_deformation(model, spec: str):
@@ -223,8 +227,11 @@ def cmd_window(args) -> int:
     generations = args.generations
     if generations is None:
         generations = 22 if model.dim == 1 else 12
-    cloud = windows.iterate_windows(model, generations,
-                                    resolution=args.resolution)
+    try:
+        cloud = windows.iterate_windows(model, generations,
+                                        resolution=args.resolution)
+    except ValueError as exc:   # a step above windows.MAX_STEP_CELLS
+        raise UsageError(f"{exc}; reduce --resolution or --generations") from exc
     outdir = _outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / (args.out or f"window_{model.name}.svg")

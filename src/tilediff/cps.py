@@ -131,6 +131,18 @@ class LatticeBasis:
     def contains(self, x: AlgebraicElement) -> bool:
         return self.integer_coords(x) is not None
 
+    def dual_action(self, x: AlgebraicElement) -> np.ndarray | None:
+        """Int64 matrix R of y -> x*y on dual coordinates (``coords @ R.T``
+        maps points), or None when x*y leaves the dual lattice.  Cached
+        per element on this basis."""
+        cache = self.__dict__.setdefault("_dual_actions", {})
+        if x not in cache:
+            dual = self.dual()
+            cols = [dual.integer_coords(x * g) for g in self.dual_generators]
+            cache[x] = None if None in cols else \
+                np.array(cols, dtype=np.int64).T
+        return cache[x]
+
     def __repr__(self):
         return f"LatticeBasis({self.field.name}, rank={self.rank})"
 

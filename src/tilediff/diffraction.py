@@ -18,8 +18,9 @@ from .algebra import Surd
 from .cocycle import FourierEvaluator
 from .cps import ModulePoint, enumerate_module, internal_argument
 from .inflation import TypedPointSet
-from .models import DeformationMap, ModelSpec
+from .models import DeformationMap, ModelSpec, sixfold_shift
 from .svg import SvgCanvas
+from .windows import row_keys
 
 __all__ = [
     "Peak", "weight_vector", "amplitude_at", "analytic_silver", "weyl_sum",
@@ -131,6 +132,59 @@ def _amplitude_sweep(ev: FourierEvaluator, args: np.ndarray, n: int,
     return np.vstack(results) if results else np.zeros((0, ev.n), complex)
 
 
+def _rotation(x) -> tuple:
+    """Exact matrix of z -> x*z on the plane, entries :class:`Surd`."""
+    a, b = x.embed_phys_exact()
+    return ((a, -b), (b, a))
+
+
+def _matmul(P, Q) -> tuple:
+    return tuple(tuple(sum((p * q for p, q in zip(row, col)), Surd())
+                       for col in zip(*Q)) for row in P)
+
+
+def _orbit_action(model: ModelSpec, center, w: np.ndarray,
+                  deformation: DeformationMap | None) -> np.ndarray:
+    """Int64 action on dual coordinates of the exact symmetry that fixes a
+    peak request; the identity when there is none.
+
+    Multiplication by xi fixes the total amplitude when the model has six
+    orientations, acts linearly (so the contraction commutes with xi) and
+    its displacement satisfies the exact sixfold identity; the centre is
+    exactly 0; the weights are sigma-invariant; and the deformation, if
+    any, satisfies D^T xi_phys == xi_int D^T exactly, with xi_int the
+    physical embedding of xi.star().
+    """
+    identity = np.eye(model.lattice.rank, dtype=np.int64)
+    if model.orientations != 6 or model.antilinear or np.any(center):
+        return identity
+    disp = model.require_displacement()
+    if disp.sixfold_violations or not np.array_equal(w[sixfold_shift(disp.n)], w):
+        return identity
+    xi = model.field.gen("xi")
+    if deformation is not None:
+        DT = tuple(zip(*deformation.rows))
+        if _matmul(DT, _rotation(xi)) != _matmul(_rotation(xi.star()), DT):
+            return identity
+    R = model.lattice.dual_action(xi)
+    return identity if R is None else R
+
+
+def _orbit_representatives(coords: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest image of each row of ``coords`` under the
+    cyclic group generated by R (rows map as ``coords @ R.T``)."""
+    best = image = coords
+    rows = np.arange(len(coords))
+    while True:
+        image = image @ R.T
+        if np.array_equal(image, coords):       # back at R^0: orbits closed
+            return best
+        differ = image != best
+        first = differ.argmax(axis=1)
+        less = differ.any(axis=1) & (image[rows, first] < best[rows, first])
+        best = np.where(less[:, None], image, best)
+
+
 def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
               internal_cutoff: float | None = None, threshold: float = 1e-6,
               weights="equal", deformation: DeformationMap | str | None = None,
@@ -143,6 +197,12 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     intensities differ by rounding only) are ordered lexicographically
     in module coordinates, so the order does not depend on the
     summation order of the kernel.
+
+    The cocycle runs once per orbit of the exact symmetry that fixes the
+    request (see ``_orbit_action``): for CAP centred at 0 with
+    sigma-invariant weights, with or without ``hat``, one point in six.
+    Every orbit member then carries the bitwise-equal total of its
+    representative.  Without such a symmetry each point is its own orbit.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -157,7 +217,16 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     ev = evaluator(model)
     w = weight_vector(model, weights)
     pts = enumerate_module(model.lattice, center, radius, internal_cutoff)
-    totals = _amplitude_sweep(ev, pts.arguments(deformation), n) @ w
+    if not len(pts):
+        return []
+    # one sweep per orbit of the symmetry fixing the request; each row
+    # takes the total at its representative's own argument
+    reps = _orbit_representatives(pts.coords,
+                                  _orbit_action(model, center, w, deformation))
+    _, first, inverse = np.unique(row_keys(reps)[0], return_index=True,
+                                  return_inverse=True)
+    args = model.lattice.points(reps[first]).arguments(deformation)
+    totals = (_amplitude_sweep(ev, args, n) @ w)[inverse]
     intensities = np.abs(totals) ** 2
     kept = np.flatnonzero(intensities >= threshold)
     order = kept[np.argsort(-intensities[kept], kind="stable")]

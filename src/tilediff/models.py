@@ -77,6 +77,19 @@ class DisplacementMatrix:
         for table in (self.rows, self.cols, self.stars):   # shared, like entries
             table.flags.writeable = False
 
+    @cached_property
+    def sixfold_violations(self) -> tuple:
+        """Entries (i, j) that break the exact sixfold conjugation identity
+        T[sigma(i)][sigma(j)] == xi * T[i][j] (as sets); see
+        :func:`sixfold_shift`.  Computed once per matrix, which the models
+        built on it share."""
+        xi = self.field.gen("xi")
+        sigma = sixfold_shift(self.n).tolist()
+        return tuple(
+            (i, j) for i in range(self.n) for j in range(self.n)
+            if {(xi * t).coords for t in self.entries[i][j]}
+            != {t.coords for t in self.entries[sigma[i]][sigma[j]]})
+
     def card_matrix(self) -> np.ndarray:
         return np.array([[len(cell) for cell in row] for row in self.entries],
                         dtype=np.int64)
@@ -97,6 +110,13 @@ class DisplacementMatrix:
                 if {t.coords for t in c1} != {t.coords for t in c2}:
                     return False
         return True
+
+
+def sixfold_shift(n: int) -> np.ndarray:
+    """sigma as an index array: advance the orientation index within each
+    block of six tile types."""
+    i = np.arange(n)
+    return i - i % 6 + (i + 1) % 6
 
 
 def _finite_star(i: int, j: int, t: AlgebraicElement) -> np.ndarray:
@@ -591,23 +611,11 @@ def validate_symmetry(model: ModelSpec, n_samples: int = 20,
             f"model {model.name!r} has no sixfold orientation structure")
     disp = model.require_displacement()
     xi = model.field.gen("xi")
-    n = disp.n
-    ori = model.orientations
-
-    def sigma(i):
-        return (i // ori) * ori + (i % ori + 1) % ori
-
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            rotated = {(xi * t).coords for t in disp.entries[i][j]}
-            target = {t.coords for t in disp.entries[sigma(i)][sigma(j)]}
-            if rotated != target:
-                violations.append((i, j))
+    violations = list(disp.sixfold_violations)
 
     from .cocycle import FourierEvaluator  # local import avoids a cycle
     ev = FourierEvaluator(model)
-    perm = np.array([sigma(i) for i in range(n)])
+    perm = sixfold_shift(disp.n)
     xi_phys = xi.embed_phys()
     rot = np.array([[xi_phys[0], -xi_phys[1]], [xi_phys[1], xi_phys[0]]])
     rng = np.random.default_rng(seed)

@@ -25,7 +25,12 @@ from .svg import PALETTE, SvgCanvas
 __all__ = ["WindowCloud", "seed_clouds", "ifs_step", "iterate_windows",
            "volume", "hull_intervals", "render_windows",
            "box_counting_dimension", "TWISTED_BOUNDARY_DIM",
-           "CAP_BOUNDARY_DIM"]
+           "CAP_BOUNDARY_DIM", "MAX_STEP_CELLS"]
+
+# Most candidate cells one IFS step may map before deduplication; the
+# CAP window at 12 generations maps 507,034 at resolution 8 and 1,930,804
+# at resolution 9.
+MAX_STEP_CELLS = 2 ** 24
 
 # Documented boundary-dimension constants (read-only diagnostics).
 # Twisted silver: log(x_max)/log(1+sqrt2) with x_max the largest root of
@@ -85,9 +90,16 @@ def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
     """One application of the star-mapped inflation maps, grid-deduplicated.
 
     Each source cloud is mapped by A once; the targets are built one at
-    a time from their slice of the row-sorted translation table.
+    a time from their slice of the row-sorted translation table.  Raises
+    ValueError before mapping when the step has more than
+    ``MAX_STEP_CELLS`` candidate cells (one per translation and cell of
+    its source type).
     """
     disp = model.require_displacement()
+    count = int(np.array([len(c) for c in cloud.cells])[disp.cols].sum())
+    if count > MAX_STEP_CELLS:
+        raise ValueError(f"window step {cloud.generation + 1} maps {count} "
+                         f"candidate cells, above the ceiling {MAX_STEP_CELLS}")
     A, h = model.int_contraction_matrix, cloud.cell_size
     mapped = [(c.astype(float) * h) @ A.T for c in cloud.cells]   # rows: A @ p
     bounds = np.searchsorted(disp.rows, np.arange(disp.n + 1))
@@ -111,8 +123,9 @@ def iterate_windows(model: ModelSpec, generations: int,
     return cloud
 
 
-def _cell_keys(cells: np.ndarray):
-    """Encode nonempty integer cells as one int64 key per row.
+def row_keys(cells: np.ndarray):
+    """Encode the rows of a nonempty int64 array (grid cells, module
+    coordinates) as one int64 key per row.
 
     Mixed radix over the occupied bounding box with one spare slot per
     axis, so keys ascend in lexicographic row order and an axis
@@ -136,7 +149,7 @@ def _unique_cells(cells: np.ndarray) -> np.ndarray:
     """Distinct rows in lexicographic order, as np.unique(cells, axis=0)."""
     if not len(cells):
         return cells
-    _, first = np.unique(_cell_keys(cells)[0], return_index=True)
+    _, first = np.unique(row_keys(cells)[0], return_index=True)
     return cells[first]
 
 
@@ -144,7 +157,7 @@ def _interior_mask(cells: np.ndarray) -> np.ndarray:
     """True for occupied cells whose axis neighbors are all occupied."""
     if cells.size == 0:
         return np.zeros(0, dtype=bool)
-    own, mult = _cell_keys(cells)
+    own, mult = row_keys(cells)
     keys = np.sort(own)
     offsets = np.concatenate([mult, -mult])
     mask = np.ones(len(cells), dtype=bool)

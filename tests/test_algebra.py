@@ -169,3 +169,15 @@ def test_fraction_linalg():
     with pytest.raises(ZeroDivisionError):
         fraction_solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
                        [[Fraction(1)], [Fraction(0)]])
+
+
+def test_exact_physical_embedding():
+    xi = CAP.gen("xi")
+    half = Fraction(1, 2)
+    assert xi.embed_phys_exact() == (Surd.rational(half), Surd.root(3, half))
+    # embed_int(x) is embed_phys(x.star()): xi* = 1 - xi turns by -60 degrees
+    assert xi.star().embed_phys_exact() == (Surd.rational(half), Surd.root(3, -half))
+    for field in (SILVER, CAP, SPECTRE):
+        x = field.element([Fraction(k + 1, 3) for k in range(field.degree)])
+        exact = np.array([float(c) for c in x.embed_phys_exact()])
+        assert np.allclose(exact, x.embed_phys(), rtol=0, atol=1e-13)

@@ -73,6 +73,18 @@ def test_peaks_from_lengths_rejects_decimals(capsys):
     assert "not exact" in err
 
 
+@pytest.mark.parametrize("lengths", ["a,b", "1/0,1", ",1",
+                                     "4-2*sqrt2,4-2*sqrt2*"])
+def test_peaks_from_lengths_rejects_malformed(lengths, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    code, out, err = run(["peaks", "--model", "silver", "--deformation",
+                          f"from-lengths:{lengths}"], capsys)
+    assert code == 1
+    assert "usage error" in err and "cannot parse length" in err
+    assert not out and not any(tmp_path.iterdir())
+
+
 def test_peaks_weight_list(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, _ = run(["peaks", "--model", "silver", "--weights",
@@ -166,6 +178,18 @@ def test_window_command(tmp_path, capsys, monkeypatch):
                         "--out", "tw.svg"], capsys)
     assert code == 0
     assert "zoom" in (tmp_path / "tw.svg").read_text()
+
+
+def test_window_rejects_oversized_step(tmp_path, capsys, monkeypatch):
+    from tilediff import windows
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    monkeypatch.setattr(windows, "MAX_STEP_CELLS", 1000)
+    code, out, err = run(["window", "--model", "cap", "--generations", "12"],
+                         capsys)
+    assert code == 1
+    assert "usage error" in err and "--resolution" in err
+    assert "above the ceiling 1000" in err
+    assert not out and not any(tmp_path.iterdir())
 
 
 def test_window_missing_data(capsys):

@@ -4,16 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tilediff import diffraction
 from tilediff.algebra import Surd
-from tilediff.cps import module_point
-from tilediff.diffraction import (_amplitude_sweep, amplitude_at,
+from tilediff.cps import enumerate_module, module_point
+from tilediff.diffraction import (_amplitude_sweep, _orbit_action,
+                                  _orbit_representatives, amplitude_at,
                                   analytic_silver, deformation_from_lengths,
                                   evaluator, mean_log_intensity, peak_list,
                                   peaks_to_csv, peaks_to_json, peaks_to_svg,
                                   periodicity_residual, symmetry_report,
                                   weight_vector, weyl_sum)
 from tilediff.inflation import inflate, seed_patch, truncate
-from tilediff.models import ModelDataError, builtin
+from tilediff.models import (DeformationMap, DisplacementMatrix,
+                             ModelDataError, ModelSpec,
+                             builtin, load_displacement, save_displacement,
+                             validate_symmetry)
 
 S2, S3, S5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 LAM = 1 + S2
@@ -270,8 +275,176 @@ def test_peak_order_matches_list_sort(cap_equal_peaks, name, deformation):
     assert [p.k.coords for p in peaks] == [p.k.coords for p in _list_sort(peaks)]
 
 
+# -- sixfold orbit reduction ---------------------------------------------------
+
+CAP_XI = [[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def _identity_action(model, *_):
+    return np.eye(model.lattice.rank, dtype=np.int64)
+
+
+def _full_sweep_peaks(monkeypatch, model, **kw):
+    """peak_list with every point its own orbit: the full-sweep oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(diffraction, "_orbit_action", _identity_action)
+        return peak_list(model, **kw)
+
+
+def _cap_variant(disp=None, antilinear=False):
+    """cap with another displacement or expansion action, unchecked."""
+    m = builtin("cap")
+    return ModelSpec(m.name, m.field, m.tile_labels, m.generators, m.expansion,
+                     antilinear, m.pf_eigenvalue, disp or m.displacement,
+                     m.density_sq, m.window_volume, m.fourier_module_doc,
+                     m.deformations, m.orientations, m.internal_cutoff,
+                     m.default_iters)
+
+
+def _perturbed_cap(delta=None):
+    """cap with one translation moved by ``delta`` (default 1, which
+    leaves the return module; a generator keeps it, as --data needs)."""
+    m = builtin("cap")
+    entries = [list(row) for row in m.displacement.entries]
+    i, j = next((i, j) for i in range(24) for j in range(24) if entries[i][j])
+    cell = list(entries[i][j])
+    cell[0] = cell[0] + (m.field.one() if delta is None else delta)
+    entries[i][j] = tuple(cell)
+    disp = DisplacementMatrix(m.field, entries)
+    return _cap_variant(disp) if delta is None else m.with_displacement(disp)
+
+
+def test_cap_orbit_action_multiplies_by_xi(cap):
+    w = weight_vector(cap, "equal")
+    R = _orbit_action(cap, np.zeros(2), w, None)
+    assert R.dtype == np.int64 and R.tolist() == CAP_XI
+    eye = np.eye(4, dtype=np.int64)
+    powers = [np.linalg.matrix_power(R, e) for e in range(1, 7)]
+    assert np.array_equal(powers[-1], eye)
+    assert not any(np.array_equal(P, eye) for P in powers[:-1])
+    # the action is xi on the module: k_phys turns by +60 degrees, k_int by -60
+    coords = np.random.default_rng(5).integers(-9, 10, size=(50, 4))
+    pts, rot = cap.lattice.points(coords), cap.lattice.points(coords @ R.T)
+    c, s = 0.5, S3 / 2
+    assert np.allclose(rot.k_phys, pts.k_phys @ np.array([[c, s], [-s, c]]))
+    assert np.allclose(rot.k_int, pts.k_int @ np.array([[c, -s], [s, c]]))
+    # hat commutes with xi exactly; per-shape and zero-central weights too
+    assert _orbit_action(cap, np.zeros(2), w, cap.deformations["hat"]).tolist() \
+        == CAP_XI
+    for spec in ("zero-central", (1, 2, 3, 4)):
+        assert _orbit_action(cap, [0, 0], weight_vector(cap, spec),
+                             None).tolist() == CAP_XI
+
+
+def test_orbit_representatives():
+    R = np.array(CAP_XI, dtype=np.int64)
+    coords = np.random.default_rng(6).integers(-5, 6, size=(40, 4))
+    reps = _orbit_representatives(coords, R)
+    orbit = [coords]
+    for _ in range(5):
+        orbit.append(orbit[-1] @ R.T)
+    for row, rep in enumerate(reps.tolist()):
+        assert rep == min(o[row].tolist() for o in orbit)
+    # the whole orbit shares its representative; the identity fixes all
+    assert np.array_equal(_orbit_representatives(orbit[3], R), reps)
+    assert np.array_equal(_orbit_representatives(coords, np.eye(4, dtype=np.int64)),
+                          coords)
+
+
+@pytest.mark.parametrize("weights,deformation,rel_intensity", [
+    ("equal", None, 1e-13), ("zero-central", None, 1e-13),
+    ((1, 2, 3, 4), None, None), ("equal", "hat", 1e-13)])
+def test_orbit_reduction_matches_full_sweep(cap, monkeypatch, weights,
+                                            deformation, rel_intensity):
+    kw = dict(radius=0.6, threshold=1e-6, weights=weights,
+              deformation=deformation, n=15)
+    got = peak_list(cap, **kw)
+    ref = _full_sweep_peaks(monkeypatch, cap, **kw)
+    assert [p.k.coords for p in got] == [p.k.coords for p in ref]
+    A = np.array([p.amplitude for p in got])
+    A_ref = np.array([p.amplitude for p in ref])
+    # the representative's argument differs from a member's by rounding:
+    # an error of a few ulps of the brightest amplitude
+    assert np.max(np.abs(A - A_ref)) <= 1e-14 * np.max(np.abs(A_ref))
+    if rel_intensity is not None:   # per-shape weights reach 1.6e-13 at I ~ 1e-6
+        I = np.array([p.intensity for p in got])
+        I_ref = np.array([p.intensity for p in ref])
+        assert np.max(np.abs(I - I_ref) / I_ref) <= rel_intensity
+    # orbit members carry their representative's total, bitwise
+    reps = _orbit_representatives(np.array([p.k.coords for p in got]),
+                                  np.array(CAP_XI, dtype=np.int64))
+    amps = {}
+    for rep, p in zip(map(tuple, reps.tolist()), got):
+        amps.setdefault(rep, set()).add(p.amplitude)
+    assert all(len(a) == 1 for a in amps.values())
+    assert len(amps) < len(got) / 5
+
+
+def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
+                               deformation=None):
+    """Every peak carries the full sweep's total at its own argument."""
+    n = model.default_iters
+    pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
+    d = model.deformations.get(deformation, deformation)
+    totals = _amplitude_sweep(evaluator(model), pts.arguments(d), n) \
+        @ weight_vector(model, weights)
+    full = dict(zip(map(tuple, pts.coords.tolist()), totals.tolist()))
+    kept = {c for c, t in full.items() if abs(t) ** 2 >= 1e-6}
+    assert {p.k.coords for p in peaks} == kept and len(kept) > 20
+    assert all(p.amplitude == full[p.k.coords] for p in peaks)
+
+
+@pytest.mark.parametrize("name,center,radius,weights,deformation", [
+    ("cap", (0.01, 0.0), 0.4, "equal", None),
+    ("cap", (0.0, 0.0), 0.4, tuple(range(1, 25)), None),
+    ("silver", (0.0,), 2.0, "equal", None),
+    ("silver", (0.0,), 2.0, "zero-central", "equal-lengths"),
+    ("silver_twisted", (0.0,), 2.0, "equal", None),
+    ("perturbed", (0.0, 0.0), 0.4, "equal", None),
+    ("antilinear", (0.0, 0.0), 0.4, "equal", None),
+    # D = 1/4: linear, so D^T xi_phys = xi_phys D^T != xi_int D^T
+    ("cap", (0.0, 0.0), 0.4, "equal", DeformationMap(
+        "quarter", ((Surd.rational(Fraction(1, 4)), Surd()),
+                    (Surd(), Surd.rational(Fraction(1, 4))))))])
+def test_trivial_orbit_matches_full_sweep_bitwise(name, center, radius,
+                                                  weights, deformation):
+    model = {"perturbed": _perturbed_cap,
+             "antilinear": lambda: _cap_variant(antilinear=True)}.get(
+                 name, lambda: builtin(name))()
+    w = weight_vector(model, weights)
+    d = model.deformations.get(deformation, deformation)
+    assert np.array_equal(_orbit_action(model, np.array(center), w, d),
+                          np.eye(model.lattice.rank))
+    peaks = peak_list(model, center=center, radius=radius, threshold=1e-6,
+                      weights=weights, deformation=deformation)
+    _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
+                               deformation)
+
+
+def test_reduction_never_manufactures_symmetry():
+    bad = _perturbed_cap()
+    assert bad.displacement.sixfold_violations == \
+        tuple(validate_symmetry(bad).exact_violations) != ()
+    rep = symmetry_report(peak_list(bad, radius=0.6, threshold=1e-6),
+                          "rotation6")
+    assert rep.max_discrepancy > 1e-6 and rep.unmatched and not rep.ok
+
+
+def test_orbit_action_checks_data_displacements(cap, tmp_path):
+    """A displacement loaded from a file is checked like the packaged one."""
+    w = weight_vector(cap, "equal")
+    path = tmp_path / "cap.json"
+    save_displacement(cap.displacement, path)
+    loaded = cap.with_displacement(load_displacement(path))
+    assert _orbit_action(loaded, np.zeros(2), w, None).tolist() == CAP_XI
+    save_displacement(_perturbed_cap(cap.generators[0]).displacement, path)
+    moved = cap.with_displacement(load_displacement(path))
+    assert moved.displacement.sixfold_violations
+    assert np.array_equal(_orbit_action(moved, np.zeros(2), w, None),
+                          np.eye(4))
+
+
 def test_peak_list_empty_enumeration(silver):
-    from tilediff.cps import enumerate_module
     assert len(enumerate_module(silver.lattice, [0.123], 0.0, 1.0)) == 0
     assert peak_list(silver, center=[0.123], radius=0.0, internal_cutoff=1.0) == []
 
@@ -292,7 +465,6 @@ def test_symmetry_report_rejects_1d_peaks(silver):
 def test_peak_list_consistent_with_enumeration(cap):
     """Every peak is an enumerated Bragg candidate, and the threshold is
     the only filter between the two."""
-    from tilediff.cps import enumerate_module
     pts = enumerate_module(cap.lattice, np.zeros(2), 0.3,
                            internal_cutoff=cap.internal_cutoff)
     peaks = peak_list(cap, radius=0.3, threshold=1e-6, n=15)

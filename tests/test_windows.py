@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tilediff import windows
 from tilediff.models import builtin
 from tilediff.windows import (CAP_BOUNDARY_DIM, TWISTED_BOUNDARY_DIM,
                               WindowCloud, box_counting_dimension,
@@ -140,6 +141,23 @@ def test_ifs_step_matches_unique_oracle(name, generations, resolution):
         expect = {c for c in occupied
                   if all(tuple(np.add(c, e).tolist()) in occupied for e in axes)}
         assert interior_cells(got, i) == expect
+
+
+def test_ifs_step_ceiling_counts_candidates_exactly(monkeypatch):
+    cap = builtin("cap")
+    cloud = iterate_windows(cap, 2, resolution=6)
+    disp = cap.displacement
+    expect = sum(len(disp.entries[i][j]) * len(cloud.cells[j])
+                 for i in range(disp.n) for j in range(disp.n))
+    monkeypatch.setattr(windows, "MAX_STEP_CELLS", expect)
+    assert ifs_step(cloud, cap).generation == 3     # at the ceiling: allowed
+    monkeypatch.setattr(windows, "MAX_STEP_CELLS", expect - 1)
+    with pytest.raises(ValueError, match=f"maps {expect} candidate cells"):
+        ifs_step(cloud, cap)
+    # the seed has one cell per type: one candidate per translation
+    monkeypatch.setattr(windows, "MAX_STEP_CELLS", len(disp.rows) - 1)
+    with pytest.raises(ValueError, match="step 1 maps 132 candidate cells"):
+        iterate_windows(cap, 1, resolution=6)
 
 
 def test_silver_volume(silver):
