@@ -26,8 +26,8 @@ from .algebra import (AlgebraicElement, FieldSpec, fraction_det,
 __all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "dual_basis",
            "enumerate_module", "internal_argument", "MAX_CANDIDATES"]
 
-# Largest search box enumerate_module scans; the casper r=0.5 support
-# scan needs 106,634,437 candidates.
+# Most candidates enumerate_module scans, checked before allocating; the
+# casper r=0.5 support scan needs 944,055 and cap r=0.6 needs 50,625.
 MAX_CANDIDATES = 2 ** 27
 
 
@@ -221,38 +221,36 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
     """All module points with |k_phys - center| <= radius, |k_int| <= cutoff.
 
     Complete by construction: the integer coordinates of a dual vector y
-    are ``m_i = <b_i, y>`` with ``b_i`` the primal basis columns, so the
-    search box follows from Cauchy-Schwarz on the admissible region.  The
-    physical projection of the dual lattice is dense for every registered
-    model, hence the internal cutoff is mandatory.  Raises ValueError
-    before allocating when the box leaves int64 or holds more than
-    ``MAX_CANDIDATES`` candidates.  Points come out in lexicographic
-    coordinate order.
+    are ``m_i = <b_i, y> = <b_i_phys, y_phys> + <b_i_int, y_int>`` with
+    ``b_i`` the primal basis columns, and Cauchy-Schwarz bounds each term
+    on its own disc, which gives the search box.  The physical projection
+    of the dual lattice is dense for every registered model, hence the
+    internal cutoff is mandatory.  Raises ValueError before allocating
+    when the box leaves int64 or holds more than ``MAX_CANDIDATES``
+    candidates.  Points come out in lexicographic coordinate order.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not radius >= 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     if internal_cutoff is None:
         raise ValueError("internal_cutoff is required (dense projection)")
+    if not internal_cutoff >= 0:
+        raise ValueError(f"internal_cutoff must be >= 0, got {internal_cutoff}")
     d = lattice.dim
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (d,):
         raise ValueError(f"center must have dimension {d}")
 
     eps = 1e-9
-    ball = float(np.hypot(radius + eps, internal_cutoff + eps))
-    y_center = np.concatenate([center, np.zeros(d)])
     cols = lattice.columns  # primal basis, shape (2d, 2d)
-    los, his = [], []
-    for i in range(lattice.rank):
-        b = cols[:, i]
-        mid = float(b @ y_center)
-        half = float(np.linalg.norm(b)) * ball
-        lo, hi = np.floor(mid - half), np.ceil(mid + half)
-        if not -2.0 ** 62 < lo <= hi < 2.0 ** 62:   # also rejects NaN
-            raise ValueError("module search box leaves int64")
-        los.append(int(lo))
-        his.append(int(hi))
-    count = math.prod(hi - lo + 1 for lo, hi in zip(los, his))
+    mid = center @ cols[:d]
+    half = np.linalg.norm(cols[:d], axis=0) * (radius + eps) \
+        + np.linalg.norm(cols[d:], axis=0) * (internal_cutoff + eps)
+    lo, hi = np.floor(mid - half), np.ceil(mid + half)
+    # the comparisons also reject the NaN bounds of a NaN centre
+    if not np.all((-2.0 ** 62 < lo) & (lo <= hi) & (hi < 2.0 ** 62)):
+        raise ValueError("module search box leaves int64")
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    count = math.prod((hi - lo + 1).tolist())
     if count > MAX_CANDIDATES:
         raise ValueError(f"module search box holds {count:.3g} candidates, "
                          f"above the ceiling {MAX_CANDIDATES}")
@@ -262,10 +260,10 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
     int_rows = dual_cols[d:, :]
 
     out_coords = [np.zeros((0, lattice.rank), dtype=np.int64)]
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
-    # chunk over the first axis to keep the grids small
-    rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")],
-                    axis=0) if lattice.rank > 1 else np.zeros((0, 1), np.int64)
+    axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+    # one slice per first coordinate keeps the grids small; the slices run
+    # in m_0 order and "ij" meshgrid orders the rest lexicographically
+    rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")])
     n_rest = rest.shape[1]
     for m0 in axes[0]:
         grid = np.vstack([np.full(n_rest, m0, dtype=np.int64), rest])
@@ -275,8 +273,7 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
             & (np.linalg.norm(ki, axis=0) <= internal_cutoff + eps)
         if ok.any():
             out_coords.append(grid[:, ok].T)
-    coords = np.vstack(out_coords)
-    return lattice.points(coords[np.lexsort(coords.T[::-1])])
+    return lattice.points(np.vstack(out_coords))
 
 
 def internal_argument(k: ModulePoint, deformation=None) -> np.ndarray:

@@ -9,7 +9,6 @@ and finite-patch Weyl sums provide two independent cross-checks.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +33,14 @@ _SILVER_LAMBDA = 1.0 + math.sqrt(2.0)
 # peaks whose intensities agree to this relative tolerance are tied
 _TIE_RTOL = 1e-12
 
-_EVALUATORS: "weakref.WeakKeyDictionary[ModelSpec, FourierEvaluator]" = \
-    weakref.WeakKeyDictionary()
-
-
 def evaluator(model: ModelSpec) -> FourierEvaluator:
-    """Cached Fourier evaluator for a model (immutable, shareable)."""
-    ev = _EVALUATORS.get(model)
+    """Cached Fourier evaluator for a model (immutable, shareable).
+
+    Kept on the model: the evaluator refers back to its model, so a
+    table keyed weakly by the model would keep both alive for good."""
+    ev = vars(model).get("_evaluator")
     if ev is None:
-        ev = FourierEvaluator(model)
-        _EVALUATORS[model] = ev
+        ev = vars(model)["_evaluator"] = FourierEvaluator(model)
     return ev
 
 
@@ -204,8 +201,8 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     Every orbit member then carries the bitwise-equal total of its
     representative.  Without such a symmetry each point is its own orbit.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
     if center is None:
         center = np.zeros(model.dim)
     if internal_cutoff is None:

@@ -613,8 +613,8 @@ def validate_symmetry(model: ModelSpec, n_samples: int = 20,
     xi = model.field.gen("xi")
     violations = list(disp.sixfold_violations)
 
-    from .cocycle import FourierEvaluator  # local import avoids a cycle
-    ev = FourierEvaluator(model)
+    from .diffraction import evaluator  # local import avoids a cycle
+    ev = evaluator(model)
     perm = sixfold_shift(disp.n)
     xi_phys = xi.embed_phys()
     rot = np.array([[xi_phys[0], -xi_phys[1]], [xi_phys[1], xi_phys[0]]])

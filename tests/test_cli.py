@@ -112,6 +112,7 @@ def test_peaks_missing_data_exit_code(capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--radius", "-1"), ("--radius", "nan"), ("--internal-cutoff", "0"),
     ("--threshold", "0"), ("--threshold", "-1"), ("--iters", "0"),
+    ("--iters", "1001"), ("--iters", "5" + "0" * 400),
     ("--weights", "nan,1"), ("--weights", "inf,1")])
 def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     code, _, err = run(["peaks", "--model", "silver", flag, value], capsys)
@@ -133,7 +134,8 @@ def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     # and 1.2e23 patch points
     (["peaks", "--model", "cap", "--internal-cutoff", "100"], "--internal-cutoff"),
     (["peaks", "--model", "silver", "--center", "1e300"], "--center"),
-    (["patch", "--model", "silver", "--steps", "60"], "--steps")])
+    (["patch", "--model", "silver", "--steps", "60"], "--steps"),
+    (["patch", "--model", "silver", "--steps", "5" + "0" * 400], "--steps")])
 def test_rejects_bad_flags(argv, flag, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, err = run(argv, capsys)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tilediff import cps
 from tilediff.algebra import SPECTRE, fraction_solve
 from tilediff.cps import (LatticeBasis, dual_basis, enumerate_module,
                           internal_argument, module_point)
@@ -192,6 +193,75 @@ def test_enumerate_rejects_huge_boxes(cap, silver):
         enumerate_module(silver.lattice, [1e300], 0.6, internal_cutoff=3.0)
     with pytest.raises(ValueError, match="int64"):
         enumerate_module(silver.lattice, [0.0], np.inf, internal_cutoff=3.0)
+
+
+@pytest.mark.parametrize("radius,cutoff,match", [
+    (0.6, -1.0, "internal_cutoff"), (0.6, -1e-12, "internal_cutoff"),
+    (0.6, np.nan, "internal_cutoff"), (-1.0, 3.0, "radius"),
+    (np.nan, 3.0, "radius")])
+def test_enumerate_rejects_bad_bounds(cap, radius, cutoff, match):
+    with pytest.raises(ValueError, match=match):
+        enumerate_module(cap.lattice, (0, 0), radius, cutoff)
+
+
+def _ball_box_scan(lattice, center, radius, internal_cutoff):
+    """Reference only: scan the box that Cauchy-Schwarz gives on the ball
+    around both discs, |m_i - <b_i, c>| <= |b_i| hypot(r, R), and sort the
+    hits lexicographically.  Returns (coords, half-widths, candidates)."""
+    d, eps = lattice.dim, 1e-9
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    ball = float(np.hypot(radius + eps, internal_cutoff + eps))
+    y_center = np.concatenate([center, np.zeros(d)])
+    halves, axes = [], []
+    for b in lattice.columns.T:
+        mid, half = float(b @ y_center), float(np.linalg.norm(b)) * ball
+        halves.append(half)
+        axes.append(np.arange(int(np.floor(mid - half)),
+                              int(np.ceil(mid + half)) + 1, dtype=np.int64))
+    rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")])
+    hits = [np.zeros((0, lattice.rank), dtype=np.int64)]
+    for m0 in axes[0]:   # one slice per first coordinate bounds the memory
+        grid = np.vstack([np.full(rest.shape[1], m0, dtype=np.int64), rest])
+        kp = lattice.dual_columns[:d] @ grid
+        ki = lattice.dual_columns[d:] @ grid
+        ok = (np.linalg.norm(kp - center[:, None], axis=0) <= radius + eps) \
+            & (np.linalg.norm(ki, axis=0) <= internal_cutoff + eps)
+        hits.append(grid[:, ok].T)
+    coords = np.vstack(hits)
+    return (coords[np.lexsort(coords.T[::-1])], np.array(halves),
+            len(axes[0]) * rest.shape[1])
+
+
+@pytest.mark.parametrize("name,center,radius,cutoff", [
+    ("silver", (0.0,), 2.0, 3.0), ("silver", (3.7,), 50.0, 30.0),
+    ("silver_twisted", (0.0,), 5.0, 3.0), ("silver_twisted", (3.7,), 2.0, 20.0),
+    ("cap", (0.0, 0.0), 0.6, 3.0), ("cap", (0.01, 0.0), 0.25, 1.5),
+    ("cap", (0.3, -0.2), 0.6, 3.0),
+    ("casper_scaffold", (0.0, 0.0), 0.15, 1.2),
+    ("casper_scaffold", (0.01, 0.0), 0.12, 1.0),
+    ("casper_scaffold", (0.3, -0.2), 0.2, 1.2)])
+def test_enumerate_matches_ball_box_scan(name, center, radius, cutoff,
+                                         monkeypatch):
+    lat = builtin(name).lattice
+    want, old_halves, old_count = _ball_box_scan(lat, center, radius, cutoff)
+    # the disc box lies inside the ball box: the old box size is admitted
+    monkeypatch.setattr(cps, "MAX_CANDIDATES", old_count)
+    got = enumerate_module(lat, center, radius, cutoff)
+    assert len(want) > 50
+    assert got.coords.dtype == np.int64 and np.array_equal(got.coords, want)
+    ref = lat.points(want)
+    assert got.k_phys.tobytes() == ref.k_phys.tobytes()
+    assert got.k_int.tobytes() == ref.k_int.tobytes()
+    # per axis, |b_phys| (r+eps) + |b_int| (R+eps) <= |b| hypot(r+eps, R+eps)
+    cols, d, eps = lat.columns, lat.dim, 1e-9
+    halves = np.linalg.norm(cols[:d], axis=0) * (radius + eps) \
+        + np.linalg.norm(cols[d:], axis=0) * (cutoff + eps)
+    assert np.all(halves <= old_halves)
+
+
+def test_enumerate_casper_support_count(casper):
+    """The casper r=0.5 support reference (the ball-box scan takes ~11 s)."""
+    assert len(enumerate_module(casper.lattice, (0, 0), 0.5, 3.0)) == 80851
 
 
 @pytest.mark.parametrize("name", ["silver", "cap", "casper_scaffold"])

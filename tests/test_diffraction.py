@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +193,18 @@ def test_peak_invariants(silver):
 def test_peak_threshold_validation(silver):
     with pytest.raises(ValueError):
         peak_list(silver, radius=1.0, threshold=0.0)
+    with pytest.raises(ValueError, match="threshold"):
+        peak_list(silver, radius=2.0, threshold=np.nan)
+
+
+def test_evaluator_dies_with_its_model():
+    model = builtin("silver")
+    ev = evaluator(model)
+    assert evaluator(model) is ev
+    alive = weakref.ref(model)
+    del model, ev
+    gc.collect()
+    assert alive() is None
 
 
 def test_peaks_scaffold_raises():
