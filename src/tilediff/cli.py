@@ -308,8 +308,10 @@ def build_parser() -> _Parser:
 
     pw = sub.add_parser("window", help="render window clouds to SVG")
     add_model_args(pw)
+    # at a fixed resolution the cloud saturates (silver at 1,000 generations
+    # reports the volume of the default 22), so more generations only cost time
     pw.add_argument("--generations", default=None,
-                    type=_checked(int, lambda x: x >= 1, ">= 1"),
+                    type=_checked(int, lambda x: 1 <= x <= 1000, "in [1, 1000]"),
                     help="IFS iterations (default 22 in 1d, 12 in 2d)")
     pw.add_argument("--resolution", default=None,
                     type=_checked(int, lambda x: x >= 1, ">= 1"),

@@ -59,10 +59,6 @@ class WindowCloud:
     def dim(self) -> int:
         return self.cells[0].shape[1]
 
-    def points(self, i: int) -> np.ndarray:
-        """Cell-center coordinates of type i."""
-        return self.cells[i].astype(float) * self.cell_size
-
 
 def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
     """Grid resolution: 2^-resolution of a window diameter bound."""
@@ -282,24 +278,37 @@ def render_windows(cloud: WindowCloud, path, model: ModelSpec | None = None,
         _render_2d(cloud, path, ori)
 
 
+def _runs(cells: np.ndarray):
+    """Maximal runs of cells adjacent along the last axis.
+
+    ``cells`` are distinct rows in lexicographic order, as from
+    ``_unique_cells``; a run is consecutive last coordinates at fixed
+    leading ones.  Returns the first cell of each run and its length.
+    """
+    brk = np.ones(len(cells), dtype=bool)
+    brk[1:] = ((cells[1:, -1] != cells[:-1, -1] + 1)
+               | (cells[1:, :-1] != cells[:-1, :-1]).any(axis=1))
+    start = np.flatnonzero(brk)
+    return cells[start], np.diff(np.append(start, len(cells)))
+
+
 def _render_1d(cloud, path, labels, zoom):
     h = cloud.cell_size
-    pts = [cloud.points(i)[:, 0] if cloud.cells[i].size else np.zeros(0)
-           for i in range(cloud.n_types)]
-    finite = [p for p in pts if p.size]
-    if not finite:
+    occupied = [c for c in cloud.cells if c.size]
+    if not occupied:
         SvgCanvas((0, 0, 1, 1)).write(path)
         return
-    x0 = min(p.min() for p in finite) - h
-    x1 = max(p.max() for p in finite) + h
+    x0 = min(int(c.min()) for c in occupied) * h - h
+    x1 = max(int(c.max()) for c in occupied) * h + h
     rows = cloud.n_types + (1 if zoom else 0)
     canvas = SvgCanvas((x0, 0.0, x1, 0.22 * (x1 - x0) * rows), size=900, margin=24)
     band = 0.18 * (x1 - x0)
-    for i, p in enumerate(pts):
+    for i, cells in enumerate(cloud.cells):
         y = 0.22 * (x1 - x0) * (cloud.n_types - 1 - i)
         color = PALETTE[i % len(PALETTE)]
-        for x in p:
-            canvas.rect(x - h / 2, y, h, band, color=color)
+        first, length = _runs(cells)
+        for x, n in zip(first[:, 0].tolist(), length.tolist()):
+            canvas.rect(x * h - h / 2, y, n * h, band, color=color)
         if labels:
             canvas.text(x0, y + band / 2, labels[i])
     if zoom:
@@ -307,13 +316,14 @@ def _render_1d(cloud, path, labels, zoom):
         y = 0.22 * (x1 - x0) * (rows - 1)
         span = hi - lo
         scale = (x1 - x0) / span if span > 0 else 1.0
-        for i, p in enumerate(pts):
-            sel = p[(p >= lo) & (p <= hi)]
+        sub = band / cloud.n_types
+        for i, cells in enumerate(cloud.cells):
+            p = cells[:, 0] * h
+            first, length = _runs(cells[(p >= lo) & (p <= hi)])
             color = PALETTE[i % len(PALETTE)]
-            sub = band / cloud.n_types
-            for x in sel:
-                canvas.rect(x0 + (x - lo) * scale, y + i * sub,
-                            h * scale, sub, color=color, opacity=0.9)
+            for x, n in zip(first[:, 0].tolist(), length.tolist()):
+                canvas.rect(x0 + (x * h - lo) * scale, y + i * sub,
+                            n * h * scale, sub, color=color, opacity=0.9)
         canvas.text(x0, y + band, f"zoom [{lo:.6g}, {hi:.6g}]")
     canvas.write(path)
 
@@ -328,11 +338,11 @@ def _render_2d(cloud, path, orientations):
     x0, y0 = allc.min(axis=0) - h
     x1, y1 = allc.max(axis=0) + h
     canvas = SvgCanvas((x0, y0, x1, y1), size=900, margin=24)
-    for i in range(cloud.n_types):
-        if not cloud.cells[i].size:
-            continue
+    for i, cells in enumerate(cloud.cells):
         group = i // orientations if orientations else i
         color = PALETTE[group % len(PALETTE)]
-        for x, y in cloud.points(i):
-            canvas.rect(x - h / 2, y - h / 2, h, h, color=color, opacity=0.85)
+        first, length = _runs(cells)
+        for (x, y), n in zip(first.tolist(), length.tolist()):
+            canvas.rect(x * h - h / 2, y * h - h / 2, h, n * h,
+                        color=color, opacity=0.85)
     canvas.write(path)

@@ -135,7 +135,10 @@ def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     (["peaks", "--model", "cap", "--internal-cutoff", "100"], "--internal-cutoff"),
     (["peaks", "--model", "silver", "--center", "1e300"], "--center"),
     (["patch", "--model", "silver", "--steps", "60"], "--steps"),
-    (["patch", "--model", "silver", "--steps", "5" + "0" * 400], "--steps")])
+    (["patch", "--model", "silver", "--steps", "5" + "0" * 400], "--steps"),
+    # without the bound a billion generations would run for days
+    (["window", "--model", "silver", "--generations", "1001"], "--generations"),
+    (["window", "--model", "silver", "--generations", "1" + "0" * 9], "--generations")])
 def test_rejects_bad_flags(argv, flag, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, err = run(argv, capsys)

@@ -1,10 +1,13 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from tilediff import windows
 from tilediff.models import builtin
+from tilediff.svg import PALETTE, SvgCanvas
 from tilediff.windows import (CAP_BOUNDARY_DIM, TWISTED_BOUNDARY_DIM,
                               WindowCloud, box_counting_dimension,
                               hull_intervals, ifs_step, interior_cells,
@@ -260,6 +263,123 @@ def test_render_cap(tmp_path):
     text = out.read_text()
     assert "<rect" in text
     # one color per shape: four colored regions plus the white background
-    import re
     fills = set(re.findall(r'fill="(#[0-9a-f]{6})"', text))
     assert len(fills - {"#ffffff"}) == 4
+
+
+@pytest.mark.parametrize("cells,zoom", [
+    (np.zeros((1, 2), np.int64), None),                          # one 2d cell
+    (np.arange(3, dtype=np.int64).reshape(-1, 1), (5.0, 6.0)),   # zoom selects no cell
+])
+def test_render_one_run(tmp_path, cells, zoom):
+    out = tmp_path / "one.svg"
+    render_windows(WindowCloud((cells,), 0.01, 0), out, zoom=zoom)
+    text = out.read_text()
+    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+    assert len(_svg_rects(text)) == 1
+
+
+_RECT = re.compile(r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([\d.]+)" '
+                   r'height="([\d.]+)" fill="(#[0-9a-f]{6})"'
+                   r'(?: fill-opacity="([\d.]+)")?/>')
+
+
+def _svg_rects(text):
+    """(x, y, width, height, fill, opacity or None) of each drawn rect, in
+    pixels; the white background has no x/y and is not matched."""
+    return [(float(x), float(y), float(w), float(hh), fill, op or None)
+            for x, y, w, hh, fill, op in _RECT.findall(text)]
+
+
+def _span(start, length, step):
+    """Grid indices covered by [start, start + length) on a grid of cells
+    of size ``step`` centred on the multiples of ``step``."""
+    first, n = (start + step / 2) / step, length / step
+    assert abs(first - round(first)) < 1e-3 and abs(n - round(n)) < 1e-3
+    return range(round(first), round(first) + round(n))
+
+
+def _run_count(cells):
+    """Maximal runs along the last axis, counted by a plain loop."""
+    rows = [tuple(r) for r in cells.tolist()]
+    return sum(1 for k, r in enumerate(rows)
+               if k == 0 or r[:-1] != rows[k - 1][:-1] or r[-1] != rows[k - 1][-1] + 1)
+
+
+def _staircase():
+    """Two types whose column runs end one cell below the next column's
+    first cell, so a run must break at each change of x."""
+    a = np.array([(x, y) for x in range(4) for y in range(2 * x, 2 * x + 2)])
+    b = np.array([(x, y) for x in range(3) for y in range(-x - 2, -x)])
+    return None, WindowCloud((a, b), 0.1, 0)
+
+
+def _cap_cloud():
+    cap = builtin("cap")
+    return cap, iterate_windows(cap, 8, resolution=6)
+
+
+@pytest.mark.parametrize("make", [_cap_cloud, _staircase])
+def test_render_2d_rects_cover_cells_exactly(tmp_path, make):
+    model, cloud = make()
+    out = tmp_path / "w2.svg"
+    render_windows(cloud, out, model=model)
+    h = cloud.cell_size
+    allc = np.vstack(cloud.cells).astype(float) * h
+    (x0, y0), (x1, y1) = allc.min(axis=0) - h, allc.max(axis=0) + h
+    canvas = SvgCanvas((x0, y0, x1, y1), size=900, margin=24)
+    got = {}
+    rects = _svg_rects(out.read_text())
+    for px, py, pw, ph, fill, op in rects:
+        assert op == "0.85"
+        w, hh = pw / canvas.scale, ph / canvas.scale
+        x = canvas.x0 + (px - canvas.margin) / canvas.scale
+        y = canvas.y0 + (canvas.height - canvas.margin - py) / canvas.scale - hh
+        got.setdefault(fill, Counter()).update(
+            (i, j) for i in _span(x, w, h) for j in _span(y, hh, h))
+    want = {}
+    for i, cells in enumerate(cloud.cells):
+        group = i // model.orientations if model else i
+        color = PALETTE[group % len(PALETTE)]
+        want.setdefault(color, Counter()).update(map(tuple, cells.tolist()))
+    assert got == want
+    assert len(rects) == sum(_run_count(c) for c in cloud.cells) < len(allc)
+
+
+@pytest.mark.parametrize("name,zoom", [("silver", None),
+                                       ("silver_twisted", (0.0, 0.5))])
+def test_render_1d_rects_cover_cells_exactly(tmp_path, name, zoom):
+    model = builtin(name)
+    cloud = iterate_windows(model, 14)
+    out = tmp_path / "w.svg"
+    render_windows(cloud, out, model=model, zoom=zoom)
+    h = cloud.cell_size
+    allc = np.vstack(cloud.cells)
+    x0, x1 = allc.min() * h - h, allc.max() * h + h
+    rows = cloud.n_types + (1 if zoom else 0)
+    canvas = SvgCanvas((x0, 0.0, x1, 0.22 * (x1 - x0) * rows), size=900, margin=24)
+    zscale = (x1 - x0) / (zoom[1] - zoom[0]) if zoom else None
+    got = {}
+    rects = _svg_rects(out.read_text())
+    for px, _, pw, _, fill, op in rects:
+        x = canvas.x0 + (px - canvas.margin) / canvas.scale
+        w = pw / canvas.scale
+        if op is None:      # main strip: x is the left edge of the first cell
+            cells = _span(x, w, h)
+        else:               # zoom strip: x maps the first cell's centre
+            assert op == "0.9"
+            cells = _span((x - x0) / zscale + zoom[0] - h / 2, w / zscale, h)
+        got.setdefault((fill, op), Counter()).update(cells)
+    want, runs = {}, 0
+    for i, cells in enumerate(cloud.cells):
+        color = PALETTE[i % len(PALETTE)]
+        want[(color, None)] = Counter(cells[:, 0].tolist())
+        runs += _run_count(cells)
+        if zoom:
+            p = cells[:, 0] * h
+            sel = cells[(p >= zoom[0]) & (p <= zoom[1])]
+            assert len(sel)
+            want[(color, "0.9")] = Counter(sel[:, 0].tolist())
+            runs += _run_count(sel)
+    assert got == want
+    assert len(rects) == runs
