@@ -34,10 +34,11 @@ _SILVER_LAMBDA = 1.0 + math.sqrt(2.0)
 _TIE_RTOL = 1e-12
 
 def evaluator(model: ModelSpec) -> FourierEvaluator:
-    """Cached Fourier evaluator for a model (immutable, shareable).
-
-    Kept on the model: the evaluator refers back to its model, so a
-    table keyed weakly by the model would keep both alive for good."""
+    """The model's Fourier evaluator (immutable), built on first use and
+    kept on the model: a shared built-in model keeps it for the process,
+    a model from ``with_displacement`` gets its own, which dies with it.
+    A table keyed weakly by the model would keep both alive for good,
+    because the evaluator refers back to its model."""
     ev = vars(model).get("_evaluator")
     if ev is None:
         ev = vars(model)["_evaluator"] = FourierEvaluator(model)

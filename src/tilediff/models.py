@@ -4,7 +4,7 @@ A :class:`ModelSpec` packages one inflation tiling system: its number
 field, the return-module generators (whose Minkowski lifts span the
 cut-and-project lattice), the expansion map, the set-valued displacement
 matrix, density metadata, and the catalog of deformations.  Four models
-ship with the library:
+ship with the library; :func:`builtin` builds each once and shares it:
 
 ``silver``          binary chain with intervals of length sqrt2 and 1
 ``silver_twisted``  same return module, reordered inflation; windows are
@@ -23,11 +23,14 @@ corrupted entry.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, partial
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,9 +43,6 @@ __all__ = [
     "builtin", "builtin_names", "load_displacement", "save_displacement",
     "validate_symmetry", "SymmetryReport", "pf_data",
 ]
-
-BUILTIN_NAMES = ("silver", "silver_twisted", "cap", "casper_scaffold")
-
 
 class ModelDataError(ValueError):
     """Raised for malformed or inconsistent displacement data."""
@@ -157,32 +157,38 @@ class DeformationMap:
         return len(self.rows)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ModelSpec:
-    """One tiling system; immutable after construction."""
+    """One tiling system.
 
-    def __init__(self, name, field, tile_labels, generators, expansion,
-                 antilinear, pf_eigenvalue, displacement, density_sq,
-                 window_volume, fourier_module_doc, deformations,
-                 orientations=None, internal_cutoff=3.0, default_iters=15,
-                 return_module_doc=""):
-        self.name = name
-        self.field: FieldSpec = field
-        self.tile_labels = tuple(tile_labels)
-        self.generators = tuple(generators)
-        self.expansion: AlgebraicElement = expansion
-        self.antilinear = bool(antilinear)
-        self.pf_eigenvalue: AlgebraicElement = pf_eigenvalue
-        self.displacement: DisplacementMatrix | None = displacement
-        self.density_sq: AlgebraicElement = density_sq
-        self.window_volume: Surd | None = window_volume
-        self.fourier_module_doc = fourier_module_doc
-        self.return_module_doc = return_module_doc
-        self.deformations = dict(deformations)
-        self.orientations = orientations
-        self.internal_cutoff = float(internal_cutoff)
-        self.default_iters = int(default_iters)
-        if displacement is not None and displacement.n != len(self.tile_labels):
+    Frozen, with read-only ``deformations``: :func:`builtin` shares one
+    instance per name, and the lattice, the Fourier evaluator and the
+    symmetry data derived from it are cached on that instance.  Variants
+    come from :meth:`with_displacement` or :func:`dataclasses.replace`.
+    """
+
+    name: str
+    field: FieldSpec
+    tile_labels: tuple
+    generators: tuple
+    expansion: AlgebraicElement
+    antilinear: bool
+    pf_eigenvalue: AlgebraicElement
+    displacement: DisplacementMatrix | None
+    density_sq: AlgebraicElement
+    window_volume: Surd | None
+    fourier_module_doc: str
+    deformations: Mapping[str, DeformationMap]
+    orientations: int | None = None
+    internal_cutoff: float = 3.0
+    default_iters: int = 15
+    return_module_doc: str = ""
+
+    def __post_init__(self):
+        if self.displacement is not None and self.displacement.n != self.n_tiles:
             raise ModelDataError("displacement size does not match tile count")
+        object.__setattr__(self, "deformations",
+                           MappingProxyType(dict(self.deformations)))
 
     # -- derived data ----------------------------------------------------------
 
@@ -216,11 +222,12 @@ class ModelSpec:
         """Matrix of x -> elem*x (or elem*conj(x) if antilinear) on R^dim."""
         v = elem.embed_phys()
         if self.dim == 1:
-            return np.array([[v[0]]])
-        a, b = v
-        if self.antilinear:
-            return np.array([[a, b], [b, -a]])
-        return np.array([[a, -b], [b, a]])
+            m = np.array([[v[0]]])
+        else:
+            a, b = v
+            m = np.array([[a, b], [b, -a]] if self.antilinear else [[a, -b], [b, a]])
+        m.flags.writeable = False   # cached on a shared model
+        return m
 
     @cached_property
     def phys_expansion_matrix(self) -> np.ndarray:
@@ -269,12 +276,7 @@ class ModelSpec:
         labels = self.tile_labels
         if disp.n != len(labels):
             labels = tuple(f"t{i:02d}" for i in range(disp.n))
-        return ModelSpec(
-            self.name, self.field, labels, self.generators, self.expansion,
-            self.antilinear, self.pf_eigenvalue, disp, self.density_sq,
-            self.window_volume, self.fourier_module_doc, self.deformations,
-            self.orientations, self.internal_cutoff, self.default_iters,
-            self.return_module_doc)
+        return dataclasses.replace(self, tile_labels=labels, displacement=disp)
 
     def __repr__(self):
         data = "loaded" if self.has_displacement else "none"
@@ -407,7 +409,6 @@ def load_displacement(path) -> DisplacementMatrix:
     return displacement_from_dict(data)
 
 
-@lru_cache(maxsize=None)
 def _cap_displacement() -> DisplacementMatrix:
     ref = resources.files("tilediff").joinpath("data/cap_displacement.json")
     with ref.open("r", encoding="utf-8") as fh:
@@ -421,23 +422,30 @@ def _el(field, *coords):
     return field.element(coords)
 
 
-def _silver_common():
+def _build_silver_model(twisted: bool) -> ModelSpec:
+    z = SILVER.zero()
     one = SILVER.one()
     s2 = SILVER.gen("sqrt2")
     lam = one + s2
+    if twisted:
+        entries = [[(one + one,), (z,)], [(z, one), (s2,)]]
+    else:
+        entries = [[(z,), (z,)], [(s2, lam), (s2,)]]
     equal_lengths = DeformationMap(
         name="equal-lengths",
         rows=((Surd({1: 3, 2: -2}),),),
         periods=(_el(SILVER, Fraction(1, 2), Fraction(1, 4)),),
         image_lattice=(one - s2,),
     )
-    return dict(
+    return ModelSpec(
+        name="silver_twisted" if twisted else "silver",
         field=SILVER,
         tile_labels=("a", "b"),
         generators=(one, s2),
         expansion=lam,
         antilinear=False,
         pf_eigenvalue=lam,
+        displacement=DisplacementMatrix(SILVER, entries),
         density_sq=_el(SILVER, Fraction(3, 8), Fraction(1, 4)),
         window_volume=Surd({1: 1, 2: 1}),
         fourier_module_doc="sqrt2/4 * Z[sqrt2]",
@@ -447,24 +455,6 @@ def _silver_common():
         internal_cutoff=30.0,
         default_iters=20,
     )
-
-
-def _silver_displacement(twisted: bool) -> DisplacementMatrix:
-    z = SILVER.zero()
-    one = SILVER.one()
-    s2 = SILVER.gen("sqrt2")
-    if twisted:
-        entries = [[(one + one,), (z,)], [(z, one), (s2,)]]
-    else:
-        entries = [[(z,), (z,)], [(s2, one + s2), (s2,)]]
-    return DisplacementMatrix(SILVER, entries)
-
-
-def _build_silver_model(twisted: bool) -> ModelSpec:
-    kw = _silver_common()
-    return ModelSpec(
-        name="silver_twisted" if twisted else "silver",
-        displacement=_silver_displacement(twisted), **kw)
 
 
 def _build_cap_model() -> ModelSpec:
@@ -567,21 +557,24 @@ def _build_casper_model() -> ModelSpec:
     )
 
 
-def builtin(name: str) -> ModelSpec:
-    """Construct a built-in model by name."""
-    if name == "silver":
-        return _build_silver_model(False)
-    if name == "silver_twisted":
-        return _build_silver_model(True)
-    if name == "cap":
-        return _build_cap_model()
-    if name == "casper_scaffold":
-        return _build_casper_model()
-    raise KeyError(f"unknown model {name!r}; available: {BUILTIN_NAMES}")
+_BUILDERS = {
+    "silver": partial(_build_silver_model, False),
+    "silver_twisted": partial(_build_silver_model, True),
+    "cap": _build_cap_model,
+    "casper_scaffold": _build_casper_model,
+}
+
+
+@cache
+def builtin(name: str, /) -> ModelSpec:
+    """The built-in model ``name``, built on first use and shared."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown model {name!r}; available: {builtin_names()}")
+    return _BUILDERS[name]()
 
 
 def builtin_names() -> tuple:
-    return BUILTIN_NAMES
+    return tuple(_BUILDERS)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,13 @@ def verification_suite(model: ModelSpec, seed: int = 0) -> list:
     checks.append(_check("lattice-covolume", det_ok,
                          f"|det B|^2 = {lat.gram_det} (covolume {lat.covolume:g})"))
 
+    if model.window_volume is not None:
+        vol = model.window_volume   # = density x covolume, compared squared
+        checks.append(_check(
+            "window-volume",
+            vol * vol == lat.gram_det * model.density_sq.embed_phys_exact()[0],
+            f"documented volume {float(vol):.12g} = density x covolume, exactly"))
+
     checks.append(_periods_check(model))
     if model.name == "cap":
         checks.append(_image_lattice_check(model, seed))

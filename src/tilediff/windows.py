@@ -111,9 +111,8 @@ def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
 
 
 def iterate_windows(model: ModelSpec, generations: int,
-                    cell_size: float | None = None,
                     resolution: int | None = None) -> WindowCloud:
-    cloud = seed_clouds(model, cell_size, resolution)
+    cloud = seed_clouds(model, resolution=resolution)
     for _ in range(generations):
         cloud = ifs_step(cloud, model)
     return cloud
@@ -318,12 +317,13 @@ def _render_1d(cloud, path, labels, zoom):
         scale = (x1 - x0) / span if span > 0 else 1.0
         sub = band / cloud.n_types
         for i, cells in enumerate(cloud.cells):
-            p = cells[:, 0] * h
-            first, length = _runs(cells[(p >= lo) & (p <= hi)])
+            first, length = _runs(cells)
             color = PALETTE[i % len(PALETTE)]
             for x, n in zip(first[:, 0].tolist(), length.tolist()):
-                canvas.rect(x0 + (x * h - lo) * scale, y + i * sub,
-                            n * h * scale, sub, color=color, opacity=0.9)
+                a, b = max(x * h - h / 2, lo), min((x + n) * h - h / 2, hi)
+                if a < b:
+                    canvas.rect(x0 + (a - lo) * scale, y + i * sub,
+                                (b - a) * scale, sub, color=color, opacity=0.9)
         canvas.text(x0, y + band, f"zoom [{lo:.6g}, {hi:.6g}]")
     canvas.write(path)
 

@@ -241,6 +241,26 @@ def test_data_loading_via_flag(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_commands_share_one_model(tmp_path, capsys, monkeypatch):
+    from tilediff import cocycle
+    from tilediff.models import builtin
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    built = []
+    init = cocycle.FourierEvaluator.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(cocycle.FourierEvaluator, "__init__", counting_init)
+    builtin.cache_clear()   # start from an unbuilt cap, whatever ran before
+    for _ in range(2):
+        code, _, _ = run(["peaks", "--model", "cap", "--radius", "0.3",
+                          "--iters", "8"], capsys)
+        assert code == 0
+    assert built == [builtin("cap")]
+
+
 def test_bad_data_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

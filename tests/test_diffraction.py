@@ -198,7 +198,8 @@ def test_peak_threshold_validation(silver):
 
 
 def test_evaluator_dies_with_its_model():
-    model = builtin("silver")
+    silver = builtin("silver")      # shared for good; --data models are not
+    model = silver.with_displacement(silver.displacement)
     ev = evaluator(model)
     assert evaluator(model) is ev
     alive = weakref.ref(model)

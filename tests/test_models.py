@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from tilediff.models import (DisplacementMatrix, ModelDataError, builtin,
                              builtin_names, displacement_from_dict,
                              displacement_to_dict, load_displacement,
                              save_displacement, validate_symmetry)
+from tilediff.verify import verification_suite
 
 S2, S3, S5, S15 = (math.sqrt(x) for x in (2, 3, 5, 15))
 TAU = (1 + S5) / 2
@@ -127,6 +129,47 @@ def test_contraction_is_starred_expansion(name):
 def test_unknown_model():
     with pytest.raises(KeyError):
         builtin("penrose")
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_is_shared(name):
+    assert builtin(name) is builtin(name)
+
+
+def test_builtin_is_frozen():
+    cap = builtin("cap")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cap.default_iters = 3
+    with pytest.raises(TypeError):
+        cap.deformations["x"] = cap.deformations["hat"]
+    with pytest.raises(ValueError):
+        cap.displacement.stars[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        cap.int_contraction_matrix[0, 0] = 0.0
+    assert set(cap.deformations) == {"hat"}
+
+
+def test_with_displacement_is_a_distinct_model():
+    from tilediff.diffraction import evaluator
+    cap = builtin("cap")
+    disp = DisplacementMatrix(cap.field, cap.displacement.entries)
+    other = cap.with_displacement(disp)
+    assert other is not cap and other.displacement is disp
+    for f in dataclasses.fields(cap):
+        assert getattr(other, f.name) == getattr(cap, f.name), f.name
+    assert evaluator(other) is not evaluator(cap)
+    assert evaluator(other).model is other and evaluator(cap).model is cap
+
+
+def test_verify_window_volume():
+    def status(model):
+        return {c.name: c.status for c in verification_suite(model)}
+
+    silver = builtin("silver")
+    assert status(silver)["window-volume"] == "PASS"
+    assert "window-volume" not in status(builtin("cap"))
+    wrong = dataclasses.replace(silver, window_volume=Surd({1: 1, 2: 2}))
+    assert status(wrong)["window-volume"] == "FAIL"
 
 
 def test_density_metadata_exact():

@@ -346,8 +346,21 @@ def test_render_2d_rects_cover_cells_exactly(tmp_path, make):
     assert len(rects) == sum(_run_count(c) for c in cloud.cells) < len(allc)
 
 
+def _runs_1d(xs):
+    """(first, length) of each run of consecutive integers in sorted ``xs``,
+    by a plain loop."""
+    runs = []
+    for x in xs:
+        if runs and x == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([x, 1])
+    return runs
+
+
 @pytest.mark.parametrize("name,zoom", [("silver", None),
-                                       ("silver_twisted", (0.0, 0.5))])
+                                       ("silver_twisted", (0.0, 0.5)),
+                                       ("silver_twisted", (0.1234, 0.4))])
 def test_render_1d_rects_cover_cells_exactly(tmp_path, name, zoom):
     model = builtin(name)
     cloud = iterate_windows(model, 14)
@@ -358,28 +371,37 @@ def test_render_1d_rects_cover_cells_exactly(tmp_path, name, zoom):
     x0, x1 = allc.min() * h - h, allc.max() * h + h
     rows = cloud.n_types + (1 if zoom else 0)
     canvas = SvgCanvas((x0, 0.0, x1, 0.22 * (x1 - x0) * rows), size=900, margin=24)
-    zscale = (x1 - x0) / (zoom[1] - zoom[0]) if zoom else None
-    got = {}
+    got, got_zoom = {}, []
     rects = _svg_rects(out.read_text())
     for px, _, pw, _, fill, op in rects:
         x = canvas.x0 + (px - canvas.margin) / canvas.scale
         w = pw / canvas.scale
         if op is None:      # main strip: x is the left edge of the first cell
-            cells = _span(x, w, h)
-        else:               # zoom strip: x maps the first cell's centre
+            got.setdefault((fill, op), Counter()).update(_span(x, w, h))
+        else:               # zoom strip: one rect per run, clipped to the zoom
             assert op == "0.9"
-            cells = _span((x - x0) / zscale + zoom[0] - h / 2, w / zscale, h)
-        got.setdefault((fill, op), Counter()).update(cells)
-    want, runs = {}, 0
+            got_zoom.append((fill, px, pw))
+    want, want_zoom, runs = {}, [], 0
     for i, cells in enumerate(cloud.cells):
         color = PALETTE[i % len(PALETTE)]
         want[(color, None)] = Counter(cells[:, 0].tolist())
         runs += _run_count(cells)
         if zoom:
-            p = cells[:, 0] * h
-            sel = cells[(p >= zoom[0]) & (p <= zoom[1])]
-            assert len(sel)
-            want[(color, "0.9")] = Counter(sel[:, 0].tolist())
-            runs += _run_count(sel)
+            lo, hi = zoom
+            zscale = (x1 - x0) / (hi - lo)
+            for x, n in _runs_1d(cells[:, 0].tolist()):
+                a, b = max(x * h - h / 2, lo), min((x + n) * h - h / 2, hi)
+                if a < b:
+                    px, _ = canvas.map(x0 + (a - lo) * zscale, 0.0)
+                    want_zoom.append((color, px, (b - a) * zscale * canvas.scale))
     assert got == want
-    assert len(rects) == runs
+    assert len(rects) == runs + len(want_zoom)
+    assert len(got_zoom) == len(want_zoom)
+    for (fill, px, pw), (color, qx, qw) in zip(got_zoom, want_zoom):
+        assert fill == color and abs(px - qx) < 0.01 and abs(pw - qw) < 0.01
+    if zoom:    # a cell of each type straddles lo: its first rect starts at lo
+        first = {}
+        for color, px, _ in want_zoom:
+            first.setdefault(color, px)
+        assert len(first) == cloud.n_types
+        assert all(abs(px - canvas.map(x0, 0.0)[0]) < 0.01 for px in first.values())
