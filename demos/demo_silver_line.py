@@ -16,7 +16,7 @@ import numpy as np
 from tilediff import (amplitude_at, analytic_silver, builtin, hull_intervals,
                       iterate_windows, module_point, peak_list, peaks_to_csv,
                       render_windows, window_volume_from_patch)
-from tilediff.diffraction import evaluator, mean_log_intensity
+from tilediff.diffraction import mean_log_intensity
 
 OUT = pathlib.Path(__file__).resolve().parent
 S2 = math.sqrt(2)
@@ -42,7 +42,7 @@ render_windows(iterate_windows(twisted, 24), OUT / "twisted_windows.svg",
 print("wrote silver_windows.svg, twisted_windows.svg (zoom strip included)")
 
 print("\n== amplitudes: cocycle vs closed forms ==")
-ev = evaluator(silver)
+ev = silver.evaluator
 ks = np.linspace(-5, 5, 11)
 H = ev.amplitude_batch(ks.reshape(-1, 1), n=30)
 ha, hb = analytic_silver(ks)

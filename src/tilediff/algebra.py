@@ -55,6 +55,12 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it: for arrays cached on shared objects."""
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Exact real surds (used for deformation matrices and documented volumes)
 
@@ -258,13 +264,13 @@ class FieldSpec:
                                for row in mul_table)
         self.star_matrix = tuple(tuple(_frac(c) for c in row) for row in star_matrix)
         self.conj_matrix = tuple(tuple(_frac(c) for c in row) for row in conj_matrix)
-        self.phys_columns = np.asarray(phys_columns, dtype=float)
+        self.phys_columns = read_only(np.array(phys_columns, dtype=float))
         self.exact_phys_columns = tuple(
             tuple(x if isinstance(x, Surd) else Surd.rational(x) for x in row)
             for row in exact_phys_columns)
         self.dim = self.phys_columns.shape[0]
         star_f = np.array([[float(c) for c in row] for row in self.star_matrix])
-        self.int_columns = self.phys_columns @ star_f
+        self.int_columns = read_only(self.phys_columns @ star_f)
 
         # Galois group as coordinate matrices: {id, star} in degree 2,
         # {id, star, conj, star*conj} in degree 4.

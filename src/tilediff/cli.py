@@ -225,19 +225,21 @@ def cmd_peaks(args) -> int:
 
 def cmd_window(args) -> int:
     model = _load_model(args)
+    if args.zoom and model.dim != 1:
+        raise UsageError(f"--zoom applies to 1d windows only, not {model.name!r}")
     generations = args.generations
     if generations is None:
         generations = 22 if model.dim == 1 else 12
-    try:
+    outdir = _outdir()
+    out = outdir / (args.out or f"window_{model.name}.svg")
+    try:   # above windows.MAX_STEP_CELLS, cell indices at 2**53, int64 keys
         cloud = windows.iterate_windows(model, generations,
                                         resolution=args.resolution)
-    except ValueError as exc:   # a step above windows.MAX_STEP_CELLS
+        v, br = windows.volume(cloud)
+        outdir.mkdir(parents=True, exist_ok=True)
+        windows.render_windows(cloud, out, model=model, zoom=args.zoom)
+    except ValueError as exc:
         raise UsageError(f"{exc}; reduce --resolution or --generations") from exc
-    outdir = _outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / (args.out or f"window_{model.name}.svg")
-    windows.render_windows(cloud, out, model=model, zoom=args.zoom)
-    v, br = windows.volume(cloud)
     print(f"window cloud generation {cloud.generation}, cell {cloud.cell_size:.3g}; "
           f"total volume {v:.6g} (+- {br:.2g}); wrote {out}")
     return EXIT_OK

@@ -12,8 +12,8 @@ per-tile amplitudes are normalized so that H_i(0) equals density times
 the tile frequency, which makes the central equal-weight intensity equal
 the squared point density.
 
-Evaluators are immutable; amplitude evaluation at distinct arguments is
-pure and batches over many arguments at once.
+Evaluators are immutable, with read-only arrays; amplitude evaluation at
+distinct arguments is pure and batches over many arguments at once.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import read_only
 from .models import ModelDataError, ModelSpec, pf_data
 
 __all__ = ["FourierEvaluator", "AmplitudeVector"]
@@ -56,20 +57,20 @@ class FourierEvaluator:
 
         # exponentials are evaluated once per distinct starred translation
         # and gathered per translation through _phase
-        self._t_star, self._phase = np.unique(disp.stars, axis=0,
-                                              return_inverse=True)
+        self._t_star, self._phase = map(read_only, np.unique(
+            disp.stars, axis=0, return_inverse=True))
         self._col = disp.cols
         rows = disp.rows
         if len(np.unique(rows)) != self.n:
             raise ModelDataError("every tile type needs a translation")
         # the table is sorted by row and by cell: segment starts for
         # the sums into rows (sweep) and into cells (Fourier matrix)
-        self._row_start = np.searchsorted(rows, np.arange(self.n))
-        self._cells, self._cell_start = np.unique(rows * self.n + self._col,
-                                                  return_index=True)
+        self._row_start = read_only(np.searchsorted(rows, np.arange(self.n)))
+        self._cells, self._cell_start = map(read_only, np.unique(
+            rows * self.n + self._col, return_index=True))
 
-        self.M = disp.card_matrix()
-        _, self.left, self.right = pf_data(self.M)
+        self.M = read_only(disp.card_matrix())
+        self.left, self.right = map(read_only, pf_data(self.M)[1:])
 
     # -- Fourier matrix ---------------------------------------------------------
 

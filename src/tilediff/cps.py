@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraicElement, FieldSpec, fraction_det,
-                      fraction_matrix_inverse)
+                      fraction_matrix_inverse, read_only)
 
 __all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "dual_basis",
            "enumerate_module", "internal_argument", "MAX_CANDIDATES"]
@@ -35,7 +35,7 @@ class LatticeBasis:
     """Minkowski lattice spanned by the lifts of module generators.
 
     ``rank == 2 * dim`` for all registered models (fully Euclidean
-    schemes).  Read-only after construction.
+    schemes).  Read-only after construction, cached arrays included.
     """
 
     def __init__(self, generators: Sequence[AlgebraicElement]):
@@ -87,17 +87,22 @@ class LatticeBasis:
     @cached_property
     def columns(self) -> np.ndarray:
         """Float basis matrix; rows 0..dim-1 physical, dim..2dim-1 internal."""
-        return np.column_stack([
-            np.concatenate([g.embed_phys(), g.embed_int()]) for g in self.generators])
+        return read_only(np.column_stack([
+            np.concatenate([g.embed_phys(), g.embed_int()]) for g in self.generators]))
 
     @cached_property
     def dual_columns(self) -> np.ndarray:
-        return np.column_stack([
+        return read_only(np.column_stack([
             np.concatenate([g.embed_phys(), g.embed_int()])
-            for g in self.dual_generators])
+            for g in self.dual_generators]))
+
+    @cached_property
+    def _dual(self) -> "LatticeBasis":
+        return LatticeBasis(self.dual_generators)
 
     def dual(self) -> "LatticeBasis":
-        return LatticeBasis(self.dual_generators)
+        """The dual lattice, built once per basis."""
+        return self._dual
 
     def points(self, coords) -> "ModuleSet":
         """Dual-lattice points with integer coordinates ``coords`` (N, rank).
@@ -128,19 +133,15 @@ class LatticeBasis:
             return tuple(int(c) for c in coords)
         return None
 
-    def contains(self, x: AlgebraicElement) -> bool:
-        return self.integer_coords(x) is not None
-
     def dual_action(self, x: AlgebraicElement) -> np.ndarray | None:
         """Int64 matrix R of y -> x*y on dual coordinates (``coords @ R.T``
         maps points), or None when x*y leaves the dual lattice.  Cached
         per element on this basis."""
         cache = self.__dict__.setdefault("_dual_actions", {})
         if x not in cache:
-            dual = self.dual()
-            cols = [dual.integer_coords(x * g) for g in self.dual_generators]
+            cols = [self.dual().integer_coords(x * g) for g in self.dual_generators]
             cache[x] = None if None in cols else \
-                np.array(cols, dtype=np.int64).T
+                read_only(np.array(cols, dtype=np.int64).T)
         return cache[x]
 
     def __repr__(self):

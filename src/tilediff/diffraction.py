@@ -25,24 +25,13 @@ __all__ = [
     "Peak", "weight_vector", "amplitude_at", "analytic_silver", "weyl_sum",
     "peak_list", "deformation_from_lengths", "symmetry_report",
     "SymmetryGroupReport", "periodicity_residual", "mean_log_intensity",
-    "peaks_to_csv", "peaks_to_json", "peaks_to_svg", "evaluator",
+    "peaks_to_csv", "peaks_to_json", "peaks_to_svg",
 ]
 
 _SILVER_LAMBDA = 1.0 + math.sqrt(2.0)
 
 # peaks whose intensities agree to this relative tolerance are tied
 _TIE_RTOL = 1e-12
-
-def evaluator(model: ModelSpec) -> FourierEvaluator:
-    """The model's Fourier evaluator (immutable), built on first use and
-    kept on the model: a shared built-in model keeps it for the process,
-    a model from ``with_displacement`` gets its own, which dies with it.
-    A table keyed weakly by the model would keep both alive for good,
-    because the evaluator refers back to its model."""
-    ev = vars(model).get("_evaluator")
-    if ev is None:
-        ev = vars(model)["_evaluator"] = FourierEvaluator(model)
-    return ev
 
 
 @dataclass(frozen=True)
@@ -89,10 +78,9 @@ def amplitude_at(model: ModelSpec, k: ModulePoint, weights="equal",
                  deformation: DeformationMap | None = None,
                  n: int | None = None) -> complex:
     """Total Fourier-Bohr amplitude at one module point."""
-    ev = evaluator(model)
     w = weight_vector(model, weights)
     arg = internal_argument(k, deformation)
-    H = ev.amplitude_batch(arg[None, :], n)[0]
+    H = model.evaluator.amplitude_batch(arg[None, :], n)[0]
     return complex(np.dot(w, H))
 
 
@@ -212,7 +200,6 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
         n = model.default_iters
     if isinstance(deformation, str):
         deformation = model.deformations[deformation]
-    ev = evaluator(model)
     w = weight_vector(model, weights)
     pts = enumerate_module(model.lattice, center, radius, internal_cutoff)
     if not len(pts):
@@ -224,7 +211,7 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     _, first, inverse = np.unique(row_keys(reps)[0], return_index=True,
                                   return_inverse=True)
     args = model.lattice.points(reps[first]).arguments(deformation)
-    totals = (_amplitude_sweep(ev, args, n) @ w)[inverse]
+    totals = (_amplitude_sweep(model.evaluator, args, n) @ w)[inverse]
     intensities = np.abs(totals) ** 2
     kept = np.flatnonzero(intensities >= threshold)
     order = kept[np.argsort(-intensities[kept], kind="stable")]
@@ -323,7 +310,6 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
         deformation = model.deformations[deformation]
     if not deformation.periods:
         raise ValueError(f"deformation {deformation.name!r} has no period catalog")
-    ev = evaluator(model)
     w = weight_vector(model, weights)
     if n is None:
         n = model.default_iters
@@ -341,7 +327,7 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
     intensities = []
     for block in coords:
         args = model.lattice.points(block).arguments(deformation)
-        H = _amplitude_sweep(ev, args, n)
+        H = _amplitude_sweep(model.evaluator, args, n)
         intensities.append(np.abs(H @ w) ** 2)
     base_I = intensities[0]
     return float(max(np.max(np.abs(I - base_I)) for I in intensities[1:]))
@@ -359,12 +345,11 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
         raise ValueError("decay comparison is for 1d models")
     if internal_cutoff is None:
         internal_cutoff = model.internal_cutoff
-    ev = evaluator(model)
     w = weight_vector(model, weights)
     center = np.array([(k_lo + k_hi) / 2.0])
     pts = enumerate_module(model.lattice, center, (k_hi - k_lo) / 2.0,
                            internal_cutoff)
-    H = _amplitude_sweep(ev, pts.arguments(), n or model.default_iters)
+    H = _amplitude_sweep(model.evaluator, pts.arguments(), n or model.default_iters)
     I = np.abs(H @ w) ** 2
     I = I[I > floor]
     return float(np.mean(np.log(I)))

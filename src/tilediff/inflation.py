@@ -95,13 +95,6 @@ def seed_patch(model: ModelSpec, tile_type: int = 0) -> TypedPointSet:
                          np.zeros((1, model.field.degree), dtype=np.int64))
 
 
-def _generator_coords(model: ModelSpec, x: AlgebraicElement, what: str) -> list:
-    c = model.lattice.integer_coords(x)
-    if c is None:
-        raise ValueError(f"{what} {x} lies outside the return module")
-    return list(c)
-
-
 def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
     """Apply x -> expansion(x) + t for every displacement entry, `steps` times.
 
@@ -124,23 +117,17 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
         if bound.sum() > MAX_PATCH_POINTS:
             raise ValueError(f"step {step} would make up to {bound.sum():.3g} "
                              f"points, above the ceiling {MAX_PATCH_POINTS}")
-    gens = model.lattice.generators
-    r = len(gens)
     # row form on generator coordinates: expand(c) = c @ E, field coords = c @ G
-    E = np.array([_generator_coords(model, model.apply_expansion(g),
-                                    "expanded generator") for g in gens],
-                 dtype=np.int64)
-    G = np.array([_field_ints(g) for g in gens], dtype=np.int64)
-    # generator coordinates of each translation, in the table's order
-    T = np.array([_generator_coords(model, t, "translation")
-                  for _, _, t in disp.iter_translations()],
-                 dtype=np.int64).reshape(-1, r)
+    E, T = model.expansion_coords, model.translation_coords
+    G = np.array([_field_ints(g) for g in model.generators], dtype=np.int64)
     e_norm = int(np.abs(E).sum(axis=0).max())
     g_norm = int(np.abs(G).sum(axis=0).max())
     t_norm = int(np.abs(T).max(initial=0))
 
-    C = np.array([_generator_coords(model, x, "seed position")
-                  for _, x in seed.points], dtype=np.int64).reshape(-1, r)
+    C = [model.lattice.integer_coords(x) for _, x in seed.points]
+    if None in C:
+        raise ValueError("a seed position lies outside the return module")
+    C = np.array(C, dtype=np.int64).reshape(-1, model.lattice.rank)
     types, F = seed.tile_types, seed.coords
     for _ in range(steps):
         if (int(np.abs(C).max(initial=0)) * e_norm + t_norm) * g_norm > _EXACT:

@@ -35,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import (CAP, FIELDS, SILVER, SPECTRE, AlgebraicElement,
-                      FieldSpec, Surd)
+                      FieldSpec, Surd, read_only)
 from .cps import LatticeBasis
 
 __all__ = [
@@ -70,12 +70,10 @@ class DisplacementMatrix:
                     if t.field is not field:
                         raise ModelDataError("translation from wrong field")
         flat = list(self.iter_translations())
-        self.rows = np.array([i for i, _, _ in flat], dtype=np.int64)
-        self.cols = np.array([j for _, j, _ in flat], dtype=np.int64)
-        self.stars = np.array([_finite_star(i, j, t) for i, j, t in flat],
-                              dtype=float).reshape(len(flat), field.dim)
-        for table in (self.rows, self.cols, self.stars):   # shared, like entries
-            table.flags.writeable = False
+        self.rows = read_only(np.array([i for i, _, _ in flat], dtype=np.int64))
+        self.cols = read_only(np.array([j for _, j, _ in flat], dtype=np.int64))
+        self.stars = read_only(np.array([_finite_star(i, j, t) for i, j, t in flat],
+                                        dtype=float).reshape(len(flat), field.dim))
 
     @cached_property
     def sixfold_violations(self) -> tuple:
@@ -150,7 +148,7 @@ class DeformationMap:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows])
+        return read_only(np.array([[float(x) for x in row] for row in self.rows]))
 
     @property
     def dim(self) -> int:
@@ -162,9 +160,9 @@ class ModelSpec:
     """One tiling system.
 
     Frozen, with read-only ``deformations``: :func:`builtin` shares one
-    instance per name, and the lattice, the Fourier evaluator and the
-    symmetry data derived from it are cached on that instance.  Variants
-    come from :meth:`with_displacement` or :func:`dataclasses.replace`.
+    instance per name, and the lattice, integer tables, evaluator and
+    symmetry data derived from it are cached on it, arrays read-only.
+    Variants come from :meth:`with_displacement` or :func:`dataclasses.replace`.
     """
 
     name: str
@@ -209,6 +207,36 @@ class ModelSpec:
         return LatticeBasis(self.generators)
 
     @cached_property
+    def translation_coords(self) -> np.ndarray:
+        """Int64 generator coordinates of the translations, (m, rank), in table
+        order; a :class:`ModelDataError` names an entry (i, j) outside the module."""
+        coords = []
+        for i, j, t in self.require_displacement().iter_translations():
+            c = self.lattice.integer_coords(t)
+            if c is None:
+                raise ModelDataError(
+                    f"translation at entry ({i},{j}) outside the return module: {t}")
+            coords.append(c)
+        T = np.array(coords, dtype=np.int64)
+        return read_only(T.reshape(-1, self.lattice.rank))
+
+    @cached_property
+    def expansion_coords(self) -> np.ndarray:
+        """Int64 matrix E of the expansion on generator coordinates, in row
+        form: the point with coordinates c maps to c @ E."""
+        coords = [self.lattice.integer_coords(self.apply_expansion(g))
+                  for g in self.generators]
+        if None in coords:
+            raise ModelDataError("an expanded generator leaves the return module")
+        return read_only(np.array(coords, dtype=np.int64))
+
+    @cached_property
+    def evaluator(self):
+        """The Fourier evaluator, built on first use and kept on this model."""
+        from .cocycle import FourierEvaluator   # cocycle builds on this module
+        return FourierEvaluator(self)
+
+    @cached_property
     def contraction(self) -> AlgebraicElement:
         """Star image of the expansion; the internal IFS multiplier."""
         return self.expansion.star()
@@ -226,8 +254,7 @@ class ModelSpec:
         else:
             a, b = v
             m = np.array([[a, b], [b, -a]] if self.antilinear else [[a, -b], [b, a]])
-        m.flags.writeable = False   # cached on a shared model
-        return m
+        return read_only(m)
 
     @cached_property
     def phys_expansion_matrix(self) -> np.ndarray:
@@ -262,21 +289,18 @@ class ModelSpec:
         if self.displacement is not None and disp.n != self.n_tiles:
             raise ModelDataError(
                 f"expected {self.n_tiles} tile types, file has {disp.n}")
-        lat = self.lattice
-        for i, j, t in disp.iter_translations():
-            if not lat.contains(t):
-                raise ModelDataError(
-                    f"translation at entry ({i},{j}) outside the return module: {t}")
+        labels = self.tile_labels
+        if disp.n != len(labels):
+            labels = tuple(f"t{i:02d}" for i in range(disp.n))
+        model = dataclasses.replace(self, tile_labels=labels, displacement=disp)
+        model.translation_coords   # noqa: B018  (the return-module check)
         lam = pf_data(disp.card_matrix())[0]
         lam_doc = float(self.pf_eigenvalue.embed_phys()[0])
         if abs(lam - lam_doc) > pf_tol:
             raise ModelDataError(
                 f"cardinality matrix PF eigenvalue {lam:.12g} does not match "
                 f"documented {lam_doc:.12g}")
-        labels = self.tile_labels
-        if disp.n != len(labels):
-            labels = tuple(f"t{i:02d}" for i in range(disp.n))
-        return dataclasses.replace(self, tile_labels=labels, displacement=disp)
+        return model
 
     def __repr__(self):
         data = "loaded" if self.has_displacement else "none"
@@ -605,9 +629,7 @@ def validate_symmetry(model: ModelSpec, n_samples: int = 20,
     disp = model.require_displacement()
     xi = model.field.gen("xi")
     violations = list(disp.sixfold_violations)
-
-    from .diffraction import evaluator  # local import avoids a cycle
-    ev = evaluator(model)
+    ev = model.evaluator
     perm = sixfold_shift(disp.n)
     xi_phys = xi.embed_phys()
     rot = np.array([[xi_phys[0], -xi_phys[1]], [xi_phys[1], xi_phys[0]]])

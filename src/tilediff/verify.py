@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diffraction import evaluator
 from .models import ModelSpec, validate_symmetry
 
 __all__ = ["Check", "verification_suite", "run_verification"]
@@ -74,7 +73,7 @@ def verification_suite(model: ModelSpec, seed: int = 0) -> list:
             checks.append(Check(name, SKIP, "displacement data not loaded"))
         return checks
 
-    ev = evaluator(model)
+    ev = model.evaluator
     B0 = ev.fourier_matrix(np.zeros(model.dim))
     checks.append(_check("fourier-at-zero",
                          float(np.max(np.abs(B0 - ev.M))) < 1e-12,

@@ -89,7 +89,7 @@ def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
     a time from their slice of the row-sorted translation table.  Raises
     ValueError before mapping when the step has more than
     ``MAX_STEP_CELLS`` candidate cells (one per translation and cell of
-    its source type).
+    its source type), and before the cast when a cell index reaches 2**53.
     """
     disp = model.require_displacement()
     count = int(np.array([len(c) for c in cloud.cells])[disp.cols].sum())
@@ -102,11 +102,11 @@ def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
     out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         chunks = [mapped[j] + t for j, t in zip(disp.cols[lo:hi], disp.stars[lo:hi])]
-        if chunks:
-            snapped = np.round(np.vstack(chunks) / h).astype(np.int64)
-        else:
-            snapped = np.zeros((0, cloud.dim), dtype=np.int64)
-        out.append(_unique_cells(snapped))
+        snapped = np.round(np.vstack(chunks or [np.zeros((0, cloud.dim))]) / h)
+        if not np.abs(snapped).max(initial=0) < 2.0 ** 53:   # NaN fails too
+            raise ValueError(f"window step {cloud.generation + 1} reaches "
+                             "cell indices of 2**53")
+        out.append(_unique_cells(snapped.astype(np.int64)))
     return WindowCloud(tuple(out), h, cloud.generation + 1)
 
 
@@ -267,8 +267,10 @@ def render_windows(cloud: WindowCloud, path, model: ModelSpec | None = None,
 
     Orientation classes of one shape share a color (the CAP window shows
     four colored regions).  ``zoom=(lo, hi)`` adds a magnified strip
-    below the main 1d plot.
+    below the main 1d plot; a 2d cloud raises ValueError for it.
     """
+    if zoom is not None and cloud.dim != 1:
+        raise ValueError("zoom applies to 1d windows only")
     labels = model.tile_labels if model is not None else None
     ori = model.orientations if model is not None else None
     if cloud.dim == 1:

@@ -15,8 +15,8 @@ import pytest
 
 from tilediff.cocycle import FourierEvaluator
 from tilediff.cps import enumerate_module, module_point
-from tilediff.diffraction import (amplitude_at, analytic_silver, evaluator,
-                                  peak_list, peaks_to_csv, periodicity_residual,
+from tilediff.diffraction import (amplitude_at, analytic_silver, peak_list,
+                                  peaks_to_csv, periodicity_residual,
                                   symmetry_report, weight_vector, weyl_sum)
 from tilediff.inflation import inflate, seed_patch
 from tilediff.models import builtin, load_displacement, validate_symmetry
@@ -36,7 +36,7 @@ def report(num, name, ok, detail=""):
 
 def test_c01_silver_oracle_equivalence():
     t0 = time.perf_counter()
-    ev = evaluator(builtin("silver"))
+    ev = builtin("silver").evaluator
     ks = np.linspace(-5.0, 5.0, 100)
     H = ev.amplitude_batch(ks.reshape(-1, 1), n=30)
     ha, hb = analytic_silver(ks)
@@ -90,7 +90,7 @@ def test_c04_cap_structural():
     rep = validate_symmetry(cap, n_samples=20)
     ok_exact = not rep.exact_violations
     ok_numeric = rep.max_numeric_residual < 1e-12
-    ev = evaluator(cap)
+    ev = cap.evaluator
     B0 = ev.fourier_matrix(np.zeros(2))
     ok_b0 = float(np.max(np.abs(B0 - ev.M))) < 1e-12
     lam = float(np.max(np.abs(np.linalg.eigvals(ev.M.astype(float)))))
@@ -107,7 +107,7 @@ def test_c05_rank_one_limit():
     rng = np.random.default_rng(23)
     results = []
     for name, n in (("silver", 30), ("silver_twisted", 30), ("cap", 15)):
-        ev = evaluator(builtin(name))
+        ev = builtin(name).evaluator
         worst = 0.0
         for _ in range(10):
             k = rng.uniform(-2.0, 2.0, size=ev.d)
@@ -248,7 +248,7 @@ def test_c11_property_suite(tmp_path):
     # cocycle factorization identity
     ok_cocycle = True
     for name in ("silver_twisted", "cap"):
-        ev = evaluator(builtin(name))
+        ev = builtin(name).evaluator
         rng = np.random.default_rng(41)
         k = rng.uniform(-1.0, 1.0, size=ev.d)
         for mm in range(1, 6):
@@ -275,7 +275,7 @@ def test_c11_property_suite(tmp_path):
     ok_norm = True
     for name in ("silver", "silver_twisted", "cap"):
         m = builtin(name)
-        ev = evaluator(m)
+        ev = m.evaluator
         s = complex(ev.amplitudes(np.zeros(ev.d),
                                   n=max(30, m.default_iters)).H.sum())
         ok_norm &= abs(s - m.density) < 1e-10

@@ -138,7 +138,12 @@ def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     (["patch", "--model", "silver", "--steps", "5" + "0" * 400], "--steps"),
     # without the bound a billion generations would run for days
     (["window", "--model", "silver", "--generations", "1001"], "--generations"),
-    (["window", "--model", "silver", "--generations", "1" + "0" * 9], "--generations")])
+    (["window", "--model", "silver", "--generations", "1" + "0" * 9], "--generations"),
+    # a zoom strip exists only for 1d windows
+    (["window", "--model", "cap", "--zoom", "0,1"], "--zoom"),
+    # cell indices past 2**53 at the first step
+    (["window", "--model", "silver", "--resolution", "70", "--generations", "3"],
+     "--resolution")])
 def test_rejects_bad_flags(argv, flag, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, err = run(argv, capsys)

@@ -44,6 +44,7 @@ def test_identity_basis_dual():
     dd = lat.dual().dual()
     for g, h in zip(lat.generators, dd.generators):
         assert g.coords == h.coords
+    assert lat.dual() is lat.dual() and dd is lat.dual().dual()   # built once
 
 
 def test_dual_basis_rejects_singular():

@@ -12,7 +12,7 @@ from tilediff.cps import enumerate_module, module_point
 from tilediff.diffraction import (_amplitude_sweep, _orbit_action,
                                   _orbit_representatives, amplitude_at,
                                   analytic_silver, deformation_from_lengths,
-                                  evaluator, mean_log_intensity, peak_list,
+                                  mean_log_intensity, peak_list,
                                   peaks_to_csv, peaks_to_json, peaks_to_svg,
                                   periodicity_residual, symmetry_report,
                                   weight_vector, weyl_sum)
@@ -200,8 +200,8 @@ def test_peak_threshold_validation(silver):
 def test_evaluator_dies_with_its_model():
     silver = builtin("silver")      # shared for good; --data models are not
     model = silver.with_displacement(silver.displacement)
-    ev = evaluator(model)
-    assert evaluator(model) is ev
+    ev = model.evaluator
+    assert model.evaluator is ev
     alive = weakref.ref(model)
     del model, ev
     gc.collect()
@@ -401,7 +401,7 @@ def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
     n = model.default_iters
     pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
     d = model.deformations.get(deformation, deformation)
-    totals = _amplitude_sweep(evaluator(model), pts.arguments(d), n) \
+    totals = _amplitude_sweep(model.evaluator, pts.arguments(d), n) \
         @ weight_vector(model, weights)
     full = dict(zip(map(tuple, pts.coords.tolist()), totals.tolist()))
     kept = {c for c, t in full.items() if abs(t) ** 2 >= 1e-6}
@@ -567,7 +567,7 @@ def test_chunk_sizes_agree(cap):
     """The sweep is per argument: chunking changes only BLAS rounding."""
     rng = np.random.default_rng(3)
     args = rng.uniform(-2, 2, size=(150, 2))
-    ev = evaluator(cap)
+    ev = cap.evaluator
     ref = _amplitude_sweep(ev, args, 15)
     assert np.array_equal(ref, _amplitude_sweep(ev, args, 15))
     for chunk in (1, 37):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tilediff.cps import LatticeBasis
 from tilediff.inflation import (inflate, patch_to_csv, pf_data, seed_patch,
                                 substitution_matrix, truncate)
 from tilediff.models import ModelDataError, builtin
@@ -109,6 +110,36 @@ def test_integer_inflation_matches_fractions(name, steps):
         [(t, x.coords) for t, x in ref]
     exact = np.array([x.embed_phys() for _, x in ref])
     assert patch.positions_phys().tobytes() == exact.tobytes()
+
+
+@pytest.mark.parametrize("name", [
+    "silver", "silver_twisted", "cap", "synthetic-spectre"])
+def test_integer_tables_match_float_tables(name):
+    """The model's int64 generator coordinates against the float starred
+    translations and the float expansion."""
+    model = _with_synthetic_spectre_data() if name == "synthetic-spectre" \
+        else builtin(name)
+    T, E = model.translation_coords, model.expansion_coords
+    stars = model.displacement.stars
+    gens = model.generators
+    assert T.dtype == E.dtype == np.int64 and T.shape == (len(stars), len(gens))
+    assert np.abs(T @ [g.embed_int() for g in gens] - stars).max() <= 1e-12
+    expanded = [model.apply_expansion(g).embed_phys() for g in gens]
+    assert np.abs(E @ [g.embed_phys() for g in gens] - expanded).max() <= 1e-12
+    if name == "cap":
+        assert np.abs(T).max() <= 2
+
+
+def test_inflate_reads_the_model_tables(monkeypatch):
+    """After the first call, inflate solves only the seed positions."""
+    cap = builtin("cap")
+    inflate(seed_patch(cap), cap, 1)
+    solved = []
+    solve = LatticeBasis.integer_coords
+    monkeypatch.setattr(LatticeBasis, "integer_coords",
+                        lambda self, x: solved.append(x.coords) or solve(self, x))
+    patch = inflate(seed_patch(cap).translated(cap.generators[0]), cap, 4)
+    assert len(patch) == 442 and solved == [cap.generators[0].coords]
 
 
 def test_inflate_rejects_inexact_seeds(silver):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -150,15 +151,62 @@ def test_builtin_is_frozen():
 
 
 def test_with_displacement_is_a_distinct_model():
-    from tilediff.diffraction import evaluator
     cap = builtin("cap")
     disp = DisplacementMatrix(cap.field, cap.displacement.entries)
     other = cap.with_displacement(disp)
     assert other is not cap and other.displacement is disp
     for f in dataclasses.fields(cap):
         assert getattr(other, f.name) == getattr(cap, f.name), f.name
-    assert evaluator(other) is not evaluator(cap)
-    assert evaluator(other).model is other and evaluator(cap).model is cap
+    assert other.evaluator is not cap.evaluator
+    assert other.evaluator.model is other and cap.evaluator.model is cap
+
+
+def _arrays(value, path):
+    """(path, array) for every ndarray in ``value``, looking into tuples,
+    lists and mappings."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            yield from _arrays(v, f"{path}[{i}]")
+    elif isinstance(value, Mapping):
+        for k, v in value.items():
+            yield from _arrays(v, f"{path}[{k!r}]")
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_shared_model_arrays_are_read_only(name):
+    """No array cached on a shared model, or on what it caches, is writeable:
+    one caller writing into one would change every later command."""
+    model = builtin(name)
+    lat, dual = model.lattice, model.lattice.dual()
+    for basis in (lat, dual):
+        basis.columns, basis.dual_columns          # noqa: B018  (fill the caches)
+    action = lat.dual_action(model.field.one())
+    model.phys_expansion_matrix, model.int_contraction_matrix  # noqa: B018
+    model.expansion_coords                         # noqa: B018
+    owners = {"model": model, "lattice": lat, "dual": dual, "field": model.field}
+    for key, d in model.deformations.items():
+        d.matrix                                   # noqa: B018
+        owners[f"deformation {key}"] = d
+    expect = {"lattice.columns", "lattice.dual_columns", "dual.columns",
+              "dual.dual_columns", "field.phys_columns", "field.int_columns",
+              "model.phys_expansion_matrix", "model.int_contraction_matrix",
+              "model.expansion_coords"}
+    expect |= {f"deformation {key}.matrix" for key in model.deformations}
+    if model.has_displacement:
+        model.translation_coords                   # noqa: B018
+        owners.update(evaluator=model.evaluator, displacement=model.displacement)
+        expect |= {"model.translation_coords", "displacement.rows",
+                   "displacement.cols", "displacement.stars"}
+        expect |= {f"evaluator.{a}" for a in (
+            "_t_star", "_phase", "_row_start", "_cells", "_cell_start",
+            "M", "left", "right")}
+    arrays = [(f"{owner}.{path}", a) for owner, obj in owners.items()
+              for key, value in vars(obj).items() for path, a in _arrays(value, key)]
+    assert expect <= {path for path, _ in arrays}
+    assert any(a is action for _, a in arrays)     # the dual_action cache
+    assert [path for path, a in arrays if a.flags.writeable] == []
 
 
 def test_verify_window_volume():
@@ -206,14 +254,16 @@ def test_displacement_roundtrip(tmp_path):
 
 
 def test_load_rejects_translation_outside_module(tmp_path):
-    # a half-integer coordinate is not in Z[sqrt2]
-    data = displacement_to_dict(builtin("silver").displacement)
-    data["entries"][0][0][0][0] = [1, 2]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    disp = load_displacement(path)  # structurally fine
-    with pytest.raises(ModelDataError, match="return module"):
-        builtin("silver").with_displacement(disp)
+    # a half-integer coordinate is not in Z[sqrt2]; the error names the entry
+    for i, j, k in [(0, 0, 0), (1, 0, 1)]:
+        data = displacement_to_dict(builtin("silver").displacement)
+        data["entries"][i][j][k][0] = [1, 2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        disp = load_displacement(path)  # structurally fine
+        with pytest.raises(ModelDataError,
+                           match=rf"entry \({i},{j}\) outside the return module"):
+            builtin("silver").with_displacement(disp)
 
 
 def test_load_rejects_malformed(tmp_path):

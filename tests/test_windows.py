@@ -163,6 +163,14 @@ def test_ifs_step_ceiling_counts_candidates_exactly(monkeypatch):
         iterate_windows(cap, 1, resolution=6)
 
 
+def test_ifs_step_rejects_cell_indices_past_2_53(silver):
+    """At resolution 70 the first step's cell indices pass 2**53, where
+    the int64 cast would overflow without a warning."""
+    with pytest.raises(ValueError, match="step 1 reaches cell indices of 2\\*\\*53"):
+        iterate_windows(silver, 3, resolution=70)
+    assert len(iterate_windows(silver, 3, resolution=40).cells) == 2
+
+
 def test_silver_volume(silver):
     cloud = iterate_windows(silver, 24)
     v, bracket = volume(cloud)
@@ -259,6 +267,9 @@ def test_render_cap(tmp_path):
     cap = builtin("cap")
     cloud = iterate_windows(cap, 8, resolution=6)
     out = tmp_path / "cap.svg"
+    with pytest.raises(ValueError, match="1d windows only"):
+        render_windows(cloud, out, model=cap, zoom=(0.0, 1.0))
+    assert not out.exists()
     render_windows(cloud, out, model=cap)
     text = out.read_text()
     assert "<rect" in text
