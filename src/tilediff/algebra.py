@@ -346,8 +346,8 @@ class FieldSpec:
         prod = self.mul_coords(a.coords, self.apply_matrix(self.conj_matrix, b.coords))
         return self.tr_factor * self.trace(prod)
 
-    def self_check(self, tol: float = 1e-12) -> None:
-        """Verify structure constants, Galois maps, and embeddings."""
+    def self_check(self) -> None:
+        """Verify structure constants, Galois maps and embeddings (to 1e-12)."""
         deg = self.degree
         basis = [self.element([int(j == i) for j in range(deg)]) for i in range(deg)]
         for a in basis:
@@ -361,7 +361,7 @@ class FieldSpec:
                         raise AssertionError("multiplication not associative")
         exact = np.array([[float(x) for x in row] for row in self.exact_phys_columns])
         if exact.shape != self.phys_columns.shape or \
-                np.max(np.abs(exact - self.phys_columns)) > tol:
+                np.max(np.abs(exact - self.phys_columns)) > 1e-12:
             raise AssertionError("exact and float physical embeddings differ")
         for emb in ("embed_phys", "embed_int"):
             for a in basis:
@@ -369,7 +369,7 @@ class FieldSpec:
                     va, vb = getattr(a, emb)(), getattr(b, emb)()
                     vab = getattr(a * b, emb)()
                     got = _cx_mul(va, vb)
-                    if np.max(np.abs(got - vab)) > tol:
+                    if np.max(np.abs(got - vab)) > 1e-12:
                         raise AssertionError(f"{emb} is not a ring homomorphism")
 
     def __repr__(self):

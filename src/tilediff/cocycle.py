@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import read_only
-from .models import ModelDataError, ModelSpec, pf_data
+from .models import ModelSpec, pf_data
 
 __all__ = ["FourierEvaluator", "AmplitudeVector"]
 
@@ -60,14 +60,10 @@ class FourierEvaluator:
         self._t_star, self._phase = map(read_only, np.unique(
             disp.stars, axis=0, return_inverse=True))
         self._col = disp.cols
-        rows = disp.rows
-        if len(np.unique(rows)) != self.n:
-            raise ModelDataError("every tile type needs a translation")
-        # the table is sorted by row and by cell: segment starts for
-        # the sums into rows (sweep) and into cells (Fourier matrix)
-        self._row_start = read_only(np.searchsorted(rows, np.arange(self.n)))
+        # segment starts of the sums into rows (sweep) and cells (Fourier matrix)
+        self._row_start = disp.row_start[:-1]
         self._cells, self._cell_start = map(read_only, np.unique(
-            rows * self.n + self._col, return_index=True))
+            disp.rows * self.n + self._col, return_index=True))
 
         self.M = read_only(disp.card_matrix())
         self.left, self.right = map(read_only, pf_data(self.M)[1:])

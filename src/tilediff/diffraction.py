@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Surd
+from .algebra import Surd, _mat_mul
 from .cocycle import FourierEvaluator
 from .cps import ModulePoint, enumerate_module, internal_argument
 from .inflation import TypedPointSet
@@ -124,11 +124,6 @@ def _rotation(x) -> tuple:
     return ((a, -b), (b, a))
 
 
-def _matmul(P, Q) -> tuple:
-    return tuple(tuple(sum((p * q for p, q in zip(row, col)), Surd())
-                       for col in zip(*Q)) for row in P)
-
-
 def _orbit_action(model: ModelSpec, center, w: np.ndarray,
                   deformation: DeformationMap | None) -> np.ndarray:
     """Int64 action on dual coordinates of the exact symmetry that fixes a
@@ -150,7 +145,7 @@ def _orbit_action(model: ModelSpec, center, w: np.ndarray,
     xi = model.field.gen("xi")
     if deformation is not None:
         DT = tuple(zip(*deformation.rows))
-        if _matmul(DT, _rotation(xi)) != _matmul(_rotation(xi.star()), DT):
+        if _mat_mul(DT, _rotation(xi)) != _mat_mul(_rotation(xi.star()), DT):
             return identity
     R = model.lattice.dual_action(xi)
     return identity if R is None else R
@@ -266,10 +261,10 @@ def _group_matrix(group: str) -> np.ndarray:
     raise ValueError(f"unknown group {group!r}")
 
 
-def symmetry_report(peaks: list, group: str, match_tol: float = 1e-9) -> SymmetryGroupReport:
+def symmetry_report(peaks: list, group: str) -> SymmetryGroupReport:
     """Compare peak intensities against their image under a group action.
 
-    Peaks are matched by nearest physical k within ``match_tol``.
+    Peaks are matched by nearest physical k within 1e-9.
     Unmatched orbit members are reported and their intensity counts
     toward the discrepancy (their partner fell below the run threshold).
     """
@@ -292,7 +287,7 @@ def symmetry_report(peaks: list, group: str, match_tol: float = 1e-9) -> Symmetr
         best = d[np.arange(hi - lo), idx]
         for row, (j, dist) in enumerate(zip(idx, best)):
             i = lo + row
-            if dist <= match_tol:
+            if dist <= 1e-9:
                 matched += 1
                 worst = max(worst, abs(I[i] - I[j]))
             else:
@@ -303,9 +298,8 @@ def symmetry_report(peaks: list, group: str, match_tol: float = 1e-9) -> Symmetr
 
 def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
                          weights="equal", n_samples: int = 50,
-                         n: int | None = None, coord_range: int = 6,
-                         seed: int = 0) -> float:
-    """Max |I(k+p) - I(k)| over random module points and catalog periods."""
+                         n: int | None = None, seed: int = 0) -> float:
+    """Max |I(k+p) - I(k)| over catalog periods p and random k in [-6, 6]^rank."""
     if isinstance(deformation, str):
         deformation = model.deformations[deformation]
     if not deformation.periods:
@@ -322,7 +316,7 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
         period_coords.append(np.array(c, dtype=np.int64))
     rng = np.random.default_rng(seed)
     rank = model.lattice.rank
-    base = rng.integers(-coord_range, coord_range + 1, size=(n_samples, rank))
+    base = rng.integers(-6, 7, size=(n_samples, rank))
     coords = [base] + [base + pc for pc in period_coords]
     intensities = []
     for block in coords:
@@ -335,11 +329,12 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
 
 def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
                        internal_cutoff: float | None = None, weights="equal",
-                       n: int | None = None, floor: float = 1e-25) -> float:
+                       n: int | None = None) -> float:
     """Mean log-intensity over module points with k_phys in [k_lo, k_hi].
 
-    Near-extinctions below ``floor`` are excluded; used to compare decay
-    rates between models sharing a Fourier module (1d only).
+    Near-extinctions, intensities <= 1e-25, are excluded, and ValueError
+    is raised when no point is left; used to compare decay rates between
+    models sharing a Fourier module (1d only).
     """
     if model.dim != 1:
         raise ValueError("decay comparison is for 1d models")
@@ -351,7 +346,9 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
                            internal_cutoff)
     H = _amplitude_sweep(model.evaluator, pts.arguments(), n or model.default_iters)
     I = np.abs(H @ w) ** 2
-    I = I[I > floor]
+    I = I[I > 1e-25]
+    if not len(I):
+        raise ValueError(f"no module point in [{k_lo}, {k_hi}] above 1e-25")
     return float(np.mean(np.log(I)))
 
 
@@ -406,8 +403,8 @@ def _json_str(s) -> str:
     return "null" if s is None else '"' + str(s) + '"'
 
 
-def peaks_to_svg(peaks: list, path, max_radius_px: float = 9.0) -> None:
-    """Scatter plot with disk area proportional to peak intensity."""
+def peaks_to_svg(peaks: list, path) -> None:
+    """Scatter plot, disk area proportional to intensity (brightest: radius 9)."""
     if not peaks:
         SvgCanvas((0, 0, 1, 1)).write(path)
         return
@@ -419,5 +416,5 @@ def peaks_to_svg(peaks: list, path, max_radius_px: float = 9.0) -> None:
                         K[:, 0].max() + pad, K[:, 1].max() + pad))
     imax = I.max()
     for (x, y), ii in zip(K, I):
-        canvas.circle(x, y, max_radius_px * math.sqrt(ii / imax), color="#111111")
+        canvas.circle(x, y, 9.0 * math.sqrt(ii / imax), color="#111111")
     canvas.write(path)

@@ -132,11 +132,9 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
     for _ in range(steps):
         if (int(np.abs(C).max(initial=0)) * e_norm + t_norm) * g_norm > _EXACT:
             raise ValueError("inflated coordinates could exceed 2**53")
-        base = C @ E
-        # one part per translation: its source-type points, moved to its target
-        parts = [base[types == j] + t for j, t in zip(disp.cols, T)]
+        parts = list(disp.images([C[types == j] for j in range(disp.n)], E, T))
         C = np.concatenate(parts)
-        types = np.repeat(disp.rows, [len(p) for p in parts])
+        types = np.repeat(np.arange(disp.n), [len(p) for p in parts])
         F = C @ G
         order = np.lexsort((types,) + tuple(F.T[::-1]))
         C, F, types = C[order], F[order], types[order]

@@ -55,7 +55,8 @@ class DisplacementMatrix:
     The flat translation table holds one row per translation in
     :meth:`iter_translations` order (row-major): ``rows`` (int64 target
     types), ``cols`` (int64 source types) and ``stars`` (float starred
-    translations, shape (m, dim)).
+    translations, shape (m, dim)); ``row_start`` (n+1 bounds) cuts it into
+    one nonempty segment per target type, which :meth:`images` walks.
     """
 
     def __init__(self, field: FieldSpec, entries):
@@ -74,6 +75,9 @@ class DisplacementMatrix:
         self.cols = read_only(np.array([j for _, j, _ in flat], dtype=np.int64))
         self.stars = read_only(np.array([_finite_star(i, j, t) for i, j, t in flat],
                                         dtype=float).reshape(len(flat), field.dim))
+        self.row_start = read_only(np.searchsorted(self.rows, np.arange(self.n + 1)))
+        if not np.diff(self.row_start).all():
+            raise ModelDataError("every tile type needs a translation")
 
     @cached_property
     def sixfold_violations(self) -> tuple:
@@ -89,8 +93,17 @@ class DisplacementMatrix:
             != {t.coords for t in self.entries[sigma[i]][sigma[j]]})
 
     def card_matrix(self) -> np.ndarray:
-        return np.array([[len(cell) for cell in row] for row in self.entries],
-                        dtype=np.int64)
+        counts = np.bincount(self.rows * self.n + self.cols, minlength=self.n ** 2)
+        return counts.reshape(self.n, self.n)
+
+    def images(self, sources, linear, shifts):
+        """One step of the graph-directed maps: yields, per target type i, the
+        concatenation of ``sources[j] @ linear + shifts[r]`` over the
+        translations r of the entries (i, j), in table order."""
+        mapped = [s @ linear for s in sources]
+        cols, bounds = self.cols.tolist(), self.row_start.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield np.concatenate([mapped[cols[r]] + shifts[r] for r in range(lo, hi)])
 
     def iter_translations(self):
         for i, row in enumerate(self.entries):
@@ -208,14 +221,18 @@ class ModelSpec:
 
     @cached_property
     def translation_coords(self) -> np.ndarray:
-        """Int64 generator coordinates of the translations, (m, rank), in table
-        order; a :class:`ModelDataError` names an entry (i, j) outside the module."""
+        """Int64 generator coordinates, (m, rank), of the translations in table
+        order; a :class:`ModelDataError` names an entry (i, j) outside the module
+        or int64."""
         coords = []
         for i, j, t in self.require_displacement().iter_translations():
             c = self.lattice.integer_coords(t)
             if c is None:
                 raise ModelDataError(
                     f"translation at entry ({i},{j}) outside the return module: {t}")
+            if not all(abs(x) < 2 ** 63 for x in c):
+                raise ModelDataError(f"translation at entry ({i},{j}) has "
+                                     f"generator coordinates beyond int64: {t}")
             coords.append(c)
         T = np.array(coords, dtype=np.int64)
         return read_only(T.reshape(-1, self.lattice.rank))
@@ -276,13 +293,12 @@ class ModelSpec:
                 f"model {self.name!r} has no displacement data loaded")
         return self.displacement
 
-    def with_displacement(self, disp: DisplacementMatrix,
-                          pf_tol: float = 1e-9) -> "ModelSpec":
+    def with_displacement(self, disp: DisplacementMatrix) -> "ModelSpec":
         """Attach validated displacement data; returns a new model.
 
         Checks field identity, return-module membership of every
         translation, and that the cardinality matrix is primitive with
-        the documented Perron-Frobenius eigenvalue.
+        the documented Perron-Frobenius eigenvalue (to within 1e-9).
         """
         if disp.field is not self.field:
             raise ModelDataError("displacement data for a different field")
@@ -296,7 +312,7 @@ class ModelSpec:
         model.translation_coords   # noqa: B018  (the return-module check)
         lam = pf_data(disp.card_matrix())[0]
         lam_doc = float(self.pf_eigenvalue.embed_phys()[0])
-        if abs(lam - lam_doc) > pf_tol:
+        if abs(lam - lam_doc) > 1e-9:
             raise ModelDataError(
                 f"cardinality matrix PF eigenvalue {lam:.12g} does not match "
                 f"documented {lam_doc:.12g}")
@@ -308,13 +324,12 @@ class ModelSpec:
                 f"field={self.field.name!r}, displacement={data})")
 
 
-def pf_data(M: np.ndarray, inv_density: float | None = None):
+def pf_data(M: np.ndarray):
     """Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix.
 
     Raises :class:`ModelDataError` unless M is nonnegative and primitive.
-    The right eigenvector is frequency-normalized (entries sum to 1).  The
-    left eigenvector is scaled so that <u|v> = 1, then multiplied by
-    ``inv_density`` when given (the reciprocal model density).
+    The right eigenvector is frequency-normalized (entries sum to 1), and
+    the left eigenvector is scaled so that <u|v> = 1.
     """
     M = np.asarray(M)
     _require_primitive(M)
@@ -327,8 +342,6 @@ def pf_data(M: np.ndarray, inv_density: float | None = None):
     lamT, vecsT = np.linalg.eig(M.T.astype(float))
     u = np.real(vecsT[:, int(np.argmax(lamT.real))])
     u = u / float(u @ v)
-    if inv_density is not None:
-        u = u * inv_density
     return float(lam[idx].real), u, v
 
 
@@ -428,7 +441,7 @@ def load_displacement(path) -> DisplacementMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelDataError(f"invalid JSON: {exc}") from exc
     return displacement_from_dict(data)
 

@@ -65,7 +65,7 @@ def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
     stars = model.require_displacement().stars
     A = model.int_contraction_matrix
     contr = float(np.linalg.norm(A, 2))
-    tmax = float(np.linalg.norm(stars, axis=1).max()) if len(stars) else 1.0
+    tmax = float(np.linalg.norm(stars, axis=1).max())
     diam_bound = tmax / (1.0 - contr)
     if resolution is None:
         resolution = 10 if model.dim == 1 else 9
@@ -85,11 +85,11 @@ def seed_clouds(model: ModelSpec, cell_size: float | None = None,
 def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
     """One application of the star-mapped inflation maps, grid-deduplicated.
 
-    Each source cloud is mapped by A once; the targets are built one at
-    a time from their slice of the row-sorted translation table.  Raises
-    ValueError before mapping when the step has more than
-    ``MAX_STEP_CELLS`` candidate cells (one per translation and cell of
-    its source type), and before the cast when a cell index reaches 2**53.
+    The targets come one at a time from :meth:`DisplacementMatrix.images`,
+    which maps each source cloud by A once.  Raises ValueError before
+    mapping when the step has more than ``MAX_STEP_CELLS`` candidate cells
+    (one per translation and cell of its source type), and before the
+    cast when a cell index reaches 2**53.
     """
     disp = model.require_displacement()
     count = int(np.array([len(c) for c in cloud.cells])[disp.cols].sum())
@@ -97,12 +97,9 @@ def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
         raise ValueError(f"window step {cloud.generation + 1} maps {count} "
                          f"candidate cells, above the ceiling {MAX_STEP_CELLS}")
     A, h = model.int_contraction_matrix, cloud.cell_size
-    mapped = [(c.astype(float) * h) @ A.T for c in cloud.cells]   # rows: A @ p
-    bounds = np.searchsorted(disp.rows, np.arange(disp.n + 1))
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        chunks = [mapped[j] + t for j, t in zip(disp.cols[lo:hi], disp.stars[lo:hi])]
-        snapped = np.round(np.vstack(chunks or [np.zeros((0, cloud.dim))]) / h)
+    out = []   # rows: p -> A @ p + t*
+    for pts in disp.images([c * h for c in cloud.cells], A.T, disp.stars):
+        snapped = np.round(pts / h)
         if not np.abs(snapped).max(initial=0) < 2.0 ** 53:   # NaN fails too
             raise ValueError(f"window step {cloud.generation + 1} reaches "
                              "cell indices of 2**53")
@@ -232,25 +229,21 @@ def hull_intervals(model: ModelSpec, steps: int = 80) -> list:
     if model.dim != 1:
         raise ValueError("hull intervals only defined for 1d internal space")
     disp = model.require_displacement()
-    a = float(model.contraction.embed_phys()[0])
-    hulls = np.zeros((disp.n, 2))
+    hulls = np.zeros((disp.n, 2, 1))   # both endpoints of each hull, as points
     for _ in range(steps):
-        ends = a * hulls[disp.cols] + disp.stars     # both images per translation
-        lo, hi = np.full(disp.n, math.inf), np.full(disp.n, -math.inf)
-        np.minimum.at(lo, disp.rows, ends.min(axis=1))
-        np.maximum.at(hi, disp.rows, ends.max(axis=1))
-        hulls = np.column_stack([lo, hi])
-    return [(float(lo), float(hi)) for lo, hi in hulls]
+        ends = disp.images(hulls, model.int_contraction_matrix, disp.stars)
+        hulls = np.array([[e.min(), e.max()] for e in ends])[:, :, None]
+    return [(float(lo), float(hi)) for lo, hi in hulls[:, :, 0]]
 
 
-def box_counting_dimension(cloud: WindowCloud, levels: int = 4):
-    """Optional diagnostic: box-count slope over coarsened grids.
+def box_counting_dimension(cloud: WindowCloud):
+    """Optional diagnostic: box-count slope over 4 grids, cells h to 8h.
 
     Convergence is slow; no acceptance threshold is attached to this.
     """
     union = _unique_cells(np.vstack(cloud.cells))
     sizes, counts = [], []
-    for lev in range(levels):
+    for lev in range(4):
         factor = 2 ** lev
         coarse = _unique_cells(union // factor)
         sizes.append(cloud.cell_size * factor)

@@ -286,3 +286,25 @@ def test_bad_data_exit_code(tmp_path, capsys):
                        capsys)
     assert code == 3
     assert "data error" in err and "starred" in err
+    # a file that is not UTF-8
+    bad.write_bytes(b"\xff\xfe\x00" + "{}".encode("utf-16-le"))
+    code, _, err = run(["peaks", "--model", "cap", "--data", str(bad)], capsys)
+    assert code == 3
+    assert "data error" in err
+
+
+@pytest.mark.parametrize("command", ["peaks", "patch", "window", "verify"])
+def test_translation_beyond_int64_exit_code(command, tmp_path, capsys,
+                                            monkeypatch):
+    """A translation in Z[sqrt2] with a finite starred image, but generator
+    coordinates past int64, is a data error that names its entry."""
+    from tilediff.models import builtin, displacement_to_dict
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    data = displacement_to_dict(builtin("silver").displacement)
+    data["entries"][1][0][1] = [[10 ** 22, 1], [0, 1]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run([command, "--model", "silver", "--data", str(path)],
+                       capsys)
+    assert code == 3
+    assert "data error" in err and "entry (1,0)" in err and "int64" in err

@@ -530,6 +530,11 @@ def test_twisted_decays_slower():
     assert b > a
 
 
+def test_mean_log_intensity_rejects_empty_range():
+    with pytest.raises(ValueError, match="no module point"):
+        mean_log_intensity(builtin("silver"), 0.3001, 0.3002, internal_cutoff=0.1)
+
+
 # -- output files --------------------------------------------------------------
 
 def test_peak_outputs_deterministic(tmp_path, silver):

@@ -173,7 +173,8 @@ def test_substitution_matrices():
 
 
 def test_pf_data_silver():
-    lam, u, v = pf_data(np.array([[1, 1], [2, 1]]), inv_density=4 / (2 + S2))
+    lam, u, v = pf_data(np.array([[1, 1], [2, 1]]))
+    u = u * (4 / (2 + S2))   # <u|v> = 1, times the reciprocal density
     assert abs(lam - LAM) < 1e-14
     assert np.allclose(v, [LAM - 2, 3 - LAM], atol=1e-12)
     assert np.allclose(u, [S2, 1.0], atol=1e-12)

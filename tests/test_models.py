@@ -198,7 +198,8 @@ def test_shared_model_arrays_are_read_only(name):
         model.translation_coords                   # noqa: B018
         owners.update(evaluator=model.evaluator, displacement=model.displacement)
         expect |= {"model.translation_coords", "displacement.rows",
-                   "displacement.cols", "displacement.stars"}
+                   "displacement.cols", "displacement.stars",
+                   "displacement.row_start"}
         expect |= {f"evaluator.{a}" for a in (
             "_t_star", "_phase", "_row_start", "_cells", "_cell_start",
             "M", "left", "right")}
@@ -277,6 +278,9 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"field": "silver", "n": 2, "entries": [[[]]]}))
     with pytest.raises(ModelDataError, match="2x2"):
         load_displacement(path)
+    path.write_bytes(b"\xff\xfe\x00" + json.dumps({"n": 1}).encode("utf-16-le"))
+    with pytest.raises(ModelDataError, match="invalid JSON"):   # not UTF-8
+        load_displacement(path)
 
 
 _json = st.recursive(
@@ -344,6 +348,51 @@ def test_translation_table(name):
     assert disp.stars.shape == (len(flat), model.dim)
     assert np.array_equal(disp.stars,
                           np.array([t.embed_int() for _, _, t in flat]))
+    assert disp.row_start.tolist() == [int(np.sum(disp.rows < i))
+                                       for i in range(disp.n + 1)]
+    assert np.array_equal(disp.card_matrix(), [[len(cell) for cell in row]
+                                                for row in disp.entries])
+
+
+def _entry_loop(disp, sources, linear, shift):
+    """One step of the maps as a loop over the entries: the reference for
+    DisplacementMatrix.images."""
+    return [np.concatenate([sources[j] @ linear + shift(t)
+                            for j in range(disp.n) for t in disp.entries[i][j]])
+            for i in range(disp.n)]
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",
+                                  "synthetic-spectre"])
+def test_images_match_entry_loop(name):
+    from test_cocycle import _with_synthetic_spectre_data
+    model = _with_synthetic_spectre_data() if name == "synthetic-spectre" \
+        else builtin(name)
+    disp, lat = model.displacement, model.lattice
+    rng = np.random.default_rng(7)
+    sizes = rng.integers(1, 5, size=disp.n)
+    sizes[0] = 0                               # an empty source type
+    ints = [rng.integers(-50, 50, size=(k, lat.rank)) for k in sizes]
+    floats = [rng.normal(size=(k, model.dim)) for k in sizes]
+    A = model.int_contraction_matrix.T
+    cases = [
+        (ints, model.expansion_coords, model.translation_coords,
+         lambda t: np.array(lat.integer_coords(t), dtype=np.int64)),
+        (floats, A, disp.stars, lambda t: t.embed_int())]
+    for sources, linear, shifts, shift in cases:
+        got = list(disp.images(sources, linear, shifts))
+        ref = _entry_loop(disp, sources, linear, shift)
+        assert len(got) == disp.n
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_displacement_needs_a_translation_per_type():
+    z = SILVER.zero()
+    with pytest.raises(ModelDataError, match="every tile type needs a translation"):
+        DisplacementMatrix(SILVER, [[(z,), (z,)], [(), ()]])
+    with pytest.raises(ModelDataError, match="every tile type needs a translation"):
+        DisplacementMatrix(SILVER, [[(), ()], [(z,), (z,)]])
 
 
 def _synthetic_casper_displacement(card):
