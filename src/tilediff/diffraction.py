@@ -80,8 +80,7 @@ def amplitude_at(model: ModelSpec, k: ModulePoint, weights="equal",
     """Total Fourier-Bohr amplitude at one module point."""
     w = weight_vector(model, weights)
     arg = internal_argument(k, deformation)
-    H = model.evaluator.amplitude_batch(arg[None, :], n)[0]
-    return complex(np.dot(w, H))
+    return complex(model.evaluator.amplitude_batch(arg[None, :], n, weights=w)[0])
 
 
 def analytic_silver(k_int: float) -> tuple:
@@ -111,10 +110,15 @@ def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> co
 
 
 def _amplitude_sweep(ev: FourierEvaluator, args: np.ndarray, n: int,
-                     chunk: int = 2048) -> np.ndarray:
-    """Batched amplitude evaluation, chunked to bound memory."""
-    results = [ev.amplitude_batch(args[i:i + chunk], n)
+                     chunk: int = 2048, *, weights: np.ndarray | None = None,
+                     floor: float = 0.0) -> np.ndarray:
+    """Batched ``amplitude_batch``, chunked to bound memory: per-type
+    amplitudes (nk, n_tiles), or with ``weights`` the totals (nk,)."""
+    results = [ev.amplitude_batch(args[i:i + chunk], n, weights=weights,
+                                  floor=floor)
                for i in range(0, args.shape[0], chunk)]
+    if weights is not None:
+        return np.concatenate(results) if results else np.zeros(0, complex)
     return np.vstack(results) if results else np.zeros((0, ev.n), complex)
 
 
@@ -184,6 +188,11 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     sigma-invariant weights, with or without ``hat``, one point in six.
     Every orbit member then carries the bitwise-equal total of its
     representative.  Without such a symmetry each point is its own orbit.
+
+    The sweep is the weighted one with the threshold as its floor (see
+    ``FourierEvaluator.amplitude_batch``): a point stops as soon as a
+    rigorous bound on its total proves it below the threshold, and every
+    kept peak carries the unpruned weighted total.
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -206,7 +215,8 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     _, first, inverse = np.unique(row_keys(reps)[0], return_index=True,
                                   return_inverse=True)
     args = model.lattice.points(reps[first]).arguments(deformation)
-    totals = (_amplitude_sweep(model.evaluator, args, n) @ w)[inverse]
+    totals = _amplitude_sweep(model.evaluator, args, n, weights=w,
+                              floor=threshold)[inverse]
     intensities = np.abs(totals) ** 2
     kept = np.flatnonzero(intensities >= threshold)
     order = kept[np.argsort(-intensities[kept], kind="stable")]
@@ -321,8 +331,8 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
     intensities = []
     for block in coords:
         args = model.lattice.points(block).arguments(deformation)
-        H = _amplitude_sweep(model.evaluator, args, n)
-        intensities.append(np.abs(H @ w) ** 2)
+        totals = _amplitude_sweep(model.evaluator, args, n, weights=w)
+        intensities.append(np.abs(totals) ** 2)
     base_I = intensities[0]
     return float(max(np.max(np.abs(I - base_I)) for I in intensities[1:]))
 
@@ -344,8 +354,8 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
     center = np.array([(k_lo + k_hi) / 2.0])
     pts = enumerate_module(model.lattice, center, (k_hi - k_lo) / 2.0,
                            internal_cutoff)
-    H = _amplitude_sweep(model.evaluator, pts.arguments(), n or model.default_iters)
-    I = np.abs(H @ w) ** 2
+    I = np.abs(_amplitude_sweep(model.evaluator, pts.arguments(),
+                                n or model.default_iters, weights=w)) ** 2
     I = I[I > 1e-25]
     if not len(I):
         raise ValueError(f"no module point in [{k_lo}, {k_hi}] above 1e-25")

@@ -18,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraicElement, FieldMismatchError, FieldSpec
-from .models import ModelSpec, pf_data
+from .models import _EXACT, ModelSpec, pf_data
 
 __all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
            "substitution_matrix", "pf_data", "patch_to_csv", "MAX_PATCH_POINTS"]
-
-# int64 sums and the conversion to float are exact up to this magnitude
-_EXACT = 2 ** 53
 
 # Most points one inflate step may make: admits silver 17 steps from one
 # tile (3,880,899 points, ~0.5 GB peak RSS) and cap 8 (974,170)

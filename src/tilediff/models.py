@@ -44,6 +44,10 @@ __all__ = [
     "validate_symmetry", "SymmetryReport", "pf_data",
 ]
 
+# int64 sums and the conversion to float are exact up to this magnitude
+_EXACT = 2 ** 53
+
+
 class ModelDataError(ValueError):
     """Raised for malformed or inconsistent displacement data."""
 
@@ -223,7 +227,11 @@ class ModelSpec:
     def translation_coords(self) -> np.ndarray:
         """Int64 generator coordinates, (m, rank), of the translations in table
         order; a :class:`ModelDataError` names an entry (i, j) outside the module
-        or int64."""
+        or int64, or one whose field coordinates, bounded by max|c| times the
+        largest column sum of the generators' |field coordinates|, could pass
+        2**53: the budget of one inflation step from the origin."""
+        g_norm = max(sum(map(abs, col))
+                     for col in zip(*(g.coords for g in self.generators)))
         coords = []
         for i, j, t in self.require_displacement().iter_translations():
             c = self.lattice.integer_coords(t)
@@ -233,6 +241,9 @@ class ModelSpec:
             if not all(abs(x) < 2 ** 63 for x in c):
                 raise ModelDataError(f"translation at entry ({i},{j}) has "
                                      f"generator coordinates beyond int64: {t}")
+            if max(map(abs, c), default=0) * g_norm > _EXACT:
+                raise ModelDataError(f"translation at entry ({i},{j}) has field "
+                                     f"coordinates that could pass 2**53: {t}")
             coords.append(c)
         T = np.array(coords, dtype=np.int64)
         return read_only(T.reshape(-1, self.lattice.rank))

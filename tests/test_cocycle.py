@@ -5,7 +5,7 @@ import pytest
 
 from tilediff.cocycle import FourierEvaluator
 from tilediff.cps import enumerate_module, internal_argument
-from tilediff.diffraction import analytic_silver
+from tilediff.diffraction import analytic_silver, weight_vector
 from tilediff.models import ModelDataError, builtin
 
 S2 = math.sqrt(2)
@@ -186,6 +186,8 @@ def test_cocycle_requires_positive_n(ev_silver):
         ev_silver.cocycle_limit(0.3, 0)
     with pytest.raises(ValueError, match="at least one cocycle factor"):
         ev_silver.amplitude_batch(np.array([[0.3]]), 0)
+    with pytest.raises(ValueError, match="a floor needs weights"):
+        ev_silver.amplitude_batch(np.array([[0.3]]), 5, floor=1e-6)
 
 
 @pytest.mark.parametrize("name,deformation", [
@@ -202,6 +204,9 @@ def test_sweep_matches_product_path(name, deformation, n):
     H = ev.amplitude_batch(args, n)
     ref = np.array([ev.amplitudes(a, n).H for a in args])
     assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+    w = np.random.default_rng(5).normal(size=(ev.n, 2)) @ (1, 1j)
+    totals = ev.amplitude_batch(args, n, weights=w)
+    assert np.max(np.abs(totals - ref @ w)) <= 1e-13 * np.max(np.abs(ref @ w))
 
 
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap"])
@@ -212,3 +217,57 @@ def test_sweep_normalized_to_density(name):
     for n in (1, None, 30):
         H0 = ev.amplitude_batch(np.zeros((1, model.dim)), n)[0]
         assert abs(H0.sum() - model.density) <= 1e-15
+
+
+@pytest.mark.parametrize("name,deformation,weights,radius", [
+    ("cap", None, "equal", 0.3), ("cap", "hat", "equal", 0.3),
+    ("cap", None, "zero-central", 0.3), ("silver_twisted", None, "equal", 10.0),
+    ("synthetic-spectre", None, "equal", 0.15)])
+def test_pruned_sweep_keeps_every_point_above_floor(name, deformation, weights,
+                                                    radius):
+    """The weighted sweep with a floor drops only points whose unpruned
+    intensity lies below it, and keeps the unpruned totals.
+
+    Floors run geometrically over twelve decades below the brightest and
+    through the exact unpruned intensities of sampled points, k = 0 among
+    them, where the bound is tight."""
+    model = _with_synthetic_spectre_data() if name == "synthetic-spectre" \
+        else builtin(name)
+    ev, n = model.evaluator, model.default_iters
+    pts = enumerate_module(model.lattice, np.zeros(model.dim), radius,
+                           model.internal_cutoff)
+    d = model.deformations[deformation] if deformation else None
+    args, w = pts.arguments(d), weight_vector(model, weights)
+    full = ev.amplitude_batch(args, n, weights=w)
+    intensity = np.abs(full) ** 2
+    brightest = np.max(np.abs(full))
+    ranked = np.sort(intensity)[::-1]
+    floors = np.concatenate([brightest ** 2 * np.logspace(0, -12, 13),
+                             ranked[:3], ranked[::max(1, len(ranked) // 12)],
+                             intensity[np.all(args == 0, axis=1)]])
+    dropped_any = False
+    for floor in floors[floors > 0]:
+        got = ev.amplitude_batch(args, n, weights=w, floor=floor)
+        dropped = (got == 0) & (full != 0)
+        assert not np.any(dropped & (intensity >= floor)), floor
+        kept = ~dropped
+        assert np.max(np.abs(got[kept] - full[kept])) <= 1e-15 * brightest
+        dropped_any |= dropped.any()
+    assert dropped_any
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",
+                                  "synthetic-spectre"])
+def test_exponentials_match_direct_evaluation(name):
+    """One cosine and sine per starred translation up to sign, conjugated
+    for the negated one of a pair: the same values as exp(2 pi i <t*, k>)
+    evaluated per translation, in table order and in column order."""
+    model = _with_synthetic_spectre_data() if name == "synthetic-spectre" \
+        else builtin(name)
+    ev, disp = model.evaluator, model.displacement
+    K = np.random.default_rng(11).uniform(-40, 40, size=(50, model.dim))
+    K[0] = 0
+    direct = np.exp(2j * np.pi * (K @ disp.stars.T))
+    assert np.array_equal(ev._exponentials(K, ev._phase), direct)
+    by_col = np.argsort(disp.cols, kind="stable")
+    assert np.array_equal(ev._exponentials(K, ev._phase_by_col), direct[:, by_col])

@@ -397,16 +397,23 @@ def test_orbit_reduction_matches_full_sweep(cap, monkeypatch, weights,
 
 def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
                                deformation=None):
-    """Every peak carries the full sweep's total at its own argument."""
+    """Every peak carries the unpruned weighted sweep's total at its own
+    argument, bitwise, and the per-type sweep's total to 1e-14 of the
+    brightest amplitude."""
     n = model.default_iters
     pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
     d = model.deformations.get(deformation, deformation)
-    totals = _amplitude_sweep(model.evaluator, pts.arguments(d), n) \
-        @ weight_vector(model, weights)
+    args, w = pts.arguments(d), weight_vector(model, weights)
+    totals = _amplitude_sweep(model.evaluator, args, n, weights=w)
     full = dict(zip(map(tuple, pts.coords.tolist()), totals.tolist()))
     kept = {c for c, t in full.items() if abs(t) ** 2 >= 1e-6}
     assert {p.k.coords for p in peaks} == kept and len(kept) > 20
     assert all(p.amplitude == full[p.k.coords] for p in peaks)
+    per_type = dict(zip(map(tuple, pts.coords.tolist()),
+                        (_amplitude_sweep(model.evaluator, args, n) @ w).tolist()))
+    A = np.array([p.amplitude for p in peaks])
+    A_ref = np.array([per_type[p.k.coords] for p in peaks])
+    assert np.max(np.abs(A - A_ref)) <= 1e-14 * np.max(np.abs(A_ref))
 
 
 @pytest.mark.parametrize("name,center,radius,weights,deformation", [
@@ -573,8 +580,12 @@ def test_chunk_sizes_agree(cap):
     rng = np.random.default_rng(3)
     args = rng.uniform(-2, 2, size=(150, 2))
     ev = cap.evaluator
-    ref = _amplitude_sweep(ev, args, 15)
-    assert np.array_equal(ref, _amplitude_sweep(ev, args, 15))
-    for chunk in (1, 37):
-        H = _amplitude_sweep(ev, args, 15, chunk=chunk)
-        assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
+    w = weight_vector(cap, "equal")
+    for kwargs in ({}, {"weights": w}, {"weights": w, "floor": 1e-6}):
+        ref = _amplitude_sweep(ev, args, 15, **kwargs)
+        assert np.array_equal(ref, _amplitude_sweep(ev, args, 15, **kwargs))
+        for chunk in (1, 37):
+            H = _amplitude_sweep(ev, args, 15, chunk=chunk, **kwargs)
+            assert H.shape == ref.shape
+            assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert 0 < np.count_nonzero(ref) < len(ref)     # the floor dropped some

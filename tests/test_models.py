@@ -201,8 +201,9 @@ def test_shared_model_arrays_are_read_only(name):
                    "displacement.cols", "displacement.stars",
                    "displacement.row_start"}
         expect |= {f"evaluator.{a}" for a in (
-            "_t_star", "_phase", "_row_start", "_cells", "_cell_start",
-            "M", "left", "right")}
+            "_t_star", "_phase", "_twin", "_row_start", "_phase_by_col",
+            "_row_by_col", "_col_start", "_cells", "_cell_start", "M", "left",
+            "right")}
     arrays = [(f"{owner}.{path}", a) for owner, obj in owners.items()
               for key, value in vars(obj).items() for path, a in _arrays(value, key)]
     assert expect <= {path for path, _ in arrays}
@@ -265,6 +266,12 @@ def test_load_rejects_translation_outside_module(tmp_path):
         with pytest.raises(ModelDataError,
                            match=rf"entry \({i},{j}\) outside the return module"):
             builtin("silver").with_displacement(disp)
+    # in the module and int64, but past the 2**53 budget of one inflate step
+    data = displacement_to_dict(builtin("silver").displacement)
+    data["entries"][1][0][1] = [[2 ** 60, 1], [0, 1]]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelDataError, match=r"entry \(1,0\) .* 2\*\*53"):
+        builtin("silver").with_displacement(load_displacement(path))
 
 
 def test_load_rejects_malformed(tmp_path):
