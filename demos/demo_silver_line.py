@@ -44,7 +44,8 @@ print("wrote silver_windows.svg, twisted_windows.svg (zoom strip included)")
 print("\n== amplitudes: cocycle vs closed forms ==")
 ev = silver.evaluator
 ks = np.linspace(-5, 5, 11)
-H = ev.amplitude_batch(ks.reshape(-1, 1), n=30)
+H = np.column_stack([ev.amplitude_batch(ks.reshape(-1, 1), n=30, weights=e)
+                     for e in np.eye(ev.n)])
 ha, hb = analytic_silver(ks)
 print("max |cocycle - closed form| over k in [-5,5]:",
       float(np.max(np.abs(H - np.column_stack([ha, hb])))))

@@ -52,7 +52,9 @@ def weight_vector(model: ModelSpec, spec) -> np.ndarray:
     extinction weights: (sqrt2, -1) for the silver models and the
     per-shape vector (0, 0, tau, -1) for cap.  A sequence of length
     n_tiles is taken as is; a sequence of length n_tiles/orientations is
-    replicated across the orientations of each shape.
+    replicated across the orientations of each shape.  ValueError is
+    raised when (density sum_i |w_i|)^2, which bounds every intensity and
+    every step of the cocycle sweep, is not finite.
     """
     n = model.n_tiles
     if isinstance(spec, str):
@@ -66,12 +68,17 @@ def weight_vector(model: ModelSpec, spec) -> np.ndarray:
             raise ValueError(f"no zero-central preset for model {model.name!r}")
         raise ValueError(f"unknown weight preset {spec!r}")
     w = np.asarray(spec, dtype=complex)
-    if w.shape == (n,):
-        return w
     if model.orientations and w.size * model.orientations == n:
-        return np.repeat(w, model.orientations)
-    raise ValueError(f"weight vector must have length {n} "
-                     f"(or {n}//orientations for per-shape weights)")
+        w = np.repeat(w, model.orientations)
+    if w.shape != (n,):
+        raise ValueError(f"weight vector must have length {n} "
+                         f"(or {n}//orientations for per-shape weights)")
+    with np.errstate(over="ignore"):
+        bound = (model.density * np.abs(w).sum()) ** 2
+    if not np.isfinite(bound):
+        raise ValueError(f"weights too large or not finite: "
+                         f"(density * sum |w_i|)^2 = {bound}")
+    return w
 
 
 def amplitude_at(model: ModelSpec, k: ModulePoint, weights="equal",
@@ -110,16 +117,14 @@ def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> co
 
 
 def _amplitude_sweep(ev: FourierEvaluator, args: np.ndarray, n: int,
-                     chunk: int = 2048, *, weights: np.ndarray | None = None,
+                     chunk: int = 2048, *, weights: np.ndarray,
                      floor: float = 0.0) -> np.ndarray:
-    """Batched ``amplitude_batch``, chunked to bound memory: per-type
-    amplitudes (nk, n_tiles), or with ``weights`` the totals (nk,)."""
+    """The weighted totals of ``amplitude_batch``, shape (nk,), chunked to
+    bound memory."""
     results = [ev.amplitude_batch(args[i:i + chunk], n, weights=weights,
                                   floor=floor)
                for i in range(0, args.shape[0], chunk)]
-    if weights is not None:
-        return np.concatenate(results) if results else np.zeros(0, complex)
-    return np.vstack(results) if results else np.zeros((0, ev.n), complex)
+    return np.concatenate(results) if results else np.zeros(0, complex)
 
 
 def _rotation(x) -> tuple:
@@ -350,12 +355,14 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
         raise ValueError("decay comparison is for 1d models")
     if internal_cutoff is None:
         internal_cutoff = model.internal_cutoff
+    if n is None:
+        n = model.default_iters
     w = weight_vector(model, weights)
     center = np.array([(k_lo + k_hi) / 2.0])
     pts = enumerate_module(model.lattice, center, (k_hi - k_lo) / 2.0,
                            internal_cutoff)
-    I = np.abs(_amplitude_sweep(model.evaluator, pts.arguments(),
-                                n or model.default_iters, weights=w)) ** 2
+    I = np.abs(_amplitude_sweep(model.evaluator, pts.arguments(), n,
+                                weights=w)) ** 2
     I = I[I > 1e-25]
     if not len(I):
         raise ValueError(f"no module point in [{k_lo}, {k_hi}] above 1e-25")

@@ -192,7 +192,8 @@ def _ht_constant_check(model: ModelSpec) -> Check:
 def _analytic_oracle_check(ev) -> Check:
     from .diffraction import analytic_silver
     ks = np.linspace(-5.0, 5.0, 100)
-    H = ev.amplitude_batch(ks.reshape(-1, 1), n=30)
+    H = np.column_stack([ev.amplitude_batch(ks.reshape(-1, 1), n=30, weights=e)
+                         for e in np.eye(ev.n)])
     ha, hb = analytic_silver(ks)
     err = float(np.max(np.abs(H - np.column_stack([ha, hb]))))
     return _check("analytic-oracle", err < 1e-8,

@@ -38,7 +38,8 @@ def test_c01_silver_oracle_equivalence():
     t0 = time.perf_counter()
     ev = builtin("silver").evaluator
     ks = np.linspace(-5.0, 5.0, 100)
-    H = ev.amplitude_batch(ks.reshape(-1, 1), n=30)
+    H = np.column_stack([ev.amplitude_batch(ks.reshape(-1, 1), n=30, weights=e)
+                         for e in np.eye(ev.n)])
     ha, hb = analytic_silver(ks)
     err = float(np.max(np.abs(H - np.column_stack([ha, hb]))))
     dt = time.perf_counter() - t0

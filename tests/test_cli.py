@@ -143,7 +143,12 @@ def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     (["window", "--model", "cap", "--zoom", "0,1"], "--zoom"),
     # cell indices past 2**53 at the first step
     (["window", "--model", "silver", "--resolution", "70", "--generations", "3"],
-     "--resolution")])
+     "--resolution"),
+    # intensities past the float range: inf, or NaN totals in the sweep
+    (["peaks", "--model", "silver", "--weights", "1e200,1e200", "--radius", "3"],
+     "--weights"),
+    (["peaks", "--model", "cap", "--weights", "1e308,1e308,1e308,1e308"],
+     "--weights")])
 def test_rejects_bad_flags(argv, flag, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, err = run(argv, capsys)

@@ -55,6 +55,15 @@ def test_weight_vectors(silver, cap):
         weight_vector(builtin("casper_scaffold"), "zero-central")
 
 
+def test_weight_vector_rejects_overflowing_intensities(silver, cap):
+    """(density sum |w_i|)^2 bounds every intensity; it must be finite."""
+    for model, w in ((silver, [1e200, 1e200]), (cap, [1e308] * 4),
+                     (silver, [float("nan"), 1]), (cap, [complex(1e154, 1e154)] * 24)):
+        with pytest.raises(ValueError, match="too large or not finite"):
+            weight_vector(model, w)
+    assert np.array_equal(weight_vector(silver, [1e150, -1e150]), [1e150, -1e150])
+
+
 # -- single amplitudes -------------------------------------------------------
 
 def test_amplitude_at_center(silver):
@@ -398,21 +407,24 @@ def test_orbit_reduction_matches_full_sweep(cap, monkeypatch, weights,
 def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
                                deformation=None):
     """Every peak carries the unpruned weighted sweep's total at its own
-    argument, bitwise, and the per-type sweep's total to 1e-14 of the
-    brightest amplitude."""
+    argument, bitwise, and the product path's total w.C_n(k)v, normalized
+    by C_n(0)v, to 1e-14 of the brightest amplitude."""
     n = model.default_iters
     pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
     d = model.deformations.get(deformation, deformation)
     args, w = pts.arguments(d), weight_vector(model, weights)
     totals = _amplitude_sweep(model.evaluator, args, n, weights=w)
-    full = dict(zip(map(tuple, pts.coords.tolist()), totals.tolist()))
+    coords = list(map(tuple, pts.coords.tolist()))
+    full = dict(zip(coords, totals.tolist()))
     kept = {c for c, t in full.items() if abs(t) ** 2 >= 1e-6}
     assert {p.k.coords for p in peaks} == kept and len(kept) > 20
     assert all(p.amplitude == full[p.k.coords] for p in peaks)
-    per_type = dict(zip(map(tuple, pts.coords.tolist()),
-                        (_amplitude_sweep(model.evaluator, args, n) @ w).tolist()))
+    row = {c: i for i, c in enumerate(coords)}
+    ev = model.evaluator
+    Pv = ev.cocycle_limit_batch(np.vstack([
+        np.zeros(model.dim), args[[row[p.k.coords] for p in peaks]]]), n) @ ev.right
     A = np.array([p.amplitude for p in peaks])
-    A_ref = np.array([per_type[p.k.coords] for p in peaks])
+    A_ref = model.density * (Pv[1:] @ w) / Pv[0].sum()
     assert np.max(np.abs(A - A_ref)) <= 1e-14 * np.max(np.abs(A_ref))
 
 
@@ -542,6 +554,11 @@ def test_mean_log_intensity_rejects_empty_range():
         mean_log_intensity(builtin("silver"), 0.3001, 0.3002, internal_cutoff=0.1)
 
 
+def test_mean_log_intensity_rejects_zero_factors():
+    with pytest.raises(ValueError, match="at least one cocycle factor"):
+        mean_log_intensity(builtin("silver"), 50, 100, n=0)
+
+
 # -- output files --------------------------------------------------------------
 
 def test_peak_outputs_deterministic(tmp_path, silver):
@@ -581,7 +598,7 @@ def test_chunk_sizes_agree(cap):
     args = rng.uniform(-2, 2, size=(150, 2))
     ev = cap.evaluator
     w = weight_vector(cap, "equal")
-    for kwargs in ({}, {"weights": w}, {"weights": w, "floor": 1e-6}):
+    for kwargs in ({"weights": w}, {"weights": w, "floor": 1e-6}):
         ref = _amplitude_sweep(ev, args, 15, **kwargs)
         assert np.array_equal(ref, _amplitude_sweep(ev, args, 15, **kwargs))
         for chunk in (1, 37):

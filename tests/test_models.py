@@ -201,9 +201,8 @@ def test_shared_model_arrays_are_read_only(name):
                    "displacement.cols", "displacement.stars",
                    "displacement.row_start"}
         expect |= {f"evaluator.{a}" for a in (
-            "_t_star", "_phase", "_twin", "_row_start", "_phase_by_col",
-            "_row_by_col", "_col_start", "_cells", "_cell_start", "M", "left",
-            "right")}
+            "_row", "_col_start", "_cells", "_cell_start", "_t_star", "_phase",
+            "_twin", "M", "left", "right")}
     arrays = [(f"{owner}.{path}", a) for owner, obj in owners.items()
               for key, value in vars(obj).items() for path, a in _arrays(value, key)]
     assert expect <= {path for path, _ in arrays}
