@@ -315,8 +315,11 @@ def build_parser() -> _Parser:
     pw.add_argument("--generations", default=None,
                     type=_checked(int, lambda x: 1 <= x <= 1000, "in [1, 1000]"),
                     help="IFS iterations (default 22 in 1d, 12 in 2d)")
+    # the first IFS step reaches cell indices of 2**53 from 54 bits for the
+    # silver models and 33 for cap, so finer grids only fail, and past about
+    # 1,000 bits the cell size is no longer a normal float
     pw.add_argument("--resolution", default=None,
-                    type=_checked(int, lambda x: x >= 1, ">= 1"),
+                    type=_checked(int, lambda x: 1 <= x <= 64, "in [1, 64]"),
                     help="grid bits: cell = diameter * 2^-resolution")
     pw.add_argument("--zoom", type=_zoom,
                     help="lo,hi zoom strip for 1d windows")

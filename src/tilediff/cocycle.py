@@ -32,8 +32,9 @@ _TWO_PI = 2.0 * np.pi
 # a weighted row stops once its squared bound is below (1 - _PRUNE_RTOL)
 # times the floor: the margin covers the rounding of the bound and total
 _PRUNE_RTOL = 1e-9
-# the left sweep drops stopped rows once they are this share of its arrays
-_COMPACT = 0.125
+# amplitude_batch sweeps its input in blocks of this many rows, which
+# bounds its memory
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,6 @@ class AmplitudeVector:
     H: np.ndarray
     n_iters: int
     rank1_residual: float
-
-    def total(self, weights=None) -> complex:
-        if weights is None:
-            return complex(self.H.sum())
-        return complex(np.dot(np.asarray(weights, dtype=complex), self.H))
 
 
 class FourierEvaluator:
@@ -121,23 +117,16 @@ class FourierEvaluator:
 
     # -- cocycle ----------------------------------------------------------------
 
-    def _arguments(self, K: np.ndarray, n: int) -> list:
-        """K, K A, ..., K A^(n-1) in row form: k -> A^T k per factor."""
-        args = [K]
-        for _ in range(n - 1):
-            args.append(args[-1] @ self.contraction)
-        return args
-
     def cocycle_limit_batch(self, K: np.ndarray, n: int) -> np.ndarray:
         """pf^-n B(k) B(A^T k) ... B((A^T)^(n-1) k), batched over rows of K."""
         if n < 1:
             raise ValueError("need at least one cocycle factor")
         K = np.atleast_2d(np.asarray(K, dtype=float))
         inv = 1.0 / self.pf
-        P = None
-        for a in self._arguments(K, n):
-            B = self.fourier_matrix_batch(a) * inv
-            P = B if P is None else P @ B
+        P = self.fourier_matrix_batch(K) * inv
+        for _ in range(n - 1):      # k -> A^T k per factor, in row form
+            K = K @ self.contraction
+            P = P @ (self.fourier_matrix_batch(K) * inv)
         return P
 
     def cocycle_limit(self, k_int, n: int) -> np.ndarray:
@@ -150,38 +139,43 @@ class FourierEvaluator:
         """Weighted totals w.H(k) for a batch of internal arguments,
         matrix-free, shape (nk,).
 
-        The cocycle is applied from the left, y <- pf^-1 y^T B((A^T)^j k)
-        for j = 0, ..., n-1 from y = w, one segmented sum per step over the
-        column-sorted translations; total = density (y . v) / (1^T v) with
-        v the right PF vector.  Since |B_il| <= M_il and Mv = pf v, every
-        step bounds |total| <= density sum_i |y_i| v_i / (1^T v), and the
-        bound never grows.  With ``floor`` > 0 a row whose squared bound
-        falls below ``floor`` by more than a relative ``_PRUNE_RTOL`` (a
-        rounding margin) stops and comes back as exactly 0; every other row
-        is the unpruned weighted total.  Per-type amplitudes H_i(k) are the
-        totals at unit weights, one call per tile type.
+        The cocycle is applied from the left, y <- pf^-1 y^T B(q) with
+        q <- A^T q per step from q = k, y = w, one segmented sum per step
+        over the column-sorted translations; total = density (y . v) /
+        (1^T v) with v the right PF vector.  Since |B_il| <= M_il and
+        Mv = pf v, every step bounds |total| <= density sum_i |y_i| v_i /
+        (1^T v), and the bound never grows.  With ``floor`` > 0 a row whose
+        squared bound falls below ``floor`` by more than a relative
+        ``_PRUNE_RTOL`` (a rounding margin) stops at that step, leaves the
+        sweep and comes back as exactly 0; every other row is the unpruned
+        weighted total.  Rows run in blocks of ``_CHUNK``.  Per-type
+        amplitudes H_i(k) are the totals at unit weights, one call per tile
+        type.
         """
         if n is None:
             n = self.model.default_iters
         if n < 1:
             raise ValueError("need at least one cocycle factor")
         K = np.atleast_2d(np.asarray(K, dtype=float))
+        w = np.asarray(weights, dtype=complex)
         inv = 1.0 / self.pf
         scale = self.model.density / self.right.sum()
         cut = np.sqrt(floor * (1.0 - _PRUNE_RTOL)) / scale
-        rows = np.arange(len(K))            # input row of each array row
-        live = np.ones(len(K), dtype=bool)
-        y = np.broadcast_to(np.asarray(weights, dtype=complex), (len(K), self.n))
-        for step, a in enumerate(self._arguments(K, n)):
-            e = self._exponentials(a[rows])
-            e *= y[:, self._row]
-            y = np.add.reduceat(e, self._col_start, axis=1) * inv
-            if floor > 0 and step < n - 1:
-                live &= np.abs(y) @ self.right >= cut
-                if live.sum() <= (1.0 - _COMPACT) * len(live):
-                    rows, y, live = rows[live], y[live], live[live]
         out = np.zeros(len(K), dtype=complex)
-        out[rows[live]] = scale * (y[live] * self.right).sum(axis=1)
+        for lo in range(0, len(K), _CHUNK):
+            q = K[lo:lo + _CHUNK]
+            rows = np.arange(lo, lo + len(q))   # input row of each array row
+            y = np.broadcast_to(w, (len(q), self.n))
+            for step in range(n):
+                if step:
+                    q = q @ self.contraction
+                e = self._exponentials(q)
+                e *= y[:, self._row]
+                y = np.add.reduceat(e, self._col_start, axis=1) * inv
+                if floor > 0 and step < n - 1:
+                    live = np.abs(y) @ self.right >= cut
+                    rows, y, q = rows[live], y[live], q[live]
+            out[rows] = scale * (y * self.right).sum(axis=1)
         return out
 
     def amplitudes(self, k_int, n: int | None = None) -> AmplitudeVector:

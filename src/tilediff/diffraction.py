@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Surd, _mat_mul
-from .cocycle import FourierEvaluator
 from .cps import ModulePoint, enumerate_module, internal_argument
 from .inflation import TypedPointSet
 from .models import DeformationMap, ModelSpec, sixfold_shift
@@ -116,17 +115,6 @@ def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> co
     return complex(np.sum(w * np.exp(-2j * np.pi * phases)) / region_measure)
 
 
-def _amplitude_sweep(ev: FourierEvaluator, args: np.ndarray, n: int,
-                     chunk: int = 2048, *, weights: np.ndarray,
-                     floor: float = 0.0) -> np.ndarray:
-    """The weighted totals of ``amplitude_batch``, shape (nk,), chunked to
-    bound memory."""
-    results = [ev.amplitude_batch(args[i:i + chunk], n, weights=weights,
-                                  floor=floor)
-               for i in range(0, args.shape[0], chunk)]
-    return np.concatenate(results) if results else np.zeros(0, complex)
-
-
 def _rotation(x) -> tuple:
     """Exact matrix of z -> x*z on the plane, entries :class:`Surd`."""
     a, b = x.embed_phys_exact()
@@ -220,8 +208,8 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     _, first, inverse = np.unique(row_keys(reps)[0], return_index=True,
                                   return_inverse=True)
     args = model.lattice.points(reps[first]).arguments(deformation)
-    totals = _amplitude_sweep(model.evaluator, args, n, weights=w,
-                              floor=threshold)[inverse]
+    totals = model.evaluator.amplitude_batch(args, n, weights=w,
+                                             floor=threshold)[inverse]
     intensities = np.abs(totals) ** 2
     kept = np.flatnonzero(intensities >= threshold)
     order = kept[np.argsort(-intensities[kept], kind="stable")]
@@ -291,24 +279,15 @@ def symmetry_report(peaks: list, group: str) -> SymmetryGroupReport:
         raise ValueError("symmetry groups act on planar peak sets")
     I = np.array([p.intensity for p in peaks])
     mapped = K @ G.T
-    worst = 0.0
-    matched = 0
-    unmatched = []
-    chunk = 512
-    for lo in range(0, len(peaks), chunk):
-        hi = min(lo + chunk, len(peaks))
-        d = np.linalg.norm(mapped[lo:hi, None, :] - K[None, :, :], axis=2)
-        idx = np.argmin(d, axis=1)
-        best = d[np.arange(hi - lo), idx]
-        for row, (j, dist) in enumerate(zip(idx, best)):
-            i = lo + row
-            if dist <= 1e-9:
-                matched += 1
-                worst = max(worst, abs(I[i] - I[j]))
-            else:
-                unmatched.append(peaks[i])
-                worst = max(worst, I[i])
-    return SymmetryGroupReport(group, worst, matched, unmatched)
+    # the peak nearest to each image, 512 images at a time
+    idx = np.concatenate([
+        np.argmin(np.linalg.norm(mapped[lo:lo + 512, None, :] - K[None], axis=2),
+                  axis=1)
+        for lo in range(0, len(K), 512)])
+    matched = np.linalg.norm(mapped - K[idx], axis=1) <= 1e-9
+    worst = np.where(matched, np.abs(I - I[idx]), I).max()
+    return SymmetryGroupReport(group, float(worst), int(matched.sum()),
+                               [p for p, m in zip(peaks, matched) if not m])
 
 
 def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
@@ -320,8 +299,6 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
     if not deformation.periods:
         raise ValueError(f"deformation {deformation.name!r} has no period catalog")
     w = weight_vector(model, weights)
-    if n is None:
-        n = model.default_iters
     dual = model.lattice.dual()
     period_coords = []
     for p in deformation.periods:
@@ -332,14 +309,12 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
     rng = np.random.default_rng(seed)
     rank = model.lattice.rank
     base = rng.integers(-6, 7, size=(n_samples, rank))
-    coords = [base] + [base + pc for pc in period_coords]
-    intensities = []
-    for block in coords:
-        args = model.lattice.points(block).arguments(deformation)
-        totals = _amplitude_sweep(model.evaluator, args, n, weights=w)
-        intensities.append(np.abs(totals) ** 2)
-    base_I = intensities[0]
-    return float(max(np.max(np.abs(I - base_I)) for I in intensities[1:]))
+    # the base sample and each of its period shifts, in one sweep
+    coords = np.concatenate([base] + [base + pc for pc in period_coords])
+    args = model.lattice.points(coords).arguments(deformation)
+    I = np.abs(model.evaluator.amplitude_batch(args, n, weights=w)) ** 2
+    I = I.reshape(len(period_coords) + 1, n_samples)
+    return float(np.max(np.abs(I[1:] - I[0])))
 
 
 def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
@@ -355,14 +330,12 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
         raise ValueError("decay comparison is for 1d models")
     if internal_cutoff is None:
         internal_cutoff = model.internal_cutoff
-    if n is None:
-        n = model.default_iters
     w = weight_vector(model, weights)
     center = np.array([(k_lo + k_hi) / 2.0])
     pts = enumerate_module(model.lattice, center, (k_hi - k_lo) / 2.0,
                            internal_cutoff)
-    I = np.abs(_amplitude_sweep(model.evaluator, pts.arguments(), n,
-                                weights=w)) ** 2
+    I = np.abs(model.evaluator.amplitude_batch(pts.arguments(), n,
+                                               weights=w)) ** 2
     I = I[I > 1e-25]
     if not len(I):
         raise ValueError(f"no module point in [{k_lo}, {k_hi}] above 1e-25")

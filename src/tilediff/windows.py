@@ -15,6 +15,7 @@ computed to near machine precision independently of the grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,24 @@ class WindowCloud:
 
 
 def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
-    """Grid resolution: 2^-resolution of a window diameter bound."""
+    """Grid resolution: 2^-resolution of a window diameter bound.
+
+    Raises ValueError when that is not a positive normal float.
+    """
     stars = model.require_displacement().stars
     A = model.int_contraction_matrix
     contr = float(np.linalg.norm(A, 2))
     tmax = float(np.linalg.norm(stars, axis=1).max())
-    diam_bound = tmax / (1.0 - contr)
     if resolution is None:
         resolution = 10 if model.dim == 1 else 9
-    return diam_bound * 2.0 ** (-resolution)
+    # scale the binary exponent exactly, in integers: 2.0 ** -resolution
+    # overflows or underflows to 0 for large |resolution|
+    mantissa, exponent = math.frexp(tmax / (1.0 - contr))
+    exponent -= resolution
+    if not sys.float_info.min_exp <= exponent <= sys.float_info.max_exp:
+        raise ValueError("the cell size diameter * 2^-resolution is not a "
+                         "positive normal float")
+    return math.ldexp(mantissa, exponent)
 
 
 def seed_clouds(model: ModelSpec, cell_size: float | None = None,

@@ -141,14 +141,17 @@ def test_peaks_rejects_bad_numeric_flags(flag, value, capsys):
     (["window", "--model", "silver", "--generations", "1" + "0" * 9], "--generations"),
     # a zoom strip exists only for 1d windows
     (["window", "--model", "cap", "--zoom", "0,1"], "--zoom"),
-    # cell indices past 2**53 at the first step
+    # past the bound; cell indices would pass 2**53 at the first step
     (["window", "--model", "silver", "--resolution", "70", "--generations", "3"],
      "--resolution"),
     # intensities past the float range: inf, or NaN totals in the sweep
     (["peaks", "--model", "silver", "--weights", "1e200,1e200", "--radius", "3"],
      "--weights"),
     (["peaks", "--model", "cap", "--weights", "1e308,1e308,1e308,1e308"],
-     "--weights")])
+     "--weights"),
+    # 2.0 ** -resolution overflows, or the cell size underflows to 0
+    (["window", "--model", "cap", "--resolution", "1" + "0" * 400], "--resolution"),
+    (["window", "--model", "silver", "--resolution", "1100"], "--resolution")])
 def test_rejects_bad_flags(argv, flag, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, err = run(argv, capsys)

@@ -93,13 +93,13 @@ def test_silver_amplitudes_at_zero(ev_silver):
     assert np.max(np.abs(av.H - expect)) < 1e-12
     assert abs(av.H.sum() - dens) < 1e-12
     # equal-weight central intensity is the squared density
-    assert abs(abs(av.total()) ** 2 - LAM ** 2 / 8) < 1e-10
+    assert abs(abs(av.H.sum()) ** 2 - LAM ** 2 / 8) < 1e-10
 
 
 def test_cap_central_intensity(ev_cap):
     av = ev_cap.amplitudes(np.zeros(2), n=15)
     expect = 1.0 / (75 * TAU ** 4)
-    assert abs(abs(av.total()) ** 2 - expect) < 1e-9
+    assert abs(abs(av.H.sum()) ** 2 - expect) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap"])

@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tilediff import diffraction
+from tilediff import cocycle, diffraction
 from tilediff.algebra import Surd
 from tilediff.cps import enumerate_module, module_point
-from tilediff.diffraction import (_amplitude_sweep, _orbit_action,
-                                  _orbit_representatives, amplitude_at,
-                                  analytic_silver, deformation_from_lengths,
+from tilediff.diffraction import (_orbit_action, _orbit_representatives,
+                                  amplitude_at, analytic_silver,
+                                  deformation_from_lengths,
                                   mean_log_intensity, peak_list,
                                   peaks_to_csv, peaks_to_json, peaks_to_svg,
                                   periodicity_residual, symmetry_report,
@@ -413,7 +413,7 @@ def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
     pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
     d = model.deformations.get(deformation, deformation)
     args, w = pts.arguments(d), weight_vector(model, weights)
-    totals = _amplitude_sweep(model.evaluator, args, n, weights=w)
+    totals = model.evaluator.amplitude_batch(args, n, weights=w)
     coords = list(map(tuple, pts.coords.tolist()))
     full = dict(zip(coords, totals.tolist()))
     kept = {c for c, t in full.items() if abs(t) ** 2 >= 1e-6}
@@ -592,17 +592,19 @@ def test_peak_svg(tmp_path, cap, cap_equal_peaks):
     assert (tmp_path / "empty.svg").read_text().startswith("<svg")
 
 
-def test_chunk_sizes_agree(cap):
-    """The sweep is per argument: chunking changes only BLAS rounding."""
+def test_chunk_sizes_agree(cap, monkeypatch):
+    """The sweep is per argument: its row blocks change only BLAS rounding."""
     rng = np.random.default_rng(3)
     args = rng.uniform(-2, 2, size=(150, 2))
     ev = cap.evaluator
     w = weight_vector(cap, "equal")
     for kwargs in ({"weights": w}, {"weights": w, "floor": 1e-6}):
-        ref = _amplitude_sweep(ev, args, 15, **kwargs)
-        assert np.array_equal(ref, _amplitude_sweep(ev, args, 15, **kwargs))
+        ref = ev.amplitude_batch(args, 15, **kwargs)
+        assert np.array_equal(ref, ev.amplitude_batch(args, 15, **kwargs))
         for chunk in (1, 37):
-            H = _amplitude_sweep(ev, args, 15, chunk=chunk, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(cocycle, "_CHUNK", chunk)
+                H = ev.amplitude_batch(args, 15, **kwargs)
             assert H.shape == ref.shape
             assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert 0 < np.count_nonzero(ref) < len(ref)     # the floor dropped some

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -169,6 +170,14 @@ def test_ifs_step_rejects_cell_indices_past_2_53(silver):
     with pytest.raises(ValueError, match="step 1 reaches cell indices of 2\\*\\*53"):
         iterate_windows(silver, 3, resolution=70)
     assert len(iterate_windows(silver, 3, resolution=40).cells) == 2
+
+
+def test_cell_size_must_be_a_normal_float(silver):
+    """2^-1100 of the diameter underflows to 0, which would divide by zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not a positive normal float"):
+            iterate_windows(silver, 1, resolution=1100)
 
 
 def test_silver_volume(silver):
