@@ -1,6 +1,8 @@
 """Exact arithmetic in the number fields behind the built-in tiling models.
 
-Three fields are registered:
+Three fields are registered, each defined by its generators: their
+quadratic relations, their images under the Galois maps star and conj,
+and their exact physical embeddings.
 
 * ``silver``  -- Q(sqrt2), degree 2, basis {1, sqrt2}
 * ``cap``     -- Q(tau, xi), degree 4, basis {1, tau, xi, tau*xi}, where tau
@@ -8,11 +10,13 @@ Three fields are registered:
 * ``spectre`` -- Q(xi, lam), degree 4, basis {1, xi, lam, xi*lam}, where
   lam = 4 + sqrt15
 
-Elements carry exact rational coordinates over the fixed power-product
-basis; all ring operations are exact.  Floating point enters only through
-the Minkowski embeddings ``embed_phys``/``embed_int``, whose basis images
-are evaluated once per field from correctly rounded square roots.  The
-star map is the Galois involution that exchanges the two embeddings, so
+The multiplication table, Galois matrices and embedding columns of this
+power-product basis are derived from the definition.  Elements carry exact
+rational coordinates over the basis; all ring operations are exact.
+Floating point enters only through the Minkowski embeddings
+``embed_phys``/``embed_int``, whose basis images are float products of the
+generators' correctly rounded images.  The star map is the Galois
+involution that exchanges the two embeddings, so
 ``embed_int(x) == embed_phys(x.star())`` holds by construction.
 
 All field objects are immutable after construction and safe to share
@@ -24,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import reduce
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +37,7 @@ __all__ = [
     "AlgebraicElement",
     "FieldMismatchError",
     "FieldSpec",
+    "Generator",
     "Surd",
     "SILVER",
     "CAP",
@@ -194,25 +200,37 @@ class Surd:
 # ---------------------------------------------------------------------------
 # Exact linear algebra over the rationals
 
-def fraction_solve(a: Sequence[Sequence[Fraction]],
-                   b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Solve A X = B exactly by Gaussian elimination over Q."""
+def _gauss_jordan(a, b) -> tuple[list[list[Fraction]] | None, Fraction]:
+    """Reduce [A | B] to [I | A^-1 B] over Q; return (A^-1 B, det A), with
+    det A the row swaps' sign times the pivots' product, or (None, 0)."""
     n = len(a)
-    m = len(b[0])
-    aug = [[_frac(a[i][j]) for j in range(n)] + [_frac(b[i][j]) for j in range(m)]
-           for i in range(n)]
+    aug = [[_frac(x) for x in ra] + [_frac(x) for x in rb]
+           for ra, rb in zip(a, b)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
+            return None, Fraction(0)
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [row[n:] for row in aug], det
+
+
+def fraction_solve(a: Sequence[Sequence[Fraction]],
+                   b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Solve A X = B exactly by Gauss-Jordan elimination over Q."""
+    x, _ = _gauss_jordan(a, b)
+    if x is None:
+        raise ZeroDivisionError("singular matrix")
+    return x
 
 
 def fraction_matrix_inverse(a):
@@ -222,73 +240,96 @@ def fraction_matrix_inverse(a):
 
 
 def fraction_det(a) -> Fraction:
-    n = len(a)
-    m = [[_frac(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1, 1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    """Exact determinant; 0 for a singular matrix."""
+    return _gauss_jordan(a, [()] * len(a))[1]
 
 
 # ---------------------------------------------------------------------------
 # Field specifications
 
-class FieldSpec:
-    """Structure constants, Galois maps and Minkowski embeddings of a field.
+class Generator(NamedTuple):
+    """One generator g of a field, a root of g^2 = r0 + r1*g.
 
-    ``mul_table[i][j]`` holds the coordinates of ``e_i * e_j``.  The star
-    and conjugation matrices act on coordinate vectors (columns are the
-    images of the basis elements).  ``phys_columns``/``int_columns`` are
-    the float images of the basis in physical/internal space, of shape
-    ``(dim, degree)`` with ``dim`` 1 or 2; ``exact_phys_columns`` holds the
-    physical images as :class:`Surd` entries of the same shape.
+    ``relation`` is (r0, r1); ``star`` and ``conj`` are the images c0 + c1*g
+    of g under the two Galois maps, as (c0, c1); ``embedding`` is the exact
+    physical image of g, one :class:`Surd` or rational per dimension.
     """
 
-    def __init__(self, name, basis_names, mul_table, star_matrix, conj_matrix,
-                 phys_columns, exact_phys_columns):
+    name: str
+    relation: tuple
+    star: tuple
+    conj: tuple
+    embedding: tuple
+
+
+class FieldSpec:
+    """A field Q(a) or Q(a, b) defined by its generators, with the structure
+    constants, Galois maps and Minkowski embeddings derived from them.
+
+    The basis is (1, a) or (1, a, b, ab): bit g of k says whether generator
+    g divides ``e_k``.  ``mul_table[i][j]`` holds the coordinates of
+    ``e_i * e_j``.  The star and conjugation matrices act on coordinate
+    vectors (columns are the images of the basis elements).
+    ``phys_columns``/``int_columns`` are the float images of the basis in
+    physical/internal space, of shape ``(dim, degree)`` with ``dim`` 1 or 2;
+    ``exact_phys_columns`` holds the physical images as :class:`Surd`s.
+    """
+
+    def __init__(self, name: str, generators: Sequence[Generator]):
         self.name = name
-        self.basis_names = tuple(basis_names)
-        self.degree = len(self.basis_names)
-        self.mul_table = tuple(tuple(tuple(_frac(c) for c in cell) for cell in row)
-                               for row in mul_table)
-        self.star_matrix = tuple(tuple(_frac(c) for c in row) for row in star_matrix)
-        self.conj_matrix = tuple(tuple(_frac(c) for c in row) for row in conj_matrix)
-        self.phys_columns = read_only(np.array(phys_columns, dtype=float))
-        self.exact_phys_columns = tuple(
-            tuple(x if isinstance(x, Surd) else Surd.rational(x) for x in row)
-            for row in exact_phys_columns)
-        self.dim = self.phys_columns.shape[0]
+        self.degree = 2 ** len(generators)
+        self.dim = len(generators[0].embedding)
+        bits = [tuple((k >> g) & 1 for g in range(len(generators)))
+                for k in range(self.degree)]
+        self.basis_names = tuple("".join(g.name for g, b in zip(generators, e) if b)
+                                 or "1" for e in bits)
+
+        def coords(factors) -> tuple:
+            """Coordinates of prod_g (c0 + c1*g), where factors[g] = (c0, c1)."""
+            return tuple(_frac(math.prod(f[b] for f, b in zip(factors, e)))
+                         for e in bits)
+
+        def galois(images) -> tuple:
+            """Matrix of the map g -> images[g]; column k is the image of e_k."""
+            cols = [coords([img if b else (1, 0) for img, b in zip(images, e)])
+                    for e in bits]
+            return tuple(zip(*cols))
+
+        def embedding(images, one) -> tuple:
+            """(dim, degree) columns: e_k maps to its generators' product."""
+            cols = [reduce(_cx_mul, [v for v, b in zip(images, e) if b], one)
+                    for e in bits]
+            return tuple(zip(*cols))
+
+        # g^0, g^1, g^2 over (1, g); e_i * e_j multiplies them per generator
+        powers = [((1, 0), (0, 1), g.relation) for g in generators]
+        self.mul_table = tuple(
+            tuple(coords([p[i + j] for p, i, j in zip(powers, ei, ej)])
+                  for ej in bits) for ei in bits)
+        self.star_matrix = galois([g.star for g in generators])
+        self.conj_matrix = galois([g.conj for g in generators])
+        exact = [tuple(Surd() + x for x in g.embedding) for g in generators]
+        one = (1,) + (0,) * (self.dim - 1)
+        self.exact_phys_columns = embedding(exact, tuple(map(Surd.rational, one)))
+        # float products of the rounded generator images, not float() of the
+        # exact products: the two differ in the last bit (cap's tau*xi)
+        self.phys_columns = read_only(np.array(embedding(
+            [tuple(map(float, v)) for v in exact], tuple(map(float, one)))))
         star_f = np.array([[float(c) for c in row] for row in self.star_matrix])
         self.int_columns = read_only(self.phys_columns @ star_f)
 
         # Galois group as coordinate matrices: {id, star} in degree 2,
         # {id, star, conj, star*conj} in degree 4.
-        ident = tuple(tuple(Fraction(int(i == j)) for j in range(self.degree))
-                      for i in range(self.degree))
-        if self.degree == 2:
-            self._galois = (ident, self.star_matrix)
-            self.tr_factor = Fraction(1)
-        else:
+        self._galois = (galois([(0, 1)] * len(generators)), self.star_matrix)
+        if self.degree == 4:
             sc = _mat_mul(self.star_matrix, self.conj_matrix)
-            self._galois = (ident, self.star_matrix, self.conj_matrix, sc)
-            self.tr_factor = Fraction(1, 2)
-        tr = [sum(g[0][j] for g in self._galois) for j in range(self.degree)]
-        for i in range(1, self.degree):
-            for j in range(self.degree):
-                if sum(g[i][j] for g in self._galois) != 0:
-                    raise ValueError("trace of basis element is not rational")
-        self.trace_vector = tuple(tr)
+            self._galois += (self.conj_matrix, sc)
+        self.tr_factor = Fraction(2, self.degree)
+        # the group's sum maps x to Tr(x), a rational: only row 0 may be nonzero
+        total = [tuple(map(sum, zip(*rows))) for rows in zip(*self._galois)]
+        if any(any(row) for row in total[1:]):
+            raise ValueError("trace of basis element is not rational")
+        self.trace_vector = total[0]
 
     # -- element constructors ------------------------------------------------
 
@@ -347,30 +388,33 @@ class FieldSpec:
         return self.tr_factor * self.trace(prod)
 
     def self_check(self) -> None:
-        """Verify structure constants, Galois maps and embeddings (to 1e-12)."""
-        deg = self.degree
-        basis = [self.element([int(j == i) for j in range(deg)]) for i in range(deg)]
+        """Verify the derived tables: multiplication is commutative and
+        associative, star multiplicative; the relations hold in the exact
+        physical embedding and conj conjugates it; the float columns match
+        the exact ones and ``embed_int`` is a ring map (both to 1e-12)."""
+        basis = [self.gen(name) for name in self.basis_names]
+        flip = (1, -1)[:self.dim]
         for a in basis:
+            ea = a.embed_phys_exact()
+            if a.conj().embed_phys_exact() != tuple(s * x for s, x in zip(flip, ea)):
+                raise AssertionError("conj is not complex conjugation")
             for b in basis:
-                if (a * b).coords != (b * a).coords:
+                ab = a * b
+                if ab.coords != (b * a).coords:
                     raise AssertionError("multiplication not commutative")
-                if (a * b).star().coords != (a.star() * b.star()).coords:
+                if ab.star().coords != (a.star() * b.star()).coords:
                     raise AssertionError("star is not multiplicative")
+                if ab.embed_phys_exact() != _cx_mul(ea, b.embed_phys_exact()):
+                    raise AssertionError("relations do not hold in the embedding")
+                got = _cx_mul(a.embed_int(), b.embed_int())
+                if np.max(np.abs(np.subtract(got, ab.embed_int()))) > 1e-12:
+                    raise AssertionError("embed_int is not a ring homomorphism")
                 for c in basis:
-                    if ((a * b) * c).coords != (a * (b * c)).coords:
+                    if (ab * c).coords != (a * (b * c)).coords:
                         raise AssertionError("multiplication not associative")
         exact = np.array([[float(x) for x in row] for row in self.exact_phys_columns])
-        if exact.shape != self.phys_columns.shape or \
-                np.max(np.abs(exact - self.phys_columns)) > 1e-12:
+        if np.max(np.abs(exact - self.phys_columns)) > 1e-12:
             raise AssertionError("exact and float physical embeddings differ")
-        for emb in ("embed_phys", "embed_int"):
-            for a in basis:
-                for b in basis:
-                    va, vb = getattr(a, emb)(), getattr(b, emb)()
-                    vab = getattr(a * b, emb)()
-                    got = _cx_mul(va, vb)
-                    if np.max(np.abs(got - vab)) > 1e-12:
-                        raise AssertionError(f"{emb} is not a ring homomorphism")
 
     def __repr__(self):
         return f"FieldSpec({self.name!r}, degree={self.degree})"
@@ -382,11 +426,12 @@ def _mat_mul(a, b):
                  for i in range(n))
 
 
-def _cx_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Multiply embedding vectors: plain product in 1d, complex product in 2d."""
-    if u.shape == (1,):
-        return u * v
-    return np.array([u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]])
+def _cx_mul(u, v) -> tuple:
+    """Multiply embedding vectors of floats or Surds: plain product in 1d,
+    complex product in 2d."""
+    if len(u) == 1:
+        return (u[0] * v[0],)
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
 @dataclass(frozen=True)
@@ -508,103 +553,22 @@ class AlgebraicElement:
 # ---------------------------------------------------------------------------
 # The three registered fields
 
-def _build_silver() -> FieldSpec:
-    s2 = math.sqrt(2.0)
-    return FieldSpec(
-        name="silver",
-        basis_names=("1", "sqrt2"),
-        mul_table=[
-            [(1, 0), (0, 1)],
-            [(0, 1), (2, 0)],
-        ],
-        star_matrix=[(1, 0), (0, -1)],
-        conj_matrix=[(1, 0), (0, 1)],
-        phys_columns=[[1.0, s2]],
-        exact_phys_columns=[[1, Surd.root(2)]],
-    )
+_HALF = Fraction(1, 2)
+# a primitive sixth root of unity, exp(i pi/3); both Galois maps send it
+# to its complex conjugate 1 - xi
+_XI = Generator("xi", (-1, 1), star=(1, -1), conj=(1, -1),
+                embedding=(_HALF, Surd.root(3, _HALF)))
 
-
-def _build_cap() -> FieldSpec:
-    # tau^2 = tau + 1, xi^2 = xi - 1; basis (1, tau, xi, tau*xi)
-    tau = (1.0 + math.sqrt(5.0)) / 2.0
-    s3 = math.sqrt(3.0)
-    return FieldSpec(
-        name="cap",
-        basis_names=("1", "tau", "xi", "tauxi"),
-        mul_table=[
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-            [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1)],
-            [(0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 1, 0), (0, -1, 0, 1)],
-            [(0, 0, 0, 1), (0, 0, 1, 1), (0, -1, 0, 1), (-1, -1, 1, 1)],
-        ],
-        # star: tau -> 1 - tau, xi -> 1 - xi
-        star_matrix=[
-            (1, 1, 1, 1),
-            (0, -1, 0, -1),
-            (0, 0, -1, -1),
-            (0, 0, 0, 1),
-        ],
-        # conj: tau -> tau, xi -> 1 - xi
-        conj_matrix=[
-            (1, 0, 1, 0),
-            (0, 1, 0, 1),
-            (0, 0, -1, 0),
-            (0, 0, 0, -1),
-        ],
-        phys_columns=[
-            [1.0, tau, 0.5, tau / 2.0],
-            [0.0, 0.0, s3 / 2.0, tau * s3 / 2.0],
-        ],
-        exact_phys_columns=[
-            [1, Surd({1: Fraction(1, 2), 5: Fraction(1, 2)}), Fraction(1, 2),
-             Surd({1: Fraction(1, 4), 5: Fraction(1, 4)})],
-            [0, 0, Surd.root(3, Fraction(1, 2)),
-             Surd({3: Fraction(1, 4), 15: Fraction(1, 4)})],
-        ],
-    )
-
-
-def _build_spectre() -> FieldSpec:
-    # xi^2 = xi - 1, lam^2 = 8*lam - 1; basis (1, xi, lam, xi*lam)
-    lam = 4.0 + math.sqrt(15.0)
-    s3 = math.sqrt(3.0)
-    return FieldSpec(
-        name="spectre",
-        basis_names=("1", "xi", "lam", "xilam"),
-        mul_table=[
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-            [(0, 1, 0, 0), (-1, 1, 0, 0), (0, 0, 0, 1), (0, 0, -1, 1)],
-            [(0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 8, 0), (0, -1, 0, 8)],
-            [(0, 0, 0, 1), (0, 0, -1, 1), (0, -1, 0, 8), (1, -1, -8, 8)],
-        ],
-        # star: xi -> 1 - xi, lam -> 8 - lam
-        star_matrix=[
-            (1, 1, 8, 8),
-            (0, -1, 0, -8),
-            (0, 0, -1, -1),
-            (0, 0, 0, 1),
-        ],
-        # conj: xi -> 1 - xi, lam -> lam
-        conj_matrix=[
-            (1, 1, 0, 0),
-            (0, -1, 0, 0),
-            (0, 0, 1, 1),
-            (0, 0, 0, -1),
-        ],
-        phys_columns=[
-            [1.0, 0.5, lam, lam / 2.0],
-            [0.0, s3 / 2.0, 0.0, lam * s3 / 2.0],
-        ],
-        exact_phys_columns=[
-            [1, Fraction(1, 2), Surd({1: 4, 15: 1}),
-             Surd({1: 2, 15: Fraction(1, 2)})],
-            [0, Surd.root(3, Fraction(1, 2)), 0,
-             Surd({3: 2, 5: Fraction(3, 2)})],
-        ],
-    )
-
-
-SILVER = _build_silver()
-CAP = _build_cap()
-SPECTRE = _build_spectre()
+SILVER = FieldSpec("silver", [Generator("sqrt2", (2, 0), star=(0, -1), conj=(0, 1),
+                                        embedding=(Surd.root(2),))])
+CAP = FieldSpec("cap", [
+    Generator("tau", (1, 1), star=(1, -1), conj=(0, 1),
+              embedding=(Surd({1: _HALF, 5: _HALF}), 0)),   # the golden ratio
+    _XI,
+])
+SPECTRE = FieldSpec("spectre", [
+    _XI,
+    Generator("lam", (-1, 8), star=(8, -1), conj=(0, 1),
+              embedding=(Surd({1: 4, 15: 1}), 0)),   # 4 + sqrt15
+])
 FIELDS = {f.name: f for f in (SILVER, CAP, SPECTRE)}

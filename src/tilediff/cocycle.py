@@ -156,6 +156,8 @@ class FourierEvaluator:
             n = self.model.default_iters
         if n < 1:
             raise ValueError("need at least one cocycle factor")
+        if not floor >= 0:     # NaN too
+            raise ValueError(f"floor must be >= 0, got {floor}")
         K = np.atleast_2d(np.asarray(K, dtype=float))
         w = np.asarray(weights, dtype=complex)
         inv = 1.0 / self.pf

@@ -293,7 +293,10 @@ def symmetry_report(peaks: list, group: str) -> SymmetryGroupReport:
 def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
                          weights="equal", n_samples: int = 50,
                          n: int | None = None, seed: int = 0) -> float:
-    """Max |I(k+p) - I(k)| over catalog periods p and random k in [-6, 6]^rank."""
+    """Max |I(k+p) - I(k)| over catalog periods p and ``n_samples`` >= 1
+    random k in [-6, 6]^rank."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if isinstance(deformation, str):
         deformation = model.deformations[deformation]
     if not deformation.periods:

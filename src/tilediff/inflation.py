@@ -84,10 +84,13 @@ class TypedPointSet:
 def seed_patch(model: ModelSpec, tile_type: int = 0) -> TypedPointSet:
     """Single tile of the given type at the origin.
 
-    Legality of the seed is not enforced; patches are only used as
-    volume-averaged oracles where the boundary mismatch of an illegal
-    seed is absorbed by the tolerance.
+    Raises ValueError unless 0 <= tile_type < ``model.n_tiles``.  Legality
+    of the seed is not enforced; patches are only used as volume-averaged
+    oracles where the boundary mismatch of an illegal seed is absorbed by
+    the tolerance.
     """
+    if not 0 <= tile_type < model.n_tiles:
+        raise ValueError(f"tile type {tile_type} is not in [0, {model.n_tiles})")
     return TypedPointSet(model.field, np.array([tile_type], dtype=np.int64),
                          np.zeros((1, model.field.degree), dtype=np.int64))
 
@@ -142,9 +145,13 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
 
 
 def truncate(patch: TypedPointSet, radius: float, center=None) -> TypedPointSet:
-    """Keep points with |phys(x) - center| <= radius."""
+    """Keep points with |phys(x) - center| <= radius; ``center`` defaults to
+    the origin and must have the field's dimension."""
     pos = patch.positions_phys()
-    c = np.zeros(pos.shape[1]) if center is None else np.atleast_1d(center)
+    d = patch.field.dim
+    c = np.zeros(d) if center is None else np.atleast_1d(center).astype(float)
+    if c.shape != (d,):
+        raise ValueError(f"center must have dimension {d}")
     keep = np.linalg.norm(pos - c, axis=1) <= radius + 1e-12
     return TypedPointSet(patch.field, patch.tile_types[keep], patch.coords[keep])
 

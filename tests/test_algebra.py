@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilediff.algebra import (CAP, FIELDS, SILVER, SPECTRE, FieldMismatchError,
-                              Surd, fraction_det, fraction_matrix_inverse,
-                              fraction_solve)
+                              FieldSpec, Generator, Surd, fraction_det,
+                              fraction_matrix_inverse, fraction_solve)
 
 S2 = math.sqrt(2.0)
 
@@ -16,6 +16,48 @@ S2 = math.sqrt(2.0)
 @pytest.mark.parametrize("field", [SILVER, CAP, SPECTRE], ids=lambda f: f.name)
 def test_field_structure(field):
     field.self_check()
+
+
+def test_self_check_tests_the_definition():
+    """A relation, a conj image or a star image that disagrees with the
+    rest of the definition fails the check."""
+    sqrt2 = dict(star=(0, -1), conj=(0, 1), embedding=(Surd.root(2),))
+    FieldSpec("ok", [Generator("r", (2, 0), **sqrt2)]).self_check()
+    with pytest.raises(AssertionError, match="relations"):
+        FieldSpec("bad", [Generator("r", (3, 0), **sqrt2)]).self_check()
+    xi = dict(relation=(-1, 1), star=(1, -1),
+              embedding=(Fraction(1, 2), Surd.root(3, Fraction(1, 2))))
+    with pytest.raises(AssertionError, match="conj"):
+        FieldSpec("bad", [Generator("xi", conj=(0, 1), **xi)]).self_check()
+    with pytest.raises(AssertionError, match="star"):
+        FieldSpec("bad", [Generator("r", (2, 0), star=(1, -1), conj=(0, 1),
+                                    embedding=(Surd.root(2),))]).self_check()
+
+
+def test_embedding_columns_are_the_rounded_products():
+    """phys_columns and int_columns, byte for byte, as the float products of
+    the rounded generator images: cap's tau*xi is tau * (sqrt3/2), which
+    float() of the exact sqrt3/4 + sqrt15/4 misses by one ulp."""
+    s2, s3 = math.sqrt(2.0), math.sqrt(3.0)
+    tau, lam = (1.0 + math.sqrt(5.0)) / 2.0, 4.0 + math.sqrt(15.0)
+    phys = {
+        "silver": [[1.0, s2]],
+        "cap": [[1.0, tau, 0.5, tau / 2.0],
+                [0.0, 0.0, s3 / 2.0, tau * s3 / 2.0]],
+        "spectre": [[1.0, 0.5, lam, lam / 2.0],
+                    [0.0, s3 / 2.0, 0.0, lam * s3 / 2.0]],
+    }
+    star = {
+        "silver": [(1, 0), (0, -1)],
+        "cap": [(1, 1, 1, 1), (0, -1, 0, -1), (0, 0, -1, -1), (0, 0, 0, 1)],
+        "spectre": [(1, 1, 8, 8), (0, -1, 0, -8), (0, 0, -1, -1), (0, 0, 0, 1)],
+    }
+    for name, field in FIELDS.items():
+        P = np.array(phys[name])
+        assert field.star_matrix == tuple(star[name])
+        assert field.phys_columns.shape == P.shape
+        assert field.phys_columns.tobytes() == P.tobytes(), name
+        assert field.int_columns.tobytes() == (P @ np.array(star[name], float)).tobytes()
 
 
 def coords_strategy(degree):
@@ -164,11 +206,13 @@ def test_fraction_linalg():
     inv = fraction_matrix_inverse(a)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
     assert fraction_det(a) == Fraction(1)
+    assert fraction_det([[0, 2, 1], [3, 0, 0], [0, 0, Fraction(1, 2)]]) == -3
     sol = fraction_solve(a, [[Fraction(1)], [Fraction(0)]])
     assert sol == [[Fraction(1)], [Fraction(-1)]]
-    with pytest.raises(ZeroDivisionError):
-        fraction_solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-                       [[Fraction(1)], [Fraction(0)]])
+    singular = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
+    assert fraction_det(singular) == 0
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        fraction_solve(singular, [[Fraction(1)], [Fraction(0)]])
 
 
 def test_exact_physical_embedding():

@@ -5,7 +5,7 @@ import pytest
 
 from tilediff.cocycle import FourierEvaluator
 from tilediff.cps import enumerate_module, internal_argument
-from tilediff.diffraction import analytic_silver, weight_vector
+from tilediff.diffraction import analytic_silver, peak_list, weight_vector
 from tilediff.models import ModelDataError, builtin
 
 S2 = math.sqrt(2)
@@ -248,6 +248,16 @@ def test_pruned_sweep_keeps_every_point_above_floor(name, deformation, weights,
         assert np.max(np.abs(got[kept] - full[kept])) <= 1e-15 * brightest
         dropped_any |= dropped.any()
     assert dropped_any
+
+
+def test_sweep_rejects_bad_floors(ev_silver):
+    """A negative or NaN floor is an error; an infinite one stops every row."""
+    K, w = np.zeros((3, ev_silver.d)), np.ones(ev_silver.n)
+    for floor in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="floor"):
+            ev_silver.amplitude_batch(K, 5, weights=w, floor=floor)
+    assert not ev_silver.amplitude_batch(K, 5, weights=w, floor=np.inf).any()
+    assert peak_list(builtin("silver"), threshold=np.inf) == []
 
 
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",

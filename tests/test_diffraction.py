@@ -543,6 +543,11 @@ def test_silver_reprojection_periodicity(silver):
     assert resid < 1e-8
 
 
+def test_periodicity_residual_needs_a_sample(silver):
+    with pytest.raises(ValueError, match="n_samples"):
+        periodicity_residual(silver, "equal-lengths", n_samples=0)
+
+
 def test_twisted_decays_slower():
     a = mean_log_intensity(builtin("silver"), 50, 100, n=20)
     b = mean_log_intensity(builtin("silver_twisted"), 50, 100, n=20)

@@ -154,6 +154,12 @@ def test_inflate_rejects_inexact_seeds(silver):
         seed_patch(silver).translated(silver.field.element([Fraction(1, 2), 0]))
 
 
+def test_seed_patch_rejects_unknown_tile_types(silver):
+    for tile_type in (5, -1, silver.n_tiles):
+        with pytest.raises(ValueError, match="tile type"):
+            seed_patch(silver, tile_type)
+
+
 def test_truncate(silver):
     patch = inflate(seed_patch(silver), silver, 5)
     r = 10.0
@@ -161,6 +167,14 @@ def test_truncate(silver):
     pos = cut.positions_phys()[:, 0]
     assert np.all(np.abs(pos) <= r + 1e-9)
     assert 0 < len(cut) < len(patch)
+
+
+def test_truncate_checks_the_center_dimension(silver):
+    patch = inflate(seed_patch(silver), silver, 8)
+    c = patch.positions_phys().mean(axis=0)[0]
+    assert len(truncate(patch, 5.0, [c])) == len(truncate(patch, 5.0, c)) == 9
+    with pytest.raises(ValueError, match="dimension 1"):
+        truncate(patch, 5.0, [c, c])
 
 
 def test_substitution_matrices():
