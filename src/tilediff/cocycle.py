@@ -146,9 +146,12 @@ class FourierEvaluator:
         Mv = pf v, every step bounds |total| <= density sum_i |y_i| v_i /
         (1^T v), and the bound never grows.  With ``floor`` > 0 a row whose
         squared bound falls below ``floor`` by more than a relative
-        ``_PRUNE_RTOL`` (a rounding margin) stops at that step, leaves the
-        sweep and comes back as exactly 0; every other row is the unpruned
-        weighted total.  Rows run in blocks of ``_CHUNK``.  Per-type
+        ``_PRUNE_RTOL`` (a rounding margin) at a checked step stops there,
+        leaves the sweep and comes back as exactly 0; every other row is
+        the unpruned weighted total.  The bound is checked at every step
+        while the last check stopped a row; after a check that stops none
+        the gap to the next check doubles.  Rows run in blocks of
+        ``_CHUNK``, each with its own check schedule.  Per-type
         amplitudes H_i(k) are the totals at unit weights, one call per tile
         type.
         """
@@ -160,6 +163,12 @@ class FourierEvaluator:
             raise ValueError(f"floor must be >= 0, got {floor}")
         K = np.atleast_2d(np.asarray(K, dtype=float))
         w = np.asarray(weights, dtype=complex)
+        if K.ndim != 2 or K.shape[1] != self.d:
+            raise ValueError(f"arguments must have shape (N, {self.d}), "
+                             f"got {K.shape}")
+        if w.shape != (self.n,):
+            raise ValueError(f"weights must have length {self.n}, got shape "
+                             f"{w.shape}")
         inv = 1.0 / self.pf
         scale = self.model.density / self.right.sum()
         cut = np.sqrt(floor * (1.0 - _PRUNE_RTOL)) / scale
@@ -168,15 +177,21 @@ class FourierEvaluator:
             q = K[lo:lo + _CHUNK]
             rows = np.arange(lo, lo + len(q))   # input row of each array row
             y = np.broadcast_to(w, (len(q), self.n))
+            due, gap = 0, 1     # the next step whose bound is checked
             for step in range(n):
                 if step:
                     q = q @ self.contraction
                 e = self._exponentials(q)
                 e *= y[:, self._row]
                 y = np.add.reduceat(e, self._col_start, axis=1) * inv
-                if floor > 0 and step < n - 1:
+                if floor > 0 and due == step < n - 1:
                     live = np.abs(y) @ self.right >= cut
-                    rows, y, q = rows[live], y[live], q[live]
+                    if live.all():
+                        gap *= 2
+                    else:
+                        gap = 1
+                        rows, y, q = rows[live], y[live], q[live]
+                    due = step + gap
             out[rows] = scale * (y * self.right).sum(axis=1)
         return out
 

@@ -147,6 +147,8 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
 def truncate(patch: TypedPointSet, radius: float, center=None) -> TypedPointSet:
     """Keep points with |phys(x) - center| <= radius; ``center`` defaults to
     the origin and must have the field's dimension."""
+    if not radius >= 0:     # NaN too
+        raise ValueError(f"radius must be >= 0, got {radius}")
     pos = patch.positions_phys()
     d = patch.field.dim
     c = np.zeros(d) if center is None else np.atleast_1d(center).astype(float)

@@ -29,8 +29,9 @@ __all__ = ["WindowCloud", "seed_clouds", "ifs_step", "iterate_windows",
            "CAP_BOUNDARY_DIM", "MAX_STEP_CELLS"]
 
 # Most candidate cells one IFS step may map before deduplication; the
-# CAP window at 12 generations maps 507,034 at resolution 8 and 1,930,804
-# at resolution 9.
+# largest step of the CAP window at 12 generations, its seventh, maps
+# 504,004 at resolution 8 and 1,857,568 at resolution 9 (later steps map
+# only the frontier).
 MAX_STEP_CELLS = 2 ** 24
 
 # Documented boundary-dimension constants (read-only diagnostics).
@@ -119,10 +120,61 @@ def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
 
 def iterate_windows(model: ModelSpec, generations: int,
                     resolution: int | None = None) -> WindowCloud:
+    """The cloud of ``generations`` IFS steps from the seed: the cells of
+    that many :func:`ifs_step` calls, in lexicographic order.
+
+    A step maps each cell on its own, so it is monotone and distributes
+    over unions.  Once every type's generation g contains its generation
+    g-1, generation g+1 is generation g plus the images of the frontier
+    W^g minus W^(g-1) that are not yet present (semi-naive evaluation),
+    and only the frontier is mapped from then on.  An empty frontier is
+    the fixed point: the cloud is returned as it stands, with the
+    requested generation.
+    """
     cloud = seed_clouds(model, resolution=resolution)
-    for _ in range(generations):
-        cloud = ifs_step(cloud, model)
+    front = None    # per type, the cells new in the last generation
+    while cloud.generation < generations:
+        if front is None:
+            last, cloud = cloud, ifs_step(cloud, model)
+            front = _frontier(last.cells, cloud.cells)
+        elif not any(map(len, front)):
+            return WindowCloud(cloud.cells, cloud.cell_size, generations)
+        else:
+            images = ifs_step(WindowCloud(front, cloud.cell_size,
+                                          cloud.generation), model).cells
+            cells, front = zip(*map(_add_absent, cloud.cells, images))
+            cloud = WindowCloud(cells, cloud.cell_size, cloud.generation + 1)
     return cloud
+
+
+def _frontier(old: tuple, new: tuple):
+    """Per type, the rows of ``new`` that are not rows of ``old``, or None
+    unless every type's ``old`` is a subset of its ``new``."""
+    front = []
+    for o, c in zip(old, new):
+        found = _locate(c, o)[1]
+        if found.sum() < len(o):    # distinct rows: o lies in c iff all match
+            return None
+        front.append(c[~found])
+    return tuple(front)
+
+
+def _add_absent(cells: np.ndarray, images: np.ndarray):
+    """``cells`` with the rows of ``images`` it lacks merged in, in
+    lexicographic order, and those rows."""
+    at, found = _locate(images, cells)
+    new = images[~found]
+    return np.insert(cells, at[~found], new, axis=0), new
+
+
+def _locate(cells: np.ndarray, ref: np.ndarray):
+    """For each row of ``cells``, its insertion index in ``ref`` and
+    whether ``ref`` holds it; both arrays hold distinct rows in
+    lexicographic order, and ``ref`` is not empty."""
+    keys = row_keys(np.vstack([ref, cells]))[0]
+    have, want = keys[:len(ref)], keys[len(ref):]
+    at = np.searchsorted(have, want)
+    return at, have[np.minimum(at, len(have) - 1)] == want
 
 
 def row_keys(cells: np.ndarray):

@@ -216,6 +216,7 @@ def test_sweep_matches_product_path(name, deformation, n):
 @pytest.mark.parametrize("name,deformation,weights,radius", [
     ("cap", None, "equal", 0.3), ("cap", "hat", "equal", 0.3),
     ("cap", None, "zero-central", 0.3), ("silver_twisted", None, "equal", 10.0),
+    ("silver", None, "equal", 50.0),
     ("synthetic-spectre", None, "equal", 0.15)])
 def test_pruned_sweep_keeps_every_point_above_floor(name, deformation, weights,
                                                     radius):
@@ -245,9 +246,21 @@ def test_pruned_sweep_keeps_every_point_above_floor(name, deformation, weights,
         dropped = (got == 0) & (full != 0)
         assert not np.any(dropped & (intensity >= floor)), floor
         kept = ~dropped
-        assert np.max(np.abs(got[kept] - full[kept])) <= 1e-15 * brightest
+        assert np.array_equal(got[kept], full[kept]), floor
         dropped_any |= dropped.any()
     assert dropped_any
+
+
+def test_sweep_checks_input_shapes(ev_silver, ev_cap):
+    """Arguments of the wrong width and weights of the wrong length are
+    errors that name the expected sizes."""
+    with pytest.raises(ValueError, match=r"arguments must have shape \(N, 1\)"):
+        ev_silver.amplitude_batch(np.zeros((2, 3)), 5, weights=np.ones(2))
+    with pytest.raises(ValueError, match=r"arguments must have shape \(N, 2\)"):
+        ev_cap.amplitude_batch(np.zeros((2, 2, 2)), 5, weights=np.ones(24))
+    for w in (np.ones(3), np.ones((2, 1)), 1.0):
+        with pytest.raises(ValueError, match="weights must have length 2"):
+            ev_silver.amplitude_batch(np.zeros((2, 1)), 5, weights=w)
 
 
 def test_sweep_rejects_bad_floors(ev_silver):

@@ -169,6 +169,13 @@ def test_truncate(silver):
     assert 0 < len(cut) < len(patch)
 
 
+@pytest.mark.parametrize("radius", [-1.0, float("nan")])
+def test_truncate_rejects_a_bad_radius(silver, radius):
+    patch = inflate(seed_patch(silver), silver, 3)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        truncate(patch, radius)
+
+
 def test_truncate_checks_the_center_dimension(silver):
     patch = inflate(seed_patch(silver), silver, 8)
     c = patch.positions_phys().mean(axis=0)[0]

@@ -147,6 +147,68 @@ def test_ifs_step_matches_unique_oracle(name, generations, resolution):
         assert interior_cells(got, i) == expect
 
 
+def _plain_loop(model, generations, resolution=None):
+    """``generations`` full ifs_step calls from the seed: the reference for
+    the frontier iteration of iterate_windows."""
+    cloud = seed_clouds(model, resolution=resolution)
+    for _ in range(generations):
+        cloud = ifs_step(cloud, model)
+    return cloud
+
+
+def _assert_same_cloud(got, ref):
+    assert got.generation == ref.generation
+    assert got.cell_size == ref.cell_size
+    assert len(got.cells) == len(ref.cells)
+    for a, b in zip(got.cells, ref.cells):
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name,generations,resolution", [
+    ("cap", 12, 6), ("cap", 12, 7), ("cap", 12, 8),
+    ("cap", 3, 8),      # stops before the first generation that holds the last
+    ("silver", 14, None), ("silver", 22, None), ("silver", 40, None),
+    ("silver_twisted", 14, None), ("silver_twisted", 22, None),
+    ("silver_twisted", 40, None)])
+def test_frontier_iteration_matches_plain_steps(name, generations, resolution):
+    model = builtin(name)
+    _assert_same_cloud(iterate_windows(model, generations, resolution=resolution),
+                       _plain_loop(model, generations, resolution))
+
+
+def test_frontier_stops_at_the_fixed_point(monkeypatch):
+    """At resolution 6 the CAP cloud stops changing at generation 8: a
+    thousand generations are the saturated cloud, mapped a dozen times."""
+    cap = builtin("cap")
+    saturated = _plain_loop(cap, 12, resolution=6)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(ifs_step(saturated, cap).cells, saturated.cells))
+    calls = []
+    step = windows.ifs_step
+    monkeypatch.setattr(windows, "ifs_step",
+                        lambda cloud, model: calls.append(1) or step(cloud, model))
+    got = iterate_windows(cap, 1000, resolution=6)
+    assert got.generation == 1000
+    _assert_same_cloud(got, WindowCloud(saturated.cells, saturated.cell_size, 1000))
+    assert len(calls) <= 12
+
+
+def test_frontier_ceiling_counts_frontier_candidates(monkeypatch):
+    """Once only the frontier is mapped, MAX_STEP_CELLS bounds its
+    candidates: a ceiling the plain steps pass at generation 5 and break
+    at 6 still lets the frontier iteration reach generation 12."""
+    cap = builtin("cap")
+    ref = _plain_loop(cap, 12, resolution=6)
+    gen4 = _plain_loop(cap, 4, resolution=6)
+    sizes = np.array([len(c) for c in gen4.cells])
+    ceiling = int(sizes[cap.displacement.cols].sum())
+    monkeypatch.setattr(windows, "MAX_STEP_CELLS", ceiling)
+    with pytest.raises(ValueError, match="window step 6 maps"):
+        ifs_step(ifs_step(gen4, cap), cap)
+    _assert_same_cloud(iterate_windows(cap, 12, resolution=6), ref)
+
+
 def test_ifs_step_ceiling_counts_candidates_exactly(monkeypatch):
     cap = builtin("cap")
     cloud = iterate_windows(cap, 2, resolution=6)
