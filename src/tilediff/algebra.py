@@ -46,6 +46,7 @@ __all__ = [
     "fraction_solve",
     "fraction_matrix_inverse",
     "fraction_det",
+    "integer_solution",
 ]
 
 
@@ -244,6 +245,19 @@ def fraction_det(a) -> Fraction:
     return _gauss_jordan(a, [()] * len(a))[1]
 
 
+def integer_solution(a, b) -> list | None:
+    """The integer matrix X with A X == B exactly, or None when there is
+    none.  A (m x r, m >= r) needs full column rank; the normal equations
+    A^T A X = A^T B then fix X over Q, and the exact product A X is
+    checked against B."""
+    at = tuple(zip(*a))
+    x, _ = _gauss_jordan(_mat_mul(at, a), _mat_mul(at, b))
+    if x is None or _mat_mul(a, x) != tuple(map(tuple, b)) \
+            or any(v.denominator != 1 for row in x for v in row):
+        return None
+    return [[int(v) for v in row] for row in x]
+
+
 # ---------------------------------------------------------------------------
 # Field specifications
 
@@ -420,10 +434,11 @@ class FieldSpec:
         return f"FieldSpec({self.name!r}, degree={self.degree})"
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+def _mat_mul(a, b) -> tuple:
+    """Product of two matrices given as rows, of any exact entries."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
 
 
 def _cx_mul(u, v) -> tuple:

@@ -203,6 +203,9 @@ def cmd_peaks(args) -> int:
 
     base = args.out or f"peaks_{model.name}" + (
         f"_{deformation.name}" if deformation is not None else "")
+    stem, ext = os.path.splitext(base)
+    if ext in (".csv", ".json", ".svg"):
+        base = stem
     outdir = _outdir()
     outdir.mkdir(parents=True, exist_ok=True)
     diffraction.peaks_to_csv(peaks, outdir / f"{base}.csv")
@@ -305,7 +308,10 @@ def build_parser() -> _Parser:
     # steps for every built-in model, so more steps only cost time
     pp.add_argument("--iters", default=None,
                     type=_checked(int, lambda x: 1 <= x <= 1000, "in [1, 1000]"))
-    pp.add_argument("--out")
+    pp.add_argument("--out", metavar="BASE",
+                    help="write BASE.csv, BASE.json and BASE.svg; one trailing "
+                         ".csv, .json or .svg is dropped from BASE (default "
+                         "peaks_MODEL or peaks_MODEL_DEFORMATION)")
     pp.set_defaults(func=cmd_peaks)
 
     pw = sub.add_parser("window", help="render window clouds to SVG")

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraicElement, FieldSpec, fraction_det,
-                      fraction_matrix_inverse, read_only)
+from .algebra import (AlgebraicElement, FieldSpec, Surd, fraction_det,
+                      fraction_matrix_inverse, integer_solution, read_only)
 
 __all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "dual_basis",
            "enumerate_module", "internal_argument", "MAX_CANDIDATES"]
@@ -143,6 +143,65 @@ class LatticeBasis:
             cache[x] = None if None in cols else \
                 read_only(np.array(cols, dtype=np.int64).T)
         return cache[x]
+
+    def argument_lattice(self, deformation) -> tuple:
+        """(L, Q) for a deformation with an ``image_lattice``: the cocycle
+        argument k_int - D^T k_phys of the dual point with coordinates c
+        is ``(c @ L.T) @ Q.T``, with L an int64 (rank_Q, rank) matrix and
+        Q the float (dim, rank_Q) columns of the lattice generators.
+
+        L is solved exactly: each coordinate of a dual generator's
+        argument and of a lattice generator is a :class:`Surd`, and the
+        square roots of distinct square-free integers are linearly
+        independent over Q, so splitting the coordinates by radicand gives
+        a rational system.  ValueError unless its solution is integral.
+        Cached per deformation on this basis, arrays read-only.
+        """
+        cache = self.__dict__.setdefault("_argument_lattices", {})
+        if deformation not in cache:
+            gens = [g.embed_phys_exact() for g in deformation.image_lattice]
+            if not gens:
+                raise ValueError(f"deformation {deformation.name!r} "
+                                 "documents no image lattice")
+            DT = tuple(zip(*deformation.rows))
+
+            def argument(b):        # k_int - D^T k_phys of b, exactly
+                phys = b.embed_phys_exact()
+                return tuple(s - sum((d * x for d, x in zip(row, phys)), Surd())
+                             for s, row in zip(b.star().embed_phys_exact(), DT))
+
+            args = [argument(b) for b in self.dual_generators]
+            terms = sorted({(axis, m) for v in gens + args
+                            for axis, x in enumerate(v) for m in x.terms})
+
+            def split(vectors):     # rational rows, one per (axis, radicand)
+                return [[v[axis].terms.get(m, 0) for v in vectors]
+                        for axis, m in terms]
+
+            L = integer_solution(split(gens), split(args))
+            if L is None:
+                raise ValueError(f"the cocycle arguments of deformation "
+                                 f"{deformation.name!r} are not integer "
+                                 "combinations of its image lattice")
+            Q = np.column_stack([g.embed_phys() for g in deformation.image_lattice])
+            cache[deformation] = (read_only(np.array(L, dtype=np.int64)),
+                                  read_only(Q))
+        return cache[deformation]
+
+    def argument_action(self, deformation, x: AlgebraicElement) -> np.ndarray | None:
+        """Int64 matrix X of y -> x*y on the argument coordinates of
+        :meth:`argument_lattice` (``keys @ X.T`` maps them): L R == X L
+        exactly, with R = :meth:`dual_action`, or None when no integer X
+        satisfies it.  Cached per (deformation, x) on this basis."""
+        cache = self.__dict__.setdefault("_argument_actions", {})
+        if (deformation, x) not in cache:
+            L = self.argument_lattice(deformation)[0]
+            R = self.dual_action(x)
+            X = None if R is None else integer_solution(L.T.tolist(),
+                                                        (L @ R).T.tolist())
+            cache[deformation, x] = None if X is None else \
+                read_only(np.array(X, dtype=np.int64).T)
+        return cache[deformation, x]
 
     def __repr__(self):
         return f"LatticeBasis({self.field.name}, rank={self.rank})"

@@ -148,19 +148,64 @@ def _orbit_action(model: ModelSpec, center, w: np.ndarray,
     return identity if R is None else R
 
 
-def _orbit_representatives(coords: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest image of each row of ``coords`` under the
-    cyclic group generated by R (rows map as ``coords @ R.T``)."""
-    best = image = coords
-    rows = np.arange(len(coords))
-    while True:
-        image = image @ R.T
-        if np.array_equal(image, coords):       # back at R^0: orbits closed
-            return best
-        differ = image != best
-        first = differ.argmax(axis=1)
-        less = differ.any(axis=1) & (image[rows, first] < best[rows, first])
-        best = np.where(less[:, None], image, best)
+def _class_keys(model: ModelSpec, coords: np.ndarray, center, w: np.ndarray,
+                deformation: DeformationMap | None) -> tuple:
+    """Int64 keys of a peak request's rows and the exact group that fixes
+    the request, acting on them: (keys, action, friedel, Q).
+
+    With an ``image_lattice`` a row's key is the integer coordinate
+    vector ``c @ L.T`` of its argument (see ``argument_lattice``), whose
+    float argument is ``key @ Q.T``; otherwise the key is the module
+    coordinate vector c and Q is None.  ``action`` is xi where
+    ``_orbit_action`` allows it, on argument keys the integer X with
+    L R == X L, and the identity otherwise.  ``friedel`` adds -1 with
+    conjugation when the centre is exactly 0 and the weights are real:
+    then the sweep at -q is the conjugate of the sweep at q, bitwise up
+    to the sign of an exact zero.
+    """
+    R = _orbit_action(model, center, w, deformation)
+    friedel = not np.any(center) and not np.any(w.imag)
+    if deformation is None or not deformation.image_lattice:
+        return coords, R, friedel, None
+    L, Q = model.lattice.argument_lattice(deformation)
+    X = None if np.array_equal(R, np.eye(len(R))) else \
+        model.lattice.argument_action(deformation, model.field.gen("xi"))
+    if X is None:
+        X = np.eye(len(L), dtype=np.int64)
+    return coords @ L.T, X, friedel, Q
+
+
+def _orbit_representatives(keys: np.ndarray, action: np.ndarray,
+                           friedel: bool = False) -> tuple:
+    """Classes of the rows of ``keys`` under the cyclic group generated by
+    ``action`` (rows map as ``keys @ action.T``) and, with ``friedel``,
+    by -1: (reps, inverse, conj).
+
+    ``reps`` holds the distinct representatives in lexicographic order,
+    each the lexicographically smallest image in its class, and
+    ``reps[inverse]`` is the representative of each row.  ``conj`` marks
+    the rows that only -1 takes to their representative; they take the
+    conjugate of its total.  The powers of ``action`` are tried first, so
+    a row that one of them takes there is never conjugated, and -1 adds
+    nothing when it is a power of ``action``.
+    """
+    eye = np.eye(len(action), dtype=np.int64)
+    group, power = [eye], action
+    while not np.array_equal(power, eye):
+        group.append(power)
+        power = power @ action
+    plain = len(group)
+    if friedel and not any(np.array_equal(g, -eye) for g in group):
+        group += [-g for g in group]
+    images = np.concatenate([keys @ g.T for g in group])
+    # row keys ascend in lexicographic row order; argmin takes the first
+    # smallest image, so a power of ``action`` wins a tie with its negative
+    flat = row_keys(images)[0].reshape(len(group), len(keys))
+    which = flat.argmin(axis=0)
+    rows = np.arange(len(keys))
+    _, first, inverse = np.unique(flat[which, rows], return_index=True,
+                                  return_inverse=True)
+    return images[which[first] * len(keys) + first], inverse, which >= plain
 
 
 def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
@@ -171,16 +216,19 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
 
     Deterministic: peaks are sorted by descending intensity, and each
     peak whose intensity lies within a relative ``_TIE_RTOL`` of the
-    previous one joins its group.  Groups (orbit-equivalent peaks whose
-    intensities differ by rounding only) are ordered lexicographically
-    in module coordinates, so the order does not depend on the
-    summation order of the kernel.
+    previous one joins its group.  Groups (class members whose
+    intensities agree, or agree up to rounding) are ordered
+    lexicographically in module coordinates, so the order does not
+    depend on the summation order of the kernel.
 
-    The cocycle runs once per orbit of the exact symmetry that fixes the
-    request (see ``_orbit_action``): for CAP centred at 0 with
-    sigma-invariant weights, with or without ``hat``, one point in six.
-    Every orbit member then carries the bitwise-equal total of its
-    representative.  Without such a symmetry each point is its own orbit.
+    The cocycle runs once per exact amplitude class (see ``_class_keys``):
+    once per distinct argument of a lattice-projecting deformation, and
+    once per orbit of the exact group that fixes the request, xi for CAP
+    and -1 with conjugation for real weights (Friedel's law), both at a
+    centre of 0.  Every row carries its class total, conjugated where
+    only -1 reaches its representative: bitwise what the full sweep
+    gives at the representative's argument.  The conjugate of an exact
+    +0 imaginary part is -0, which the exporters write as ``-0``.
 
     The sweep is the weighted one with the threshold as its floor (see
     ``FourierEvaluator.amplitude_batch``): a point stops as soon as a
@@ -201,15 +249,15 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     pts = enumerate_module(model.lattice, center, radius, internal_cutoff)
     if not len(pts):
         return []
-    # one sweep per orbit of the symmetry fixing the request; each row
-    # takes the total at its representative's own argument
-    reps = _orbit_representatives(pts.coords,
-                                  _orbit_action(model, center, w, deformation))
-    _, first, inverse = np.unique(row_keys(reps)[0], return_index=True,
-                                  return_inverse=True)
-    args = model.lattice.points(reps[first]).arguments(deformation)
+    # one sweep per class; each row takes its class total
+    keys, action, friedel, Q = _class_keys(model, pts.coords, center, w,
+                                           deformation)
+    reps, inverse, conj = _orbit_representatives(keys, action, friedel)
+    args = model.lattice.points(reps).arguments(deformation) if Q is None \
+        else reps @ Q.T
     totals = model.evaluator.amplitude_batch(args, n, weights=w,
                                              floor=threshold)[inverse]
+    np.conjugate(totals, out=totals, where=conj)
     intensities = np.abs(totals) ** 2
     kept = np.flatnonzero(intensities >= threshold)
     order = kept[np.argsort(-intensities[kept], kind="stable")]
@@ -217,8 +265,8 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     gap = np.zeros(len(I), dtype=bool)
     gap[1:] = I[:-1] - I[1:] > _TIE_RTOL * I[:-1]
     # np.lexsort's last key is primary: tie group, then coordinates
-    keys = np.vstack([pts.coords[order].T[::-1], np.cumsum(gap)])
-    order = order[np.lexsort(keys)]
+    order = order[np.lexsort(np.vstack([pts.coords[order].T[::-1],
+                                        np.cumsum(gap)]))]
     name = deformation.name if deformation is not None else None
     return [Peak(pts[i], name, complex(totals[i]), float(intensities[i]), n)
             for i in order.tolist()]

@@ -167,10 +167,12 @@ def patch_to_csv(patch: TypedPointSet, path, model: ModelSpec | None = None) -> 
     """Write (type, x, y) rows; y is 0 for one-dimensional models."""
     labels = model.tile_labels if model is not None else None
     pos = patch.positions_phys()
-    ys = pos[:, 1] if pos.shape[1] == 2 else np.zeros(len(pos))
+    types = patch.tile_types.tolist()
+    names = [labels[ty] for ty in types] if labels else types
+    xs = [format(x, ".17g") for x in pos[:, 0].tolist()]
+    # format(0.0, ".17g") is "0": the 1d y column is written as that literal
+    ys = [format(y, ".17g") for y in pos[:, 1].tolist()] if pos.shape[1] == 2 \
+        else ["0"] * len(xs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("type,x,y\n")
-        fh.writelines(
-            f"{labels[ty] if labels else ty},{format(x, '.17g')},{format(y, '.17g')}\n"
-            for ty, x, y in zip(patch.tile_types.tolist(), pos[:, 0].tolist(),
-                                ys.tolist()))
+        fh.writelines(f"{name},{x},{y}\n" for name, x, y in zip(names, xs, ys))

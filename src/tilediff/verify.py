@@ -60,8 +60,9 @@ def verification_suite(model: ModelSpec, seed: int = 0) -> list:
             f"documented volume {float(vol):.12g} = density x covolume, exactly"))
 
     checks.append(_periods_check(model))
-    if model.name == "cap":
+    if any(d.image_lattice for d in model.deformations.values()):
         checks.append(_image_lattice_check(model, seed))
+    if model.name == "cap":
         checks.append(_fourier_module_check_cap(model))
     if f.name == "spectre":
         checks.append(_ht_constant_check(model))
@@ -132,18 +133,25 @@ def _periods_check(model: ModelSpec) -> Check:
 
 
 def _image_lattice_check(model: ModelSpec, seed: int) -> Check:
-    """Deformed cocycle arguments land in the documented discrete lattice."""
-    d = model.deformations["hat"]
-    Q = np.column_stack([g.embed_phys() for g in d.image_lattice])
+    """Each deformation's cocycle arguments are integer combinations of its
+    image lattice, exactly (L is integral), and (c @ L.T) @ Q.T matches
+    k_int - D^T k_phys in floats at 200 seeded points."""
     rng = np.random.default_rng(seed)
-    coords = [rng.integers(-10, 11, size=model.lattice.rank) for _ in range(200)]
-    args = model.lattice.points(coords).arguments(d)
-    worst = 0.0
-    for arg in args:
-        c = np.linalg.solve(Q, arg)
-        worst = max(worst, float(np.max(np.abs(c - np.round(c)))))
+    coords = rng.integers(-10, 11, size=(200, model.lattice.rank))
+    details, worst = [], 0.0
+    for name, d in model.deformations.items():
+        if not d.image_lattice:
+            continue
+        try:
+            L, Q = model.lattice.argument_lattice(d)
+        except ValueError as exc:
+            return _check("deformed-argument-lattice", False, str(exc))
+        args = model.lattice.points(coords).arguments(d)
+        worst = max(worst, float(np.max(np.abs((coords @ L.T) @ Q.T - args))))
+        details.append(f"{name}: L integral ({L.shape[0]}x{L.shape[1]})")
     return _check("deformed-argument-lattice", worst < 1e-10,
-                  f"max integer residual {worst:.3g} over 200 points")
+                  f"{', '.join(details)}; max float residual {worst:.3g} "
+                  "over 200 points")
 
 
 def _fourier_module_check_cap(model: ModelSpec) -> Check:

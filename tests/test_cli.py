@@ -48,6 +48,25 @@ def test_peaks_run_and_determinism(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "run1.svg").exists()
 
 
+@pytest.mark.parametrize("out", ["pk_silver", "pk_silver.csv", "pk_silver.json",
+                                 "pk_silver.svg"])
+def test_peaks_out_drops_one_suffix(out, tmp_path, capsys, monkeypatch):
+    """--out pk.csv writes pk.csv, pk.json and pk.svg, as --out pk does."""
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    code, stdout, _ = run(["peaks", "--model", "silver", "--radius", "1",
+                           "--out", out], capsys)
+    assert code == 0 and "wrote pk_silver.csv/.json/.svg" in stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["pk_silver.csv", "pk_silver.json", "pk_silver.svg"]
+    # only one suffix goes; the default names are unchanged
+    code, _, _ = run(["peaks", "--model", "silver", "--radius", "1",
+                      "--out", "pk.csv.csv"], capsys)
+    assert code == 0 and (tmp_path / "pk.csv.csv").exists()
+    code, _, _ = run(["peaks", "--model", "silver", "--radius", "1",
+                      "--deformation", "equal-lengths"], capsys)
+    assert code == 0 and (tmp_path / "peaks_silver_equal-lengths.json").exists()
+
+
 def test_peaks_deformation_summary(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, _ = run(["peaks", "--model", "silver", "--deformation",

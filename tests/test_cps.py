@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -300,6 +301,53 @@ def test_hat_argument_lattice(cap):
         arg = vec[2:] - DT @ vec[:2]
         c = np.linalg.solve(Q, arg)
         assert np.max(np.abs(c - np.round(c))) < 1e-10
+
+
+@pytest.mark.parametrize("name,deformation,expect", [
+    ("cap", "hat", [[0, 1, 1, -3], [1, -3, -1, 2]]),
+    ("silver", "equal-lengths", [[-1, 1]]),
+    ("silver_twisted", "equal-lengths", [[-1, 1]])])
+def test_argument_lattice_is_exact(name, deformation, expect):
+    """L is solved in rationals: a documented lattice that misses the
+    arguments, by 1e-15 or by half a step, raises, where rounding a float
+    solve would return an integer matrix for both."""
+    model = builtin(name)
+    d = model.deformations[deformation]
+    lat = model.lattice
+    L, Q = lat.argument_lattice(d)
+    assert L.dtype == np.int64 and L.tolist() == expect
+    assert not L.flags.writeable and not Q.flags.writeable
+    assert lat.argument_lattice(d)[0] is L      # cached per deformation
+    coords = np.random.default_rng(12).integers(-10, 11, size=(200, lat.rank))
+    assert np.max(np.abs((coords @ L.T) @ Q.T
+                         - lat.points(coords).arguments(d))) < 1e-12
+    rows = ((d.rows[0][0] + Fraction(1, 10 ** 15),) + d.rows[0][1:],) + d.rows[1:]
+    near = dataclasses.replace(d, rows=rows)
+    half = dataclasses.replace(d, image_lattice=tuple(2 * g for g in d.image_lattice))
+    for bad in (near, half):
+        with pytest.raises(ValueError, match="not integer combinations"):
+            lat.argument_lattice(bad)
+    with pytest.raises(ValueError, match="no image lattice"):
+        lat.argument_lattice(dataclasses.replace(d, image_lattice=()))
+
+
+def test_argument_action_of_xi_on_hat(cap):
+    d = cap.deformations["hat"]
+    xi = cap.field.gen("xi")
+    L, _ = cap.lattice.argument_lattice(d)
+    X = cap.lattice.argument_action(d, xi)
+    R = cap.lattice.dual_action(xi)
+    assert X.tolist() == [[1, 1], [-1, 0]] and np.array_equal(L @ R, X @ L)
+    assert cap.lattice.argument_action(d, xi) is X
+    # the transpose is no action: rows would not map to rows
+    assert not np.array_equal(L @ R, X.T @ L)
+    # xi_int turns the arguments by -60 degrees, exactly on the keys
+    coords = np.random.default_rng(13).integers(-9, 10, size=(50, 4))
+    args = cap.lattice.points(coords).arguments(d)
+    turned = cap.lattice.points(coords @ R.T).arguments(d)
+    c, s = 0.5, S3 / 2
+    assert np.allclose(turned, args @ np.array([[c, -s], [s, c]]))
+    assert np.array_equal((coords @ R.T) @ L.T, (coords @ L.T) @ X.T)
 
 
 @pytest.mark.parametrize("deformation", ["hex", "ht"])

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tilediff import cocycle, diffraction
+from tilediff import cocycle, diffraction, windows
 from tilediff.algebra import Surd
 from tilediff.cps import enumerate_module, module_point
-from tilediff.diffraction import (_orbit_action, _orbit_representatives,
-                                  amplitude_at, analytic_silver,
+from tilediff.diffraction import (_class_keys, _orbit_action,
+                                  _orbit_representatives, amplitude_at, analytic_silver,
                                   deformation_from_lengths,
                                   mean_log_intensity, peak_list,
                                   peaks_to_csv, peaks_to_json, peaks_to_svg,
@@ -299,19 +299,20 @@ def test_peak_order_matches_list_sort(cap_equal_peaks, name, deformation):
     assert [p.k.coords for p in peaks] == [p.k.coords for p in _list_sort(peaks)]
 
 
-# -- sixfold orbit reduction ---------------------------------------------------
+# -- exact amplitude classes -----------------------------------------------------
 
 CAP_XI = [[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
 
 
-def _identity_action(model, *_):
-    return np.eye(model.lattice.rank, dtype=np.int64)
+def _own_class(model, coords, *_):
+    return coords, np.eye(model.lattice.rank, dtype=np.int64), False, None
 
 
 def _full_sweep_peaks(monkeypatch, model, **kw):
-    """peak_list with every point its own orbit: the full-sweep oracle."""
+    """peak_list with every point its own class, swept at k_int - D^T k_phys:
+    the full-sweep oracle."""
     with monkeypatch.context() as m:
-        m.setattr(diffraction, "_orbit_action", _identity_action)
+        m.setattr(diffraction, "_class_keys", _own_class)
         return peak_list(model, **kw)
 
 
@@ -360,19 +361,38 @@ def test_cap_orbit_action_multiplies_by_xi(cap):
                              None).tolist() == CAP_XI
 
 
+def _row_reps(keys, action, friedel=False):
+    """Representative of each row, and its conjugation flag."""
+    reps, inverse, conj = _orbit_representatives(keys, action, friedel)
+    return reps[inverse], conj
+
+
 def test_orbit_representatives():
     R = np.array(CAP_XI, dtype=np.int64)
+    eye = np.eye(4, dtype=np.int64)
     coords = np.random.default_rng(6).integers(-5, 6, size=(40, 4))
-    reps = _orbit_representatives(coords, R)
+    reps, conj = _row_reps(coords, R)
     orbit = [coords]
     for _ in range(5):
         orbit.append(orbit[-1] @ R.T)
     for row, rep in enumerate(reps.tolist()):
         assert rep == min(o[row].tolist() for o in orbit)
+    assert not conj.any()
     # the whole orbit shares its representative; the identity fixes all
-    assert np.array_equal(_orbit_representatives(orbit[3], R), reps)
-    assert np.array_equal(_orbit_representatives(coords, np.eye(4, dtype=np.int64)),
-                          coords)
+    assert np.array_equal(_row_reps(orbit[3], R)[0], reps)
+    assert np.array_equal(_row_reps(coords, eye)[0], coords)
+    # -1 is R^3: Friedel's law adds nothing and conjugates no row
+    friedel = _row_reps(coords, R, True)
+    assert np.array_equal(friedel[0], reps) and not friedel[1].any()
+    # with the identity, -1 pairs c with -c; the row that is not the
+    # smaller of the two takes the conjugate
+    reps, conj = _row_reps(coords, eye, True)
+    for c, rep, flip in zip(coords.tolist(), reps.tolist(), conj):
+        neg = [-x for x in c]
+        assert rep == min(c, neg) and flip == (neg < c)
+    # distinct representatives, in lexicographic order
+    distinct = _orbit_representatives(coords, eye, True)[0].tolist()
+    assert distinct == sorted(map(list, set(map(tuple, reps.tolist()))))
 
 
 @pytest.mark.parametrize("weights,deformation,rel_intensity", [
@@ -395,8 +415,9 @@ def test_orbit_reduction_matches_full_sweep(cap, monkeypatch, weights,
         I_ref = np.array([p.intensity for p in ref])
         assert np.max(np.abs(I - I_ref) / I_ref) <= rel_intensity
     # orbit members carry their representative's total, bitwise
-    reps = _orbit_representatives(np.array([p.k.coords for p in got]),
-                                  np.array(CAP_XI, dtype=np.int64))
+    reps, conj = _row_reps(np.array([p.k.coords for p in got]),
+                           np.array(CAP_XI, dtype=np.int64), True)
+    assert not conj.any()
     amps = {}
     for rep, p in zip(map(tuple, reps.tolist()), got):
         amps.setdefault(rep, set()).add(p.amplitude)
@@ -404,15 +425,151 @@ def test_orbit_reduction_matches_full_sweep(cap, monkeypatch, weights,
     assert len(amps) < len(got) / 5
 
 
+def _bits(z) -> list:
+    """The (real, imag) bit patterns of complex values: -0.0 is not 0.0."""
+    return list(map(tuple, np.asarray(z, dtype=complex).reshape(-1, 1)
+                    .view(np.uint64).tolist()))
+
+
+def _rows_swept(monkeypatch, model, **kw):
+    """peak_list, and the number of arguments its one sweep ran."""
+    calls = []
+    sweep = cocycle.FourierEvaluator.amplitude_batch
+
+    def spy(self, K, *args, **kwargs):
+        calls.append(len(K))
+        return sweep(self, K, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cocycle.FourierEvaluator, "amplitude_batch", spy)
+        peaks = peak_list(model, **kw)
+    assert len(calls) == 1
+    return peaks, calls[0]
+
+
+@pytest.mark.parametrize("name,radius,weights,deformation,swept", [
+    ("silver", 20.0, "equal", None, 3395),
+    ("silver", 20.0, "zero-central", "equal-lengths", 81),
+    ("silver_twisted", 20.0, "equal", "equal-lengths", 81),
+    ("cap", 0.6, "equal", None, 728),
+    ("cap", 0.6, "zero-central", None, 728),
+    ("cap", 0.6, (1, 2, 3, 4), None, 728),
+    ("cap", 0.6, "equal", "hat", 129)])
+def test_class_reduction_matches_full_sweep(monkeypatch, name, radius, weights,
+                                            deformation, swept):
+    """The class reduction against the full per-point sweep: the same rows
+    in the same order, class members bitwise equal up to the stated
+    conjugation, and Friedel pairs bitwise conjugate.
+
+    Amplitudes are bitwise equal where only Friedel's law shares sweeps,
+    and within 1e-14 of the brightest on sixfold orbits, whose
+    representative's argument differs from a member's by rounding.  On
+    argument keys the argument (c @ L.T) @ Q.T differs from
+    k_int - D^T k_phys by rounding: at most 4 ulps of the largest term
+    |B| |c| that the projections of c sum.  Each amplitude then differs
+    by at most 2 pi rho density sum_i |w_i| v_i times that difference plus
+    one such ulp (the representative's own rounding), and 1e-15 of the
+    brightest for the sweep's rounding: every window lies within
+    rho = default_cell_size(model, 0) of 0, so each window transform is
+    2 pi rho H_i(0)-Lipschitz.
+    """
+    model = builtin(name)
+    kw = dict(radius=radius, threshold=1e-6, weights=weights,
+              deformation=deformation)
+    got, rows = _rows_swept(monkeypatch, model, **kw)
+    ref = _full_sweep_peaks(monkeypatch, model, **kw)
+    assert rows == swept
+    coords = np.array([p.k.coords for p in got])
+    assert coords.tolist() == [list(p.k.coords) for p in ref]
+    A = np.array([p.amplitude for p in got])
+    A_ref = np.array([p.amplitude for p in ref])
+    d = model.deformations.get(deformation)
+    w = weight_vector(model, weights)
+    A_max = np.max(np.abs(A_ref))
+    if d is None:
+        assert np.max(np.abs(A - A_ref)) <= 1e-14 * A_max
+        if name != "cap":
+            assert np.array_equal(A, A_ref)
+    else:
+        L, Q = model.lattice.argument_lattice(d)
+        pts = model.lattice.points(coords)
+        q, q_ref = (coords @ L.T) @ Q.T, pts.arguments(d)
+        ulp = np.spacing(np.max(np.abs(coords) @ np.abs(model.lattice.dual_columns.T)))
+        dq = np.linalg.norm(q - q_ref, axis=1)
+        assert dq.max() <= 4 * ulp
+        lipschitz = 2 * np.pi * windows.default_cell_size(model, 0) \
+            * model.density * np.sum(np.abs(w) * model.evaluator.right)
+        assert np.all(np.abs(A - A_ref) <= lipschitz * (dq + ulp) + 1e-15 * A_max)
+    # class members carry one total, conjugated where the class says so
+    keys, action, friedel, _ = _class_keys(model, coords, np.zeros(model.dim),
+                                           w, d)
+    _, inverse, conj = _orbit_representatives(keys, action, friedel)
+    total = np.where(conj, A.conj(), A)
+    for c in np.unique(inverse):
+        assert len(set(_bits(total[inverse == c]))) == 1
+    # Friedel pairs: -k carries the conjugate of k's total, bitwise, unless
+    # a non-conjugating element (xi^3 = -1 for cap) pairs them
+    row = {c: i for i, c in enumerate(map(tuple, coords.tolist()))}
+    pairs = [(i, row[tuple(-x for x in c)]) for c, i in row.items()
+             if tuple(-x for x in c) in row and any(keys[i])]
+    assert len(pairs) > len(got) / 2 or not keys.any()  # twisted: all at 0
+    for i, j in pairs:
+        expect = A[i] if conj[i] == conj[j] else A[i].conjugate()
+        assert _bits(A[j]) == _bits(expect)
+    assert not (name == "cap" and conj.any())
+
+
+def test_conjugated_zero_imaginary_part(monkeypatch, tmp_path):
+    """The conjugate of an exact +0 imaginary part is -0: with real totals
+    every conjugated row has imaginary part -0, which the CSV writes as
+    ``-0``, and still equals the full sweep's +0."""
+    sweep = cocycle.FourierEvaluator.amplitude_batch
+
+    def real_sweep(self, *args, **kwargs):
+        return sweep(self, *args, **kwargs).real + 0j
+
+    silver = builtin("silver")
+    with monkeypatch.context() as m:
+        m.setattr(cocycle.FourierEvaluator, "amplitude_batch", real_sweep)
+        got = peak_list(silver, radius=3.0, threshold=1e-6)
+        ref = _full_sweep_peaks(monkeypatch, silver, radius=3.0,
+                                threshold=1e-6)
+    assert [p.k.coords for p in got] == [p.k.coords for p in ref]
+    assert [p.amplitude for p in got] == [p.amplitude for p in ref]
+    coords = np.array([p.k.coords for p in got])
+    w = weight_vector(silver, "equal")
+    keys, action, friedel, _ = _class_keys(silver, coords, [0.0], w, None)
+    conj = _orbit_representatives(keys, action, friedel)[2]
+    negative = np.signbit([p.amplitude.imag for p in got])
+    assert conj.sum() > 10 and np.array_equal(negative, conj)
+    assert not np.signbit([p.amplitude.imag for p in ref]).any()
+    peaks_to_csv(got, tmp_path / "got.csv")
+    im = [line.split(",")[7] for line in
+          (tmp_path / "got.csv").read_text().splitlines()[1:]]
+    assert im == ["-0" if c else "0" for c in conj]
+
+
+def test_complex_weights_take_no_conjugate(cap):
+    w = weight_vector(cap, [1 + 1j] * 4)
+    coords = enumerate_module(cap.lattice, [0, 0], 0.3, 3.0).coords
+    assert not _class_keys(cap, coords, [0, 0], w, None)[2]
+    assert _class_keys(cap, coords, [0, 0], w.real + 0j, None)[2]
+    assert not _class_keys(cap, coords, [0.1, 0], w.real + 0j, None)[2]
+
+
 def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
                                deformation=None):
     """Every peak carries the unpruned weighted sweep's total at its own
     argument, bitwise, and the product path's total w.C_n(k)v, normalized
-    by C_n(0)v, to 1e-14 of the brightest amplitude."""
+    by C_n(0)v, to 1e-14 of the brightest amplitude.  The argument is
+    (c @ L.T) @ Q.T for a deformation with an argument lattice."""
     n = model.default_iters
     pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
     d = model.deformations.get(deformation, deformation)
     args, w = pts.arguments(d), weight_vector(model, weights)
+    if d is not None and d.image_lattice:
+        L, Q = model.lattice.argument_lattice(d)
+        args = (pts.coords @ L.T) @ Q.T
     totals = model.evaluator.amplitude_batch(args, n, weights=w)
     coords = list(map(tuple, pts.coords.tolist()))
     full = dict(zip(coords, totals.tolist()))
@@ -439,9 +596,15 @@ def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
     # D = 1/4: linear, so D^T xi_phys = xi_phys D^T != xi_int D^T
     ("cap", (0.0, 0.0), 0.4, "equal", DeformationMap(
         "quarter", ((Surd.rational(Fraction(1, 4)), Surd()),
-                    (Surd(), Surd.rational(Fraction(1, 4))))))])
+                    (Surd(), Surd.rational(Fraction(1, 4)))))),
+    # complex weights: no Friedel pairs either
+    ("silver", (0.0,), 2.0, (1, 1j), None),
+    ("silver", (0.0,), 2.0, (1, 1j), "equal-lengths")])
 def test_trivial_orbit_matches_full_sweep_bitwise(name, center, radius,
                                                   weights, deformation):
+    """No sixfold orbit: each peak is bitwise the unpruned sweep at its own
+    argument, also where Friedel's law or an argument lattice shares one
+    sweep between several points."""
     model = {"perturbed": _perturbed_cap,
              "antilinear": lambda: _cap_variant(antilinear=True)}.get(
                  name, lambda: builtin(name))()

@@ -226,3 +226,30 @@ def test_patch_csv(tmp_path, silver):
     assert lines[0] == "type,x,y"
     assert len(lines) == len(patch) + 1
     assert lines[1].startswith("a,")
+
+
+def _csv_formatting_every_y(patch, path, model=None):
+    """The former writer, which formatted the constant 1d y too."""
+    labels = model.tile_labels if model is not None else None
+    pos = patch.positions_phys()
+    ys = pos[:, 1] if pos.shape[1] == 2 else np.zeros(len(pos))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("type,x,y\n")
+        fh.writelines(
+            f"{labels[ty] if labels else ty},{format(x, '.17g')},{format(y, '.17g')}\n"
+            for ty, x, y in zip(patch.tile_types.tolist(), pos[:, 0].tolist(),
+                                ys.tolist()))
+
+
+@pytest.mark.parametrize("name,steps", [("silver", 12), ("cap", 2)])
+def test_patch_csv_bytes(tmp_path, name, steps):
+    """The literal 1d y column writes the same bytes as formatting 0.0."""
+    model = builtin(name)
+    patch = inflate(seed_patch(model), model, steps)
+    for labelled in (model, None):
+        patch_to_csv(patch, tmp_path / "new.csv", model=labelled)
+        _csv_formatting_every_y(patch, tmp_path / "old.csv", model=labelled)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+    if name == "silver":
+        assert len(patch) == 47321

@@ -221,6 +221,23 @@ def test_verify_window_volume():
     assert status(wrong)["window-volume"] == "FAIL"
 
 
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap"])
+def test_verify_argument_lattice(name):
+    """Every deformation with an image lattice is checked, and a lattice
+    that holds the arguments only at half-integer coordinates fails."""
+    model = builtin(name)
+    (d,) = [d for d in model.deformations.values() if d.image_lattice]
+    checks = {c.name: c for c in verification_suite(model)}
+    ok = checks["deformed-argument-lattice"]
+    assert ok.status == "PASS" and f"{d.name}: L integral" in ok.detail
+    half = dataclasses.replace(d, image_lattice=tuple(2 * g for g in d.image_lattice))
+    wrong = dataclasses.replace(model, deformations={d.name: half})
+    bad = {c.name: c for c in verification_suite(wrong)}["deformed-argument-lattice"]
+    assert bad.status == "FAIL" and "not integer combinations" in bad.detail
+    assert "deformed-argument-lattice" not in {
+        c.name for c in verification_suite(builtin("casper_scaffold"))}
+
+
 def test_density_metadata_exact():
     # dens(lattice) * vol(W) equals the stored density, exactly in surds
     silver_check = Surd.root(2, Fraction(1, 4)) * Surd({1: 1, 2: 1})
