@@ -53,7 +53,7 @@ peaks_to_svg(peaks0, OUT / "cap_zero_central.svg")
 print("\n== hat deformation: lattice-periodic diffraction ==")
 hat = cap.deformations["hat"]
 resid = periodicity_residual(cap, hat, "equal", n_samples=30, n=30)
-gens = [p.embed_phys() for p in hat.periods]
+gens = cap.lattice.periods(hat).k_phys      # derived from the rows of D
 print(f"period generators {gens[0].round(9)} and {gens[1].round(9)}; "
       f"max |I(k+p) - I(k)| = {resid:.3g}")
 hat_peaks = peak_list(cap, radius=0.6, threshold=1e-6, weights="equal",

@@ -3,7 +3,7 @@
 Everything that does not need the displacement matrix runs out of the
 box: the quartic field, the rank-4 lattice with |det B| = 3645, the dual
 (Fourier-module) generators, and the three deformation targets with
-their period lattices.  Supplying a displacement JSON file as the first
+the period lattices derived from their matrices.  Supplying a displacement JSON file as the first
 argument (or via TILEDIFF_CASPR_DATA) unlocks the diffraction sweep.
 
 Run:  python3 demos/demo_spectre.py [displacement.json]
@@ -30,12 +30,13 @@ print(f"|det B|^2 = {lat.gram_det} (so the lattice density is 1/{lat.covolume:.0
 print("dual generator physical projections (columns):")
 print(np.array2string(lat.dual_columns[:2, :], precision=10))
 
-p_ht = casper.deformations["ht"].periods[0]
+# the first generator of each (Lagrange-reduced) period basis is a shortest one
+p_ht = lat.periods(casper.deformations["ht"]).k_phys[0]
 lam = 4 + S15
-print(f"\nht period length: {np.linalg.norm(p_ht.embed_phys()):.12f} "
+print(f"\nht period length: {np.linalg.norm(p_ht):.12f} "
       f"= sqrt((4*lam+5)/405) = {math.sqrt((4*lam+5)/405):.12f}")
-hexp = casper.deformations["hex"].periods[0]
-print(f"hex period length: {np.linalg.norm(hexp.embed_phys()):.12f} "
+hexp = lat.periods(casper.deformations["hex"]).k_phys[0]
+print(f"hex period length: {np.linalg.norm(hexp):.12f} "
       f"= sqrt15/45 = {S15/45:.12f}")
 print(f"documented squared density: {casper.density**2:.12g} "
       f"= (31 - 8 sqrt15)/972 = {(31-8*S15)/972:.12g}")
@@ -62,7 +63,7 @@ for name in ("hex", "ht", "spectre"):
                          deformation=name, n=10)
     peaks_to_svg(deformed, OUT / f"casper_{name}.svg")
     line = f"{name:8s}: {len(deformed)} peaks"
-    if casper.deformations[name].periods:
+    if len(lat.periods(casper.deformations[name])):
         resid = periodicity_residual(model, name, "equal", n_samples=20, n=25)
         line += f"; lattice-periodic, residual {resid:.3g}"
     print(line)

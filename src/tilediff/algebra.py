@@ -46,7 +46,7 @@ __all__ = [
     "fraction_solve",
     "fraction_matrix_inverse",
     "fraction_det",
-    "integer_solution",
+    "hermite_normal_form",
 ]
 
 
@@ -245,17 +245,30 @@ def fraction_det(a) -> Fraction:
     return _gauss_jordan(a, [()] * len(a))[1]
 
 
-def integer_solution(a, b) -> list | None:
-    """The integer matrix X with A X == B exactly, or None when there is
-    none.  A (m x r, m >= r) needs full column rank; the normal equations
-    A^T A X = A^T B then fix X over Q, and the exact product A X is
-    checked against B."""
-    at = tuple(zip(*a))
-    x, _ = _gauss_jordan(_mat_mul(at, a), _mat_mul(at, b))
-    if x is None or _mat_mul(a, x) != tuple(map(tuple, b)) \
-            or any(v.denominator != 1 for row in x for v in row):
-        return None
-    return [[int(v) for v in row] for row in x]
+def hermite_normal_form(a) -> tuple:
+    """Column Hermite normal form of a rational matrix A (m x r, as rows):
+    (H, U, rank) with A U == [H | 0], U unimodular (integer, det +-1) and H
+    in column echelon form with positive pivots and the entries left of
+    each pivot in [0, pivot), which makes H unique.  The last r - rank
+    columns of U span the integer kernel of A (Cohen 1993, section 2.4)."""
+    m, r = len(a), len(a[0])
+    # column j of A followed by column j of U, kept together under column ops
+    cols = [list(col) + [int(i == j) for i in range(r)]
+            for j, col in enumerate(zip(*a))]
+    k = 0
+    for i in range(m):
+        # Euclid on row i: the smallest entry pivots and reduces the others
+        while live := [j for j in range(k, r) if cols[j][i]]:
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            cols[k], cols[p] = cols[p], cols[k]
+            if cols[k][i] < 0:
+                cols[k] = [-x for x in cols[k]]
+            for j in range(r):
+                q = cols[j][i] // cols[k][i] if j != k else 0
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
+            k += len(live) == 1
+    return ([[c[i] for c in cols[:k]] for i in range(m)],
+            [[c[m + i] for c in cols] for i in range(r)], k)
 
 
 # ---------------------------------------------------------------------------

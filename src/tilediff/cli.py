@@ -134,9 +134,11 @@ def _resolve_deformation(model, spec: str):
                              "from-lengths:4-2*sqrt2,4-2*sqrt2")
         la, lb = (_parse_exact_length(p) for p in parts)
         try:
-            return diffraction.deformation_from_lengths(la, lb)
+            deformation = diffraction.deformation_from_lengths(la, lb)
+            model.lattice.periods(deformation)   # its exact data fit int64
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        return deformation
     if spec not in model.deformations:
         raise UsageError(
             f"model {model.name!r} has no deformation {spec!r}; "
@@ -215,12 +217,11 @@ def cmd_peaks(args) -> int:
     brightest = peaks[0].intensity if peaks else 0.0
     print(f"{len(peaks)} peaks with intensity >= {args.threshold:g}; "
           f"brightest {brightest:.9g}; wrote {base}.csv/.json/.svg in {outdir}")
-    if deformation is not None and deformation.periods:
+    if deformation is not None and len(periods := model.lattice.periods(deformation)):
         resid = diffraction.periodicity_residual(
             model, deformation, weights, n_samples=20, n=args.iters)
-        gens = "; ".join(
-            "(" + ", ".join(format(x, ".9g") for x in p.embed_phys()) + ")"
-            for p in deformation.periods)
+        gens = "; ".join("(" + ", ".join(format(x, ".9g") for x in p) + ")"
+                         for p in periods.k_phys)
         print(f"intensity is lattice-periodic: period generators {gens} "
               f"(max residual {resid:.3g})")
     return EXIT_OK

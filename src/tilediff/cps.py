@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (AlgebraicElement, FieldSpec, Surd, fraction_det,
-                      fraction_matrix_inverse, integer_solution, read_only)
+                      fraction_matrix_inverse, hermite_normal_form, read_only)
 
 __all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "dual_basis",
            "enumerate_module", "internal_argument", "MAX_CANDIDATES"]
@@ -144,64 +144,75 @@ class LatticeBasis:
                 read_only(np.array(cols, dtype=np.int64).T)
         return cache[x]
 
-    def argument_lattice(self, deformation) -> tuple:
-        """(L, Q) for a deformation with an ``image_lattice``: the cocycle
-        argument k_int - D^T k_phys of the dual point with coordinates c
-        is ``(c @ L.T) @ Q.T``, with L an int64 (rank_Q, rank) matrix and
-        Q the float (dim, rank_Q) columns of the lattice generators.
+    def _argument_map(self, deformation) -> tuple:
+        """(P, L, Ud, Q) of the argument map c -> k_int - D^T k_phys on dual
+        coordinates, from one exact pass, cached per deformation rows.
 
-        L is solved exactly: each coordinate of a dual generator's
-        argument and of a lattice generator is a :class:`Surd`, and the
-        square roots of distinct square-free integers are linearly
-        independent over Q, so splitting the coordinates by radicand gives
-        a rational system.  ValueError unless its solution is integral.
-        Cached per deformation on this basis, arrays read-only.
-        """
-        cache = self.__dict__.setdefault("_argument_lattices", {})
-        if deformation not in cache:
-            gens = [g.embed_phys_exact() for g in deformation.image_lattice]
-            if not gens:
-                raise ValueError(f"deformation {deformation.name!r} "
-                                 "documents no image lattice")
-            DT = tuple(zip(*deformation.rows))
+        Square roots of distinct square-free integers are linearly
+        independent over Q, so splitting the exact arguments of the dual
+        generators by (axis, radicand) gives a rational Phi with Phi c = 0
+        exactly when the argument of c is 0.  In its Hermite normal form
+        Phi U = [H | 0] the kernel columns of U are the periods (rows of P).
+        If rank Phi = dim, the arguments of Ud = U[:, :dim] generate a
+        lattice (columns of Q) and c has the argument (c @ L.T) @ Q.T, with
+        L the first dim rows of U^-1; else the arguments are dense and L, Ud
+        and Q are None.  Both bases are Lagrange-reduced."""
+        cache = self.__dict__.setdefault("_argument_maps", {})
+        if deformation.rows not in cache:
 
             def argument(b):        # k_int - D^T k_phys of b, exactly
-                phys = b.embed_phys_exact()
+                phys, DT = b.embed_phys_exact(), zip(*deformation.rows)
                 return tuple(s - sum((d * x for d, x in zip(row, phys)), Surd())
                              for s, row in zip(b.star().embed_phys_exact(), DT))
 
+            def evaluate(C):        # float arguments of the columns of C
+                return np.array([[float(sum((int(c) * v[axis] for c, v in
+                                             zip(col, args)), Surd()))
+                                  for col in C.T] for axis in range(self.dim)])
+
             args = [argument(b) for b in self.dual_generators]
-            terms = sorted({(axis, m) for v in gens + args
+            terms = sorted({(axis, m) for v in args
                             for axis, x in enumerate(v) for m in x.terms})
+            _, U, rank = hermite_normal_form([[v[axis].terms.get(m, 0) for v in args]
+                                              for axis, m in terms])
+            try:    # exact in Python ints; the int64 conversions check the range
+                U = np.array(U, dtype=object)
+                K = U[:, rank:]
+                U[:, rank:] = K @ _lagrange(self.points(K.T).k_phys.T)
+                L = Ud = Q = None
+                if rank == self.dim:
+                    U[:, :rank] = U[:, :rank] @ _lagrange(evaluate(U[:, :rank]))
+                    L = _int64(fraction_matrix_inverse(U.tolist())[:rank])
+                    Ud, Q = _int64(U[:, :rank]), read_only(evaluate(U[:, :rank]))
+                cache[deformation.rows] = (_int64(U[:, rank:].T), L, Ud, Q)
+            except OverflowError:
+                raise ValueError(f"deformation {deformation.name!r}: its periods or "
+                                 "argument lattice leave int64") from None
+        return cache[deformation.rows]
 
-            def split(vectors):     # rational rows, one per (axis, radicand)
-                return [[v[axis].terms.get(m, 0) for v in vectors]
-                        for axis, m in terms]
+    def periods(self, deformation) -> "ModuleSet":
+        """Generators of the period lattice (see :meth:`_argument_map`), dual
+        points with argument exactly 0 whose physical projections are periods
+        of the deformed intensity; the first is a shortest one."""
+        return self.points(self._argument_map(deformation)[0])
 
-            L = integer_solution(split(gens), split(args))
-            if L is None:
-                raise ValueError(f"the cocycle arguments of deformation "
-                                 f"{deformation.name!r} are not integer "
-                                 "combinations of its image lattice")
-            Q = np.column_stack([g.embed_phys() for g in deformation.image_lattice])
-            cache[deformation] = (read_only(np.array(L, dtype=np.int64)),
-                                  read_only(Q))
-        return cache[deformation]
+    def argument_lattice(self, deformation) -> tuple | None:
+        """(L, Q) when the arguments k_int - D^T k_phys of the dual points form
+        a lattice, else None (see :meth:`_argument_map`): the dual point c has
+        the argument ``(c @ L.T) @ Q.T``, with L int64 (dim, rank) and Q the
+        float (dim, dim) columns of the lattice generators; read-only."""
+        _, L, _, Q = self._argument_map(deformation)
+        return None if L is None else (L, Q)
 
     def argument_action(self, deformation, x: AlgebraicElement) -> np.ndarray | None:
         """Int64 matrix X of y -> x*y on the argument coordinates of
         :meth:`argument_lattice` (``keys @ X.T`` maps them): L R == X L
-        exactly, with R = :meth:`dual_action`, or None when no integer X
-        satisfies it.  Cached per (deformation, x) on this basis."""
-        cache = self.__dict__.setdefault("_argument_actions", {})
-        if (deformation, x) not in cache:
-            L = self.argument_lattice(deformation)[0]
-            R = self.dual_action(x)
-            X = None if R is None else integer_solution(L.T.tolist(),
-                                                        (L @ R).T.tolist())
-            cache[deformation, x] = None if X is None else \
-                read_only(np.array(X, dtype=np.int64).T)
-        return cache[deformation, x]
+        exactly, with R = :meth:`dual_action`, or None when there is no such
+        X or no argument lattice.  As L Ud = I, the one candidate is L R Ud."""
+        _, L, Ud, _ = self._argument_map(deformation)
+        R = self.dual_action(x)
+        X = None if L is None or R is None else L @ R @ Ud
+        return X if X is not None and np.array_equal(L @ R, X @ L) else None
 
     def __repr__(self):
         return f"LatticeBasis({self.field.name}, rank={self.rank})"
@@ -270,6 +281,26 @@ class ModuleSet:
             return self.k_int
         D = np.asarray(getattr(deformation, "matrix", deformation), float)
         return self.k_int - (D.T[None] @ self.k_phys[:, :, None])[:, :, 0]
+
+
+def _int64(a) -> np.ndarray:
+    """Read-only int64 copy of integers; OverflowError outside int64."""
+    return read_only(np.array(a, dtype=np.int64))
+
+
+def _lagrange(B: np.ndarray) -> np.ndarray:
+    """Unimodular V in Python ints (n x n, n = B.shape[1] <= 2) making the
+    columns of B @ V Lagrange-reduced: |b1| <= |b2|, 2|<b1, b2>| <= |b1|^2."""
+    V = np.eye(B.shape[1], dtype=int).astype(object)
+    while len(V) == 2:
+        b1, b2 = (B @ V.astype(float)).T
+        if b2 @ b2 < b1 @ b1:
+            V = V[:, ::-1]
+        elif mu := round(float(b1 @ b2 / (b1 @ b1))):
+            V[:, 1] -= mu * V[:, 0]
+        else:
+            break
+    return V
 
 
 def module_point(lattice: LatticeBasis, coords: Sequence[int]) -> ModulePoint:

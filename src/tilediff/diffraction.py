@@ -50,8 +50,8 @@ def weight_vector(model: ModelSpec, spec) -> np.ndarray:
     ``"equal"`` gives all ones.  ``"zero-central"`` gives the canonical
     extinction weights: (sqrt2, -1) for the silver models and the
     per-shape vector (0, 0, tau, -1) for cap.  A sequence of length
-    n_tiles is taken as is; a sequence of length n_tiles/orientations is
-    replicated across the orientations of each shape.  ValueError is
+    n_tiles is taken as is; for a model with orientations, a sequence of
+    one weight per shape is replicated across its orientations.  ValueError is
     raised when (density sum_i |w_i|)^2, which bounds every intensity and
     every step of the cocycle sweep, is not finite.
     """
@@ -70,8 +70,9 @@ def weight_vector(model: ModelSpec, spec) -> np.ndarray:
     if model.orientations and w.size * model.orientations == n:
         w = np.repeat(w, model.orientations)
     if w.shape != (n,):
-        raise ValueError(f"weight vector must have length {n} "
-                         f"(or {n}//orientations for per-shape weights)")
+        shapes = f" (or {n // model.orientations} per-shape weights)" \
+            if model.orientations else ""
+        raise ValueError(f"weight vector must have length {n}{shapes}")
     with np.errstate(over="ignore"):
         bound = (model.density * np.abs(w).sum()) ** 2
     if not np.isfinite(bound):
@@ -153,10 +154,10 @@ def _class_keys(model: ModelSpec, coords: np.ndarray, center, w: np.ndarray,
     """Int64 keys of a peak request's rows and the exact group that fixes
     the request, acting on them: (keys, action, friedel, Q).
 
-    With an ``image_lattice`` a row's key is the integer coordinate
-    vector ``c @ L.T`` of its argument (see ``argument_lattice``), whose
-    float argument is ``key @ Q.T``; otherwise the key is the module
-    coordinate vector c and Q is None.  ``action`` is xi where
+    When the arguments form a lattice (``LatticeBasis.argument_lattice``)
+    a row's key is the integer coordinate vector ``c @ L.T`` of its
+    argument, whose float argument is ``key @ Q.T``; otherwise the key is
+    the module coordinate vector c and Q is None.  ``action`` is xi where
     ``_orbit_action`` allows it, on argument keys the integer X with
     L R == X L, and the identity otherwise.  ``friedel`` adds -1 with
     conjugation when the centre is exactly 0 and the weights are real:
@@ -165,9 +166,10 @@ def _class_keys(model: ModelSpec, coords: np.ndarray, center, w: np.ndarray,
     """
     R = _orbit_action(model, center, w, deformation)
     friedel = not np.any(center) and not np.any(w.imag)
-    if deformation is None or not deformation.image_lattice:
+    if deformation is None or \
+            (lattice := model.lattice.argument_lattice(deformation)) is None:
         return coords, R, friedel, None
-    L, Q = model.lattice.argument_lattice(deformation)
+    L, Q = lattice
     X = None if np.array_equal(R, np.eye(len(R))) else \
         model.lattice.argument_action(deformation, model.field.gen("xi"))
     if X is None:
@@ -341,22 +343,17 @@ def symmetry_report(peaks: list, group: str) -> SymmetryGroupReport:
 def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
                          weights="equal", n_samples: int = 50,
                          n: int | None = None, seed: int = 0) -> float:
-    """Max |I(k+p) - I(k)| over catalog periods p and ``n_samples`` >= 1
+    """Max |I(k+p) - I(k)| over the period generators p of the deformation
+    (``LatticeBasis.periods``, derived from its rows) and ``n_samples`` >= 1
     random k in [-6, 6]^rank."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if isinstance(deformation, str):
         deformation = model.deformations[deformation]
-    if not deformation.periods:
-        raise ValueError(f"deformation {deformation.name!r} has no period catalog")
+    period_coords = model.lattice.periods(deformation).coords
+    if not len(period_coords):
+        raise ValueError(f"deformation {deformation.name!r} has no periods")
     w = weight_vector(model, weights)
-    dual = model.lattice.dual()
-    period_coords = []
-    for p in deformation.periods:
-        c = dual.integer_coords(p)
-        if c is None:
-            raise ValueError("period is not a Fourier-module point")
-        period_coords.append(np.array(c, dtype=np.int64))
     rng = np.random.default_rng(seed)
     rank = model.lattice.rank
     base = rng.integers(-6, 7, size=(n_samples, rank))

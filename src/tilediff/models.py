@@ -149,27 +149,19 @@ def _finite_star(i: int, j: int, t: AlgebraicElement) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeformationMap:
-    """Linear map from internal to physical space, with exact entries.
+    """Linear map D from internal to physical space, with exact entries.
 
-    ``periods`` lists field elements whose physical projections are
-    translation periods of the deformed diffraction intensity (present
-    for the lattice-projecting deformations).  ``image_lattice`` lists
-    generators of the discrete lattice containing every deformed cocycle
-    argument k_int - D^T k_phys, when documented.
+    The rows define the deformation: its periods and the lattice of its
+    cocycle arguments k_int - D^T k_phys are derived from them on a model's
+    lattice (``LatticeBasis.periods``, ``LatticeBasis.argument_lattice``).
     """
 
     name: str
     rows: tuple
-    periods: tuple = ()
-    image_lattice: tuple = ()
 
     @cached_property
     def matrix(self) -> np.ndarray:
         return read_only(np.array([[float(x) for x in row] for row in self.rows]))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -479,12 +471,7 @@ def _build_silver_model(twisted: bool) -> ModelSpec:
         entries = [[(one + one,), (z,)], [(z, one), (s2,)]]
     else:
         entries = [[(z,), (z,)], [(s2, lam), (s2,)]]
-    equal_lengths = DeformationMap(
-        name="equal-lengths",
-        rows=((Surd({1: 3, 2: -2}),),),
-        periods=(_el(SILVER, Fraction(1, 2), Fraction(1, 4)),),
-        image_lattice=(one - s2,),
-    )
+    equal_lengths = DeformationMap("equal-lengths", ((Surd({1: 3, 2: -2}),),))
     return ModelSpec(
         name="silver_twisted" if twisted else "silver",
         field=SILVER,
@@ -512,18 +499,9 @@ def _build_cap_model() -> ModelSpec:
     u2 = _el(CAP, 1, 2, 1, -1)
     u3 = xi * u1
     u4 = xi * u2
-    q = (tau - 2 + 3 * xi) / 12
-    i15 = (2 * tau - 1) * (2 * xi - 1)           # i*sqrt15, star-fixed
-    p_hat = (1 + xi) * (tau - xi) ** 3 * i15 / 45
-    hat = DeformationMap(
-        name="hat",
-        rows=(
-            (Surd({1: Fraction(-11, 16)}), Surd({15: Fraction(3, 16)})),
-            (Surd({15: Fraction(3, 16)}), Surd({1: Fraction(11, 16)})),
-        ),
-        periods=(p_hat, xi * p_hat),
-        image_lattice=(q, xi * q),
-    )
+    hat = DeformationMap("hat", (
+        (Surd({1: Fraction(-11, 16)}), Surd({15: Fraction(3, 16)})),
+        (Surd({15: Fraction(3, 16)}), Surd({1: Fraction(11, 16)}))))
     labels = tuple(f"{s}{o}" for s in "abcd" for o in range(6))
     return ModelSpec(
         name="cap",
@@ -551,37 +529,20 @@ def _build_casper_model() -> ModelSpec:
     g2 = xi * g1
     g3 = _el(SPECTRE, -2, 1, 2, 2)
     g4 = _el(SPECTRE, -2, -2, -1, 2)
-    lam15 = _el(SPECTRE, -4, 0, 1, 0)            # sqrt15 = lam - 4
-    i5 = _el(SPECTRE, Fraction(4, 3), Fraction(-8, 3), Fraction(-1, 3),
-             Fraction(2, 3))                     # i*sqrt5
-    hex_period = lam15 / 45
-    ht_period = (SPECTRE.rational(5) + 2 * lam15 - 2 * i5) / 45
     deformations = {
-        "hex": DeformationMap(
-            name="hex",
-            rows=((Surd.rational(-1), Surd.rational(0)),
-                  (Surd.rational(0), Surd.rational(1))),
-            periods=(hex_period, xi * hex_period),
-        ),
-        "ht": DeformationMap(
-            name="ht",
-            rows=(
-                (Surd({15: Fraction(44, 201), 1: Fraction(-231, 201)}),
-                 Surd({3: Fraction(80, 201), 5: Fraction(-84, 201)})),
-                (Surd({3: Fraction(80, 201), 5: Fraction(-84, 201)}),
-                 Surd({1: Fraction(231, 201), 15: Fraction(-44, 201)})),
-            ),
-            periods=(ht_period, xi * ht_period),
-        ),
-        "spectre": DeformationMap(
-            name="spectre",
-            rows=(
-                (Surd({5: Fraction(1, 2), 3: Fraction(-5, 6)}),
-                 Surd({1: Fraction(1, 2), 15: Fraction(-1, 6)})),
-                (Surd({1: Fraction(1, 2), 15: Fraction(-1, 6)}),
-                 Surd({5: Fraction(-1, 2), 3: Fraction(5, 6)})),
-            ),
-        ),
+        "hex": DeformationMap("hex", (
+            (Surd.rational(-1), Surd.rational(0)),
+            (Surd.rational(0), Surd.rational(1)))),
+        "ht": DeformationMap("ht", (
+            (Surd({15: Fraction(44, 201), 1: Fraction(-231, 201)}),
+             Surd({3: Fraction(80, 201), 5: Fraction(-84, 201)})),
+            (Surd({3: Fraction(80, 201), 5: Fraction(-84, 201)}),
+             Surd({1: Fraction(231, 201), 15: Fraction(-44, 201)})))),
+        "spectre": DeformationMap("spectre", (
+            (Surd({5: Fraction(1, 2), 3: Fraction(-5, 6)}),
+             Surd({1: Fraction(1, 2), 15: Fraction(-1, 6)})),
+            (Surd({1: Fraction(1, 2), 15: Fraction(-1, 6)}),
+             Surd({5: Fraction(-1, 2), 3: Fraction(5, 6)})))),
     }
     labels = tuple(f"t{i:02d}" for i in range(54))
     rho = (1 - xi + SPECTRE.gen("lam")) / 3      # expansion, applied antilinearly

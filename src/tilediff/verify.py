@@ -59,9 +59,7 @@ def verification_suite(model: ModelSpec, seed: int = 0) -> list:
             vol * vol == lat.gram_det * model.density_sq.embed_phys_exact()[0],
             f"documented volume {float(vol):.12g} = density x covolume, exactly"))
 
-    checks.append(_periods_check(model))
-    if any(d.image_lattice for d in model.deformations.values()):
-        checks.append(_image_lattice_check(model, seed))
+    checks += _deformation_checks(model, seed)
     if model.name == "cap":
         checks.append(_fourier_module_check_cap(model))
     if f.name == "spectre":
@@ -112,46 +110,31 @@ def verification_suite(model: ModelSpec, seed: int = 0) -> list:
     return checks
 
 
-def _periods_check(model: ModelSpec) -> Check:
-    dual = model.lattice.dual()
-    bad = []
-    any_periods = False
+def _deformation_checks(model: ModelSpec, seed: int) -> list:
+    """The derived periods lie in the deformation kernel in floats,
+    |p_int - D^T p_phys| < 1e-10, which makes the deformed intensity
+    lattice-periodic; and where the arguments form a lattice,
+    (c @ L.T) @ Q.T matches k_int - D^T k_phys at 200 seeded points."""
+    lat = model.lattice
+    coords = np.random.default_rng(seed).integers(-10, 11, size=(200, lat.rank))
+    kernel, lattices, worst = [], [], 0.0
     for name, d in model.deformations.items():
-        DT = d.matrix.T
-        for p in d.periods:
-            any_periods = True
-            if dual.integer_coords(p) is None:
-                bad.append(name)
-            # kernel property: deformed argument of a period vanishes,
-            # which makes the deformed intensity exactly lattice-periodic
-            if float(np.linalg.norm(p.embed_int() - DT @ p.embed_phys())) > 1e-10:
-                bad.append(name)
-    if not any_periods:
-        return Check("deformation-periods", SKIP, "no periods documented")
-    return _check("deformation-periods", not bad,
-                  "catalog periods are module points in the deformation kernel")
-
-
-def _image_lattice_check(model: ModelSpec, seed: int) -> Check:
-    """Each deformation's cocycle arguments are integer combinations of its
-    image lattice, exactly (L is integral), and (c @ L.T) @ Q.T matches
-    k_int - D^T k_phys in floats at 200 seeded points."""
-    rng = np.random.default_rng(seed)
-    coords = rng.integers(-10, 11, size=(200, model.lattice.rank))
-    details, worst = [], 0.0
-    for name, d in model.deformations.items():
-        if not d.image_lattice:
-            continue
-        try:
-            L, Q = model.lattice.argument_lattice(d)
-        except ValueError as exc:
-            return _check("deformed-argument-lattice", False, str(exc))
-        args = model.lattice.points(coords).arguments(d)
-        worst = max(worst, float(np.max(np.abs((coords @ L.T) @ Q.T - args))))
-        details.append(f"{name}: L integral ({L.shape[0]}x{L.shape[1]})")
-    return _check("deformed-argument-lattice", worst < 1e-10,
-                  f"{', '.join(details)}; max float residual {worst:.3g} "
-                  "over 200 points")
+        kernel.extend(np.linalg.norm(lat.periods(d).arguments(d), axis=1))
+        if (lattice := lat.argument_lattice(d)) is not None:
+            (L, Q), args = lattice, lat.points(coords).arguments(d)
+            worst = max(worst, float(np.max(np.abs((coords @ L.T) @ Q.T - args))))
+            lattices.append(f"{name}: L {L.shape[0]}x{L.shape[1]}")
+    if not kernel:
+        checks = [Check("deformation-periods", SKIP, "no deformation has periods")]
+    else:
+        checks = [_check("deformation-periods", max(kernel) < 1e-10,
+                         "derived periods lie in the deformation kernel "
+                         f"(max |p_int - D^T p_phys| {max(kernel):.3g})")]
+    if lattices:
+        checks.append(_check("deformed-argument-lattice", worst < 1e-10,
+                             f"{', '.join(lattices)}; max float residual "
+                             f"{worst:.3g} over 200 points"))
+    return checks
 
 
 def _fourier_module_check_cap(model: ModelSpec) -> Check:
@@ -184,9 +167,10 @@ def _module_equality_check(model: ModelSpec, alt_gens) -> Check:
 
 
 def _ht_constant_check(model: ModelSpec) -> Check:
-    """Squared period length of the ht deformation, exactly and in floats."""
+    """Squared length of the shortest derived ht period, exactly and in
+    floats."""
     f = model.field
-    p = model.deformations["ht"].periods[0]
+    p = model.lattice.periods(model.deformations["ht"])[0].element
     sq = p * p.conj()
     expect = f.element([Fraction(5, 405), 0, Fraction(4, 405), 0])
     lam = 4.0 + math.sqrt(15.0)

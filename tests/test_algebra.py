@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tilediff.algebra import (CAP, FIELDS, SILVER, SPECTRE, FieldMismatchError,
                               FieldSpec, Generator, Surd, fraction_det,
-                              fraction_matrix_inverse, fraction_solve)
+                              fraction_matrix_inverse, fraction_solve,
+                              hermite_normal_form)
 
 S2 = math.sqrt(2.0)
 
@@ -213,6 +214,29 @@ def test_fraction_linalg():
     assert fraction_det(singular) == 0
     with pytest.raises(ZeroDivisionError, match="singular"):
         fraction_solve(singular, [[Fraction(1)], [Fraction(0)]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_hermite_normal_form(m, r, data):
+    """A U == [H | 0] with U unimodular, H in echelon form with positive
+    pivots and reduced entries left of them, and H depends only on the
+    column lattice of A."""
+    A = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=r, max_size=r),
+                           min_size=m, max_size=m))
+    H, U, rank = hermite_normal_form(A)
+    assert rank == np.linalg.matrix_rank(np.array(A, dtype=float))
+    assert abs(fraction_det(U)) == 1
+    assert (np.array(A) @ np.array(U)).tolist() == [row + [0] * (r - rank) for row in H]
+    pivots = [next(i for i in range(m) if H[i][j]) for j in range(rank)]
+    assert pivots == sorted(set(pivots))
+    for j, i in enumerate(pivots):
+        assert H[i][j] > 0 and all(0 <= H[i][c] < H[i][j] for c in range(j))
+        assert not any(H[k][j] for k in range(i))
+    # a unimodular change of the columns of A leaves H as it is
+    V = -np.eye(r, dtype=int)
+    V[0, 1:] = 5
+    assert hermite_normal_form((np.array(A) @ V).tolist())[0] == H
 
 
 def test_exact_physical_embedding():

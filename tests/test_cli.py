@@ -78,11 +78,24 @@ def test_peaks_deformation_summary(tmp_path, capsys, monkeypatch):
 
 
 def test_peaks_from_lengths_exact(tmp_path, capsys, monkeypatch):
+    """from-lengths has its rows' periods and classes: the lengths of
+    equal-lengths write the preset's CSV and period line, and D = 0
+    (lengths sqrt2 and 1) has dense arguments and prints no period line."""
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
-    code, out, _ = run(["peaks", "--model", "silver", "--deformation",
-                        "from-lengths:4-2*sqrt2,4-2*sqrt2", "--radius", "1",
-                        "--threshold", "1e-4", "--iters", "20"], capsys)
-    assert code == 0
+    lines = {}
+    for base, spec in [("preset", "equal-lengths"),
+                       ("lengths", "from-lengths:4-2*sqrt2,4-2*sqrt2"),
+                       ("zero", "from-lengths:sqrt2,1")]:
+        code, out, _ = run(["peaks", "--model", "silver", "--deformation", spec,
+                            "--radius", "1", "--threshold", "1e-4", "--iters",
+                            "20", "--out", base], capsys)
+        assert code == 0
+        lines[base] = out.splitlines()
+    assert (tmp_path / "lengths.csv").read_bytes() == \
+        (tmp_path / "preset.csv").read_bytes()
+    assert lines["lengths"][1:] == lines["preset"][1:]
+    assert "period generators (0.853553391)" in lines["preset"][1]
+    assert len(lines["zero"]) == 1
 
 
 def test_peaks_from_lengths_rejects_decimals(capsys):
@@ -101,6 +114,18 @@ def test_peaks_from_lengths_rejects_malformed(lengths, tmp_path, capsys,
                           f"from-lengths:{lengths}"], capsys)
     assert code == 1
     assert "usage error" in err and "cannot parse length" in err
+    assert not out and not any(tmp_path.iterdir())
+
+
+def test_peaks_from_lengths_beyond_int64(tmp_path, capsys, monkeypatch):
+    """D = (1 + 2t^2 + 2t sqrt2) / (1 - 2t^2) at t = -1e-30 has one period,
+    with dual coordinates near 5e29: a usage error, not a traceback."""
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    q = 5 * 10 ** 59 - 1
+    lengths = f"{2 * 10 ** 30}/{q}-2/{q}*sqrt2,{10 ** 60}/{q}-{10 ** 30}/{q}*sqrt2"
+    code, out, err = run(["peaks", "--model", "silver", "--deformation",
+                          f"from-lengths:{lengths}"], capsys)
+    assert code == 1 and "leave int64" in err
     assert not out and not any(tmp_path.iterdir())
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tilediff import cps
-from tilediff.algebra import SPECTRE, fraction_solve
+from tilediff.algebra import (CAP, SILVER, SPECTRE, Surd, fraction_solve,
+                              hermite_normal_form)
 from tilediff.cps import (LatticeBasis, dual_basis, enumerate_module,
                           internal_argument, module_point)
 from tilediff.models import builtin
@@ -289,9 +290,85 @@ def test_internal_argument_silver(silver):
     assert np.allclose(internal_argument(k, zero), k.k_int)
 
 
+# The period and argument-lattice generators once written out by hand in
+# the model catalog, now derived from each deformation's rows.
+_TAU, _XI = CAP.gen("tau"), CAP.gen("xi")
+_Q_HAT = (_TAU - 2 + 3 * _XI) / 12
+_P_HAT = (1 + _XI) * (_TAU - _XI) ** 3 * (2 * _TAU - 1) * (2 * _XI - 1) / 45
+_SQRT15 = SPECTRE.element([-4, 0, 1, 0])                     # lam - 4
+_I5 = SPECTRE.element([Fraction(4, 3), Fraction(-8, 3), Fraction(-1, 3),
+                       Fraction(2, 3)])                     # i*sqrt5
+_HEX = _SQRT15 / 45
+_HT = (5 + 2 * _SQRT15 - 2 * _I5) / 45
+_SXI = SPECTRE.gen("xi")
+_SILVER_EQUAL = ((SILVER.element([Fraction(1, 2), Fraction(1, 4)]),),
+                 (1 - SILVER.gen("sqrt2"),))
+DOCUMENTED = {   # (model, deformation): (periods, argument lattice or None)
+    ("silver", "equal-lengths"): _SILVER_EQUAL,
+    ("silver_twisted", "equal-lengths"): _SILVER_EQUAL,
+    ("cap", "hat"): ((_P_HAT, _XI * _P_HAT), (_Q_HAT, _XI * _Q_HAT)),
+    ("casper_scaffold", "hex"): ((_HEX, _SXI * _HEX), None),
+    ("casper_scaffold", "ht"): ((_HT, _SXI * _HT), None),
+}
+
+
+def _exact_argument(lat, d, coords) -> tuple:
+    """k_int - D^T k_phys of the dual point with these coordinates, in Surds."""
+    e = module_point(lat, coords).element
+    phys = e.embed_phys_exact()
+    return tuple(s - sum((x * y for x, y in zip(row, phys)), Surd())
+                 for s, row in zip(e.star().embed_phys_exact(), zip(*d.rows)))
+
+
+def _lattice_hnf(vectors) -> list:
+    """Column Hermite normal form of the lattice spanned by Surd vectors,
+    split by (axis, radicand): two sets span the same lattice exactly when
+    each lies in the other's span, that is when these forms are equal."""
+    terms = sorted({(a, m) for v in vectors for a, x in enumerate(v)
+                    for m in x.terms})
+    cols = [[v[a].terms.get(m, Fraction(0)) for a, m in terms] for v in vectors]
+    scale = math.lcm(*(x.denominator for col in cols for x in col))
+    return terms, hermite_normal_form([[int(x * scale) for x in row]
+                                       for row in zip(*cols)])[0]
+
+
+@pytest.mark.parametrize("name,deformation", sorted(DOCUMENTED))
+def test_derived_lattices_equal_documented(name, deformation):
+    """The periods and the argument lattice derived from the rows span
+    exactly the documented lattices, both inclusions checked exactly."""
+    model = builtin(name)
+    d = model.deformations[deformation]
+    lat = model.lattice
+    periods, image = DOCUMENTED[name, deformation]
+    derived = lat.periods(d).coords
+    assert derived.dtype == np.int64 and not derived.flags.writeable
+    documented = [lat.dual().integer_coords(p) for p in periods]
+    assert hermite_normal_form(derived.T.tolist())[0] \
+        == hermite_normal_form(np.array(documented).T.tolist())[0]
+    L, Q = lat.argument_lattice(d)
+    assert L.shape == (model.dim, lat.rank) and Q.shape == (model.dim,) * 2
+    # the derived generators are the arguments of c_i with L c_i = e_i
+    _, U, rank = hermite_normal_form(L.tolist())
+    right = np.array(U)[:, :rank]
+    assert np.array_equal(L @ right, np.eye(model.dim))
+    gens = [_exact_argument(lat, d, c) for c in right.T.tolist()]
+    assert np.allclose([[float(x) for x in g] for g in gens], Q.T,
+                       rtol=0, atol=1e-15)
+    if image is not None:
+        assert _lattice_hnf(gens) == _lattice_hnf([g.embed_phys_exact()
+                                                   for g in image])
+
+
+def test_spectre_arguments_are_dense(casper):
+    """rank Phi = 4 > dim: no periods and no argument lattice."""
+    d = casper.deformations["spectre"]
+    assert len(casper.lattice.periods(d)) == 0
+    assert casper.lattice.argument_lattice(d) is None
+
+
 def test_hat_argument_lattice(cap):
     d = cap.deformations["hat"]
-    Q = np.column_stack([g.embed_phys() for g in d.image_lattice])
+    _, Q = cap.lattice.argument_lattice(d)
     DT = d.matrix.T
     rng = np.random.default_rng(11)
     cols = cap.lattice.dual_columns
@@ -304,13 +381,12 @@ def test_hat_argument_lattice(cap):
 
 
 @pytest.mark.parametrize("name,deformation,expect", [
-    ("cap", "hat", [[0, 1, 1, -3], [1, -3, -1, 2]]),
+    ("cap", "hat", [[-1, 3, 1, -2], [1, -2, 0, -1]]),
     ("silver", "equal-lengths", [[-1, 1]]),
     ("silver_twisted", "equal-lengths", [[-1, 1]])])
 def test_argument_lattice_is_exact(name, deformation, expect):
-    """L is solved in rationals: a documented lattice that misses the
-    arguments, by 1e-15 or by half a step, raises, where rounding a float
-    solve would return an integer matrix for both."""
+    """The lattice is derived in rationals: rows that miss it by 1e-15 make
+    the arguments dense, where a float rank test would keep the lattice."""
     model = builtin(name)
     d = model.deformations[deformation]
     lat = model.lattice
@@ -323,12 +399,8 @@ def test_argument_lattice_is_exact(name, deformation, expect):
                          - lat.points(coords).arguments(d))) < 1e-12
     rows = ((d.rows[0][0] + Fraction(1, 10 ** 15),) + d.rows[0][1:],) + d.rows[1:]
     near = dataclasses.replace(d, rows=rows)
-    half = dataclasses.replace(d, image_lattice=tuple(2 * g for g in d.image_lattice))
-    for bad in (near, half):
-        with pytest.raises(ValueError, match="not integer combinations"):
-            lat.argument_lattice(bad)
-    with pytest.raises(ValueError, match="no image lattice"):
-        lat.argument_lattice(dataclasses.replace(d, image_lattice=()))
+    assert lat.argument_lattice(near) is None
+    assert len(lat.periods(near)) == 0
 
 
 def test_argument_action_of_xi_on_hat(cap):
@@ -338,7 +410,6 @@ def test_argument_action_of_xi_on_hat(cap):
     X = cap.lattice.argument_action(d, xi)
     R = cap.lattice.dual_action(xi)
     assert X.tolist() == [[1, 1], [-1, 0]] and np.array_equal(L @ R, X @ L)
-    assert cap.lattice.argument_action(d, xi) is X
     # the transpose is no action: rows would not map to rows
     assert not np.array_equal(L @ R, X.T @ L)
     # xi_int turns the arguments by -60 degrees, exactly on the keys
@@ -348,22 +419,18 @@ def test_argument_action_of_xi_on_hat(cap):
     c, s = 0.5, S3 / 2
     assert np.allclose(turned, args @ np.array([[c, -s], [s, c]]))
     assert np.array_equal((coords @ R.T) @ L.T, (coords @ L.T) @ X.T)
-
-
-@pytest.mark.parametrize("deformation", ["hex", "ht"])
-def test_casper_period_lattices(casper, deformation):
-    # the documented period generators are exact Fourier-module points
-    d = casper.deformations[deformation]
-    dual = casper.lattice.dual()
-    for p in d.periods:
-        assert dual.integer_coords(p) is not None
+    # tau does not act on the hat arguments, and dense arguments take none
+    assert cap.lattice.argument_action(d, cap.field.gen("tau")) is None
+    quarter = dataclasses.replace(d, rows=((Surd.rational(Fraction(1, 4)), Surd()),
+                                           (Surd(), Surd.rational(Fraction(1, 4)))))
+    assert cap.lattice.argument_action(quarter, xi) is None
 
 
 @pytest.mark.parametrize("name,defs", [("silver", ["equal-lengths"]),
                                        ("cap", ["hat"]),
                                        ("casper_scaffold", ["hex", "ht"])])
 def test_periods_lie_in_deformation_kernel(name, defs):
-    """Period generators satisfy p_int = D^T p_phys.
+    """Period generators satisfy p_int = D^T p_phys, exactly and in floats.
 
     This is why the deformed argument map factors through a rank-2
     quotient and the deformed intensities are exactly lattice-periodic.
@@ -371,20 +438,24 @@ def test_periods_lie_in_deformation_kernel(name, defs):
     model = builtin(name)
     for dname in defs:
         d = model.deformations[dname]
-        for p in d.periods:
-            resid = np.linalg.norm(p.embed_int() - d.matrix.T @ p.embed_phys())
-            assert resid < 1e-10
+        periods = model.lattice.periods(d)
+        assert len(periods) == model.dim
+        assert np.max(np.linalg.norm(periods.arguments(d), axis=1)) < 1e-10
+        for c in periods.coords.tolist():
+            assert not any(_exact_argument(model.lattice, d, c))
 
 
 def test_ht_lattice_constant_exact(casper):
     f = casper.field
-    p = casper.deformations["ht"].periods[0]
+    periods = casper.lattice.periods(casper.deformations["ht"])
+    lengths = np.linalg.norm(periods.k_phys, axis=1)
+    assert lengths[0] <= lengths.min() + 1e-15      # the first is a shortest
+    p = periods[0].element
     sq = p * p.conj()
     assert sq.coords == f.element(
         [Fraction(1, 81), 0, Fraction(4, 405), 0]).coords
     lam = 4 + S15
-    assert abs(np.linalg.norm(p.embed_phys())
-               - math.sqrt((4 * lam + 5) / 405)) < 1e-12
+    assert abs(lengths.min() - math.sqrt((4 * lam + 5) / 405)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["cap", "casper_scaffold"])

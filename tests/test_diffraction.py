@@ -49,8 +49,11 @@ def test_weight_vectors(silver, cap):
     # per-shape replication and full-length pass-through
     assert np.allclose(weight_vector(cap, [1, 2, 3, 4])[6:12], 2)
     assert np.allclose(weight_vector(cap, np.ones(24)), 1)
-    with pytest.raises(ValueError):
+    # the length error names the per-shape count only where there is one
+    with pytest.raises(ValueError, match=r"length 24 \(or 4 per-shape weights\)$"):
         weight_vector(cap, [1, 2, 3])
+    with pytest.raises(ValueError, match=r"must have length 2$"):
+        weight_vector(silver, [1])
     with pytest.raises(ValueError):
         weight_vector(builtin("casper_scaffold"), "zero-central")
 
@@ -567,8 +570,9 @@ def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
     pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
     d = model.deformations.get(deformation, deformation)
     args, w = pts.arguments(d), weight_vector(model, weights)
-    if d is not None and d.image_lattice:
-        L, Q = model.lattice.argument_lattice(d)
+    lattice = None if d is None else model.lattice.argument_lattice(d)
+    if lattice is not None:
+        L, Q = lattice
         args = (pts.coords @ L.T) @ Q.T
     totals = model.evaluator.amplitude_batch(args, n, weights=w)
     coords = list(map(tuple, pts.coords.tolist()))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilediff.algebra import CAP, SILVER, Surd
+from tilediff.cps import LatticeBasis
 from tilediff.models import (DisplacementMatrix, ModelDataError, builtin,
                              builtin_names, displacement_from_dict,
                              displacement_to_dict, load_displacement,
@@ -221,21 +222,44 @@ def test_verify_window_volume():
     assert status(wrong)["window-volume"] == "FAIL"
 
 
-@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap"])
-def test_verify_argument_lattice(name):
-    """Every deformation with an image lattice is checked, and a lattice
-    that holds the arguments only at half-integer coordinates fails."""
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",
+                                  "casper_scaffold"])
+def test_verify_argument_lattice(name, monkeypatch):
+    """Every deformation whose arguments form a lattice is checked, casper's
+    hex and ht included, and a lattice at half the scale fails."""
     model = builtin(name)
-    (d,) = [d for d in model.deformations.values() if d.image_lattice]
-    checks = {c.name: c for c in verification_suite(model)}
-    ok = checks["deformed-argument-lattice"]
-    assert ok.status == "PASS" and f"{d.name}: L integral" in ok.detail
-    half = dataclasses.replace(d, image_lattice=tuple(2 * g for g in d.image_lattice))
-    wrong = dataclasses.replace(model, deformations={d.name: half})
-    bad = {c.name: c for c in verification_suite(wrong)}["deformed-argument-lattice"]
-    assert bad.status == "FAIL" and "not integer combinations" in bad.detail
-    assert "deformed-argument-lattice" not in {
-        c.name for c in verification_suite(builtin("casper_scaffold"))}
+    lattices = {"cap": ["hat"], "casper_scaffold": ["hex", "ht"]}.get(
+        name, ["equal-lengths"])
+    assert [n for n, d in model.deformations.items()
+            if model.lattice.argument_lattice(d) is not None] == lattices
+    ok = {c.name: c for c in verification_suite(model)}["deformed-argument-lattice"]
+    assert ok.status == "PASS"
+    assert all(f"{n}: L {model.dim}x{model.lattice.rank}" in ok.detail
+               for n in lattices)
+    derived = LatticeBasis.argument_lattice
+
+    def halved(self, d):
+        lattice = derived(self, d)
+        return None if lattice is None else (lattice[0], lattice[1] / 2)
+
+    monkeypatch.setattr(LatticeBasis, "argument_lattice", halved)
+    bad = {c.name: c for c in verification_suite(model)}["deformed-argument-lattice"]
+    assert bad.status == "FAIL"
+
+
+def test_verify_deformation_periods(monkeypatch):
+    """The derived periods pass the float kernel check; a dual generator in
+    their place fails it, and a model with no periods skips it."""
+    def check(model):
+        return {c.name: c for c in verification_suite(model)}["deformation-periods"]
+
+    cap = builtin("cap")
+    assert check(cap).status == "PASS"
+    assert check(dataclasses.replace(builtin("silver"), deformations={})).status \
+        == "SKIP"
+    monkeypatch.setattr(LatticeBasis, "periods",
+                        lambda self, d: self.points(np.eye(self.rank, dtype=int)[:1]))
+    assert check(cap).status == "FAIL"
 
 
 def test_density_metadata_exact():
