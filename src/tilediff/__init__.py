@@ -10,7 +10,7 @@ numerical evaluation is exact.
 from .algebra import (CAP, FIELDS, SILVER, SPECTRE, AlgebraicElement,
                       FieldMismatchError, FieldSpec, Surd)
 from .cocycle import AmplitudeVector, FourierEvaluator
-from .cps import (LatticeBasis, ModulePoint, dual_basis, enumerate_module,
+from .cps import (LatticeBasis, ModulePoint, enumerate_module,
                   internal_argument, module_point)
 from .diffraction import (Peak, amplitude_at, analytic_silver,
                           deformation_from_lengths, peak_list, peaks_to_csv,
@@ -32,7 +32,7 @@ __all__ = [
     "FourierEvaluator", "LatticeBasis", "ModelDataError", "ModelSpec",
     "ModulePoint", "Peak", "SILVER", "SPECTRE", "Surd", "TypedPointSet",
     "WindowCloud", "amplitude_at", "analytic_silver", "builtin",
-    "builtin_names", "deformation_from_lengths", "dual_basis",
+    "builtin_names", "deformation_from_lengths",
     "enumerate_module", "hull_intervals", "ifs_step", "inflate",
     "internal_argument", "iterate_windows", "load_displacement",
     "module_point", "peak_list", "peaks_to_csv", "peaks_to_json",

@@ -71,22 +71,21 @@ class FourierEvaluator:
         self._cells, self._cell_start = map(read_only, (
             keys % self.n * self.n + keys // self.n, start))
 
-        # exponentials are evaluated once per distinct starred translation
-        # and gathered per translation through _phase; of a pair {t*, -t*}
-        # only the one whose first nonzero coordinate is positive is
-        # evaluated, and the other takes its conjugate (cos is even, sin is
-        # odd and negation is exact), in the columns after len(_t_star)
-        stars, phase = np.unique(disp.stars[by_col], axis=0,
-                                 return_inverse=True)
-        row = {t: i for i, t in enumerate(map(tuple, stars.tolist()))}
-        twin = np.array([row.get(tuple(-x for x in t), -1) for t in row])
+        # exponentials are evaluated once per starred translation up to the
+        # sign of its first nonzero coordinate, at the sign of its first
+        # entry, and gathered per translation through _phase; an entry of
+        # the other sign takes the conjugate (cos is even, sin is odd and
+        # negation is exact) from the columns after len(_t_star), in _twin
+        stars = disp.stars[by_col]
         lead = stars[np.arange(len(stars)), np.argmax(stars != 0, axis=1)]
-        mirror = (lead < 0) & (twin >= 0)
-        column = np.empty(len(stars), dtype=np.int64)
-        column[~mirror] = np.arange(np.sum(~mirror))
-        column[mirror] = np.sum(~mirror) + np.arange(np.sum(mirror))
+        sign = np.where(lead < 0, -1.0, 1.0)
+        _, first, phase = np.unique(stars * sign[:, None], axis=0,
+                                    return_index=True, return_inverse=True)
+        flip = sign != sign[first][phase]
+        twin, slot = np.unique(phase[flip], return_inverse=True)
+        phase[flip] = len(first) + slot
         self._t_star, self._phase, self._twin = map(read_only, (
-            stars[~mirror], column[phase], column[twin[mirror]]))
+            stars[first], phase, twin))
 
         self.M = read_only(disp.card_matrix())
         self.left, self.right = map(read_only, pf_data(self.M)[1:])

@@ -23,8 +23,8 @@ import numpy as np
 from .algebra import (AlgebraicElement, FieldSpec, Surd, fraction_det,
                       fraction_matrix_inverse, hermite_normal_form, read_only)
 
-__all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "dual_basis",
-           "enumerate_module", "internal_argument", "MAX_CANDIDATES"]
+__all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "enumerate_module",
+           "internal_argument", "MAX_CANDIDATES"]
 
 # Most candidates enumerate_module scans, checked before allocating; the
 # casper r=0.5 support scan needs 944,055 and cap r=0.6 needs 50,625.
@@ -145,7 +145,7 @@ class LatticeBasis:
         return cache[x]
 
     def _argument_map(self, deformation) -> tuple:
-        """(P, L, Ud, Q) of the argument map c -> k_int - D^T k_phys on dual
+        """(P, L, Q) of the argument map c -> k_int - D^T k_phys on dual
         coordinates, from one exact pass, cached per deformation rows.
 
         Square roots of distinct square-free integers are linearly
@@ -153,10 +153,10 @@ class LatticeBasis:
         generators by (axis, radicand) gives a rational Phi with Phi c = 0
         exactly when the argument of c is 0.  In its Hermite normal form
         Phi U = [H | 0] the kernel columns of U are the periods (rows of P).
-        If rank Phi = dim, the arguments of Ud = U[:, :dim] generate a
-        lattice (columns of Q) and c has the argument (c @ L.T) @ Q.T, with
-        L the first dim rows of U^-1; else the arguments are dense and L, Ud
-        and Q are None.  Both bases are Lagrange-reduced."""
+        If rank Phi = dim, the arguments of U[:, :dim] generate a lattice
+        (columns of Q) and c has the argument (c @ L.T) @ Q.T, with L the
+        first dim rows of U^-1; else the arguments are dense and L and Q
+        are None.  Both bases are Lagrange-reduced."""
         cache = self.__dict__.setdefault("_argument_maps", {})
         if deformation.rows not in cache:
 
@@ -179,12 +179,12 @@ class LatticeBasis:
                 U = np.array(U, dtype=object)
                 K = U[:, rank:]
                 U[:, rank:] = K @ _lagrange(self.points(K.T).k_phys.T)
-                L = Ud = Q = None
+                L = Q = None
                 if rank == self.dim:
                     U[:, :rank] = U[:, :rank] @ _lagrange(evaluate(U[:, :rank]))
                     L = _int64(fraction_matrix_inverse(U.tolist())[:rank])
-                    Ud, Q = _int64(U[:, :rank]), read_only(evaluate(U[:, :rank]))
-                cache[deformation.rows] = (_int64(U[:, rank:].T), L, Ud, Q)
+                    Q = read_only(evaluate(U[:, :rank]))
+                cache[deformation.rows] = (_int64(U[:, rank:].T), L, Q)
             except OverflowError:
                 raise ValueError(f"deformation {deformation.name!r}: its periods or "
                                  "argument lattice leave int64") from None
@@ -201,28 +201,11 @@ class LatticeBasis:
         a lattice, else None (see :meth:`_argument_map`): the dual point c has
         the argument ``(c @ L.T) @ Q.T``, with L int64 (dim, rank) and Q the
         float (dim, dim) columns of the lattice generators; read-only."""
-        _, L, _, Q = self._argument_map(deformation)
+        _, L, Q = self._argument_map(deformation)
         return None if L is None else (L, Q)
-
-    def argument_action(self, deformation, x: AlgebraicElement) -> np.ndarray | None:
-        """Int64 matrix X of y -> x*y on the argument coordinates of
-        :meth:`argument_lattice` (``keys @ X.T`` maps them): L R == X L
-        exactly, with R = :meth:`dual_action`, or None when there is no such
-        X or no argument lattice.  As L Ud = I, the one candidate is L R Ud."""
-        _, L, Ud, _ = self._argument_map(deformation)
-        R = self.dual_action(x)
-        X = None if L is None or R is None else L @ R @ Ud
-        return X if X is not None and np.array_equal(L @ R, X @ L) else None
 
     def __repr__(self):
         return f"LatticeBasis({self.field.name}, rank={self.rank})"
-
-
-def dual_basis(basis: LatticeBasis) -> LatticeBasis:
-    """Exact transpose-inverse basis (raises on singular input)."""
-    if basis.gram_det == 0:
-        raise ZeroDivisionError("singular basis")
-    return basis.dual()
 
 
 @dataclass(frozen=True)
@@ -276,11 +259,11 @@ class ModuleSet:
 
     def arguments(self, deformation=None) -> np.ndarray:
         """Cocycle arguments: k_int, or k_int - D^T k_phys for a
-        ``DeformationMap`` or a raw matrix D."""
+        ``DeformationMap`` D."""
         if deformation is None:
             return self.k_int
-        D = np.asarray(getattr(deformation, "matrix", deformation), float)
-        return self.k_int - (D.T[None] @ self.k_phys[:, :, None])[:, :, 0]
+        DT = deformation.matrix.T
+        return self.k_int - (DT[None] @ self.k_phys[:, :, None])[:, :, 0]
 
 
 def _int64(a) -> np.ndarray:

@@ -149,47 +149,23 @@ def _orbit_action(model: ModelSpec, center, w: np.ndarray,
     return identity if R is None else R
 
 
-def _class_keys(model: ModelSpec, coords: np.ndarray, center, w: np.ndarray,
-                deformation: DeformationMap | None) -> tuple:
-    """Int64 keys of a peak request's rows and the exact group that fixes
-    the request, acting on them: (keys, action, friedel, Q).
-
-    When the arguments form a lattice (``LatticeBasis.argument_lattice``)
-    a row's key is the integer coordinate vector ``c @ L.T`` of its
-    argument, whose float argument is ``key @ Q.T``; otherwise the key is
-    the module coordinate vector c and Q is None.  ``action`` is xi where
-    ``_orbit_action`` allows it, on argument keys the integer X with
-    L R == X L, and the identity otherwise.  ``friedel`` adds -1 with
-    conjugation when the centre is exactly 0 and the weights are real:
-    then the sweep at -q is the conjugate of the sweep at q, bitwise up
-    to the sign of an exact zero.
-    """
-    R = _orbit_action(model, center, w, deformation)
-    friedel = not np.any(center) and not np.any(w.imag)
-    if deformation is None or \
-            (lattice := model.lattice.argument_lattice(deformation)) is None:
-        return coords, R, friedel, None
-    L, Q = lattice
-    X = None if np.array_equal(R, np.eye(len(R))) else \
-        model.lattice.argument_action(deformation, model.field.gen("xi"))
-    if X is None:
-        X = np.eye(len(L), dtype=np.int64)
-    return coords @ L.T, X, friedel, Q
-
-
-def _orbit_representatives(keys: np.ndarray, action: np.ndarray,
-                           friedel: bool = False) -> tuple:
-    """Classes of the rows of ``keys`` under the cyclic group generated by
-    ``action`` (rows map as ``keys @ action.T``) and, with ``friedel``,
+def _orbit_representatives(coords: np.ndarray, action: np.ndarray,
+                           friedel: bool = False,
+                           L: np.ndarray | None = None) -> tuple:
+    """Classes of the rows of ``coords`` under the cyclic group generated by
+    ``action`` (rows map as ``coords @ action.T``) and, with ``friedel``,
     by -1: (reps, inverse, conj).
 
-    ``reps`` holds the distinct representatives in lexicographic order,
-    each the lexicographically smallest image in its class, and
+    A row's keys are its images ``coords @ (L @ g).T`` (L the identity when
+    None) for each group element g, the powers of ``action`` first, then
+    their negatives.  ``reps`` holds the distinct representative keys in
+    lexicographic order, each the smallest key in its class, and
     ``reps[inverse]`` is the representative of each row.  ``conj`` marks
     the rows that only -1 takes to their representative; they take the
-    conjugate of its total.  The powers of ``action`` are tried first, so
-    a row that one of them takes there is never conjugated, and -1 adds
-    nothing when it is a power of ``action``.
+    conjugate of its total.  Since argmin keeps the first smallest key, a
+    row that a power of ``action`` takes there is never conjugated, also
+    where L maps a power and a negative to one key, and -1 adds nothing
+    when it is a power of ``action``.
     """
     eye = np.eye(len(action), dtype=np.int64)
     group, power = [eye], action
@@ -199,15 +175,17 @@ def _orbit_representatives(keys: np.ndarray, action: np.ndarray,
     plain = len(group)
     if friedel and not any(np.array_equal(g, -eye) for g in group):
         group += [-g for g in group]
-    images = np.concatenate([keys @ g.T for g in group])
+    if L is not None:
+        group = [L @ g for g in group]
+    images = np.concatenate([coords @ g.T for g in group])
     # row keys ascend in lexicographic row order; argmin takes the first
     # smallest image, so a power of ``action`` wins a tie with its negative
-    flat = row_keys(images)[0].reshape(len(group), len(keys))
+    flat = row_keys(images)[0].reshape(len(group), len(coords))
     which = flat.argmin(axis=0)
-    rows = np.arange(len(keys))
+    rows = np.arange(len(coords))
     _, first, inverse = np.unique(flat[which, rows], return_index=True,
                                   return_inverse=True)
-    return images[which[first] * len(keys) + first], inverse, which >= plain
+    return images[which[first] * len(coords) + first], inverse, which >= plain
 
 
 def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
@@ -223,14 +201,19 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     lexicographically in module coordinates, so the order does not
     depend on the summation order of the kernel.
 
-    The cocycle runs once per exact amplitude class (see ``_class_keys``):
-    once per distinct argument of a lattice-projecting deformation, and
-    once per orbit of the exact group that fixes the request, xi for CAP
-    and -1 with conjugation for real weights (Friedel's law), both at a
-    centre of 0.  Every row carries its class total, conjugated where
-    only -1 reaches its representative: bitwise what the full sweep
-    gives at the representative's argument.  The conjugate of an exact
-    +0 imaginary part is -0, which the exporters write as ``-0``.
+    The cocycle runs once per exact amplitude class (see
+    ``_orbit_representatives``): once per orbit of the exact group that
+    fixes the request, xi on module coordinates for CAP
+    (``_orbit_action``) and -1 with conjugation for real weights at a
+    centre of 0 (Friedel's law), with each image keyed by its argument
+    coordinates ``c @ L.T`` when the deformation's arguments form a
+    lattice (``LatticeBasis.argument_lattice``), so points with one
+    argument share a class.  A class is swept at the argument of its
+    representative, ``key @ Q.T`` on a lattice and k_int - D^T k_phys
+    otherwise.  Every row carries its class total, conjugated where only
+    -1 reaches its representative: bitwise what the full sweep gives at
+    the representative's argument.  The conjugate of an exact +0
+    imaginary part is -0, which the exporters write as ``-0``.
 
     The sweep is the weighted one with the threshold as its floor (see
     ``FourierEvaluator.amplitude_batch``): a point stops as soon as a
@@ -252,9 +235,13 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     if not len(pts):
         return []
     # one sweep per class; each row takes its class total
-    keys, action, friedel, Q = _class_keys(model, pts.coords, center, w,
-                                           deformation)
-    reps, inverse, conj = _orbit_representatives(keys, action, friedel)
+    action = _orbit_action(model, center, w, deformation)
+    # Friedel's law: at centre 0 with real weights, -q sweeps to q's conjugate
+    friedel = not np.any(center) and not np.any(w.imag)
+    lattice = None if deformation is None else \
+        model.lattice.argument_lattice(deformation)
+    L, Q = lattice or (None, None)
+    reps, inverse, conj = _orbit_representatives(pts.coords, action, friedel, L)
     args = model.lattice.points(reps).arguments(deformation) if Q is None \
         else reps @ Q.T
     totals = model.evaluator.amplitude_batch(args, n, weights=w,

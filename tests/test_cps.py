@@ -8,9 +8,9 @@ import pytest
 from tilediff import cps
 from tilediff.algebra import (CAP, SILVER, SPECTRE, Surd, fraction_solve,
                               hermite_normal_form)
-from tilediff.cps import (LatticeBasis, dual_basis, enumerate_module,
-                          internal_argument, module_point)
-from tilediff.models import builtin
+from tilediff.cps import (LatticeBasis, enumerate_module, internal_argument,
+                          module_point)
+from tilediff.models import DeformationMap, builtin
 
 S2, S3, S5, S15 = (math.sqrt(x) for x in (2, 3, 5, 15))
 
@@ -33,7 +33,7 @@ def casper():
 def test_silver_dual_columns(silver):
     lat = silver.lattice
     assert np.allclose(lat.columns, [[1, S2], [1, -S2]])
-    dual = dual_basis(lat)
+    dual = lat.dual()
     assert np.allclose(dual.columns, [[0.5, S2 / 4], [0.5, -S2 / 4]])
     # physical projections generate sqrt2/4 * Z[sqrt2]
     assert dual.generators[0].coords == (Fraction(1, 2), 0)
@@ -54,7 +54,7 @@ def test_dual_basis_rejects_singular():
     lat = LatticeBasis([one, one + one, SPECTRE.gen("lam"),
                         SPECTRE.gen("xilam")])
     with pytest.raises(ZeroDivisionError):
-        dual_basis(lat)
+        lat.dual()
 
 
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",
@@ -163,7 +163,8 @@ def test_arguments_match_per_point_formula(name, deformation):
     args = pts.arguments(d)
     for kp, ki, a in zip(pts.k_phys, pts.k_int, args):
         assert a.tobytes() == (ki - d.matrix.T @ kp).tobytes()
-    assert pts.arguments(d.matrix).tobytes() == args.tobytes()
+    same = DeformationMap("copy", d.rows)    # the rows alone set the arguments
+    assert pts.arguments(same).tobytes() == args.tobytes()
     assert pts.arguments() is pts.k_int
 
 
@@ -286,7 +287,7 @@ def test_internal_argument_silver(silver):
     assert np.allclose(internal_argument(k, d), expect, atol=1e-14)
     assert np.allclose(internal_argument(k, None), k.k_int)
     # D = 0 leaves the internal projection untouched
-    zero = np.zeros((1, 1))
+    zero = DeformationMap("zero", ((Surd(),),))
     assert np.allclose(internal_argument(k, zero), k.k_int)
 
 
@@ -401,29 +402,6 @@ def test_argument_lattice_is_exact(name, deformation, expect):
     near = dataclasses.replace(d, rows=rows)
     assert lat.argument_lattice(near) is None
     assert len(lat.periods(near)) == 0
-
-
-def test_argument_action_of_xi_on_hat(cap):
-    d = cap.deformations["hat"]
-    xi = cap.field.gen("xi")
-    L, _ = cap.lattice.argument_lattice(d)
-    X = cap.lattice.argument_action(d, xi)
-    R = cap.lattice.dual_action(xi)
-    assert X.tolist() == [[1, 1], [-1, 0]] and np.array_equal(L @ R, X @ L)
-    # the transpose is no action: rows would not map to rows
-    assert not np.array_equal(L @ R, X.T @ L)
-    # xi_int turns the arguments by -60 degrees, exactly on the keys
-    coords = np.random.default_rng(13).integers(-9, 10, size=(50, 4))
-    args = cap.lattice.points(coords).arguments(d)
-    turned = cap.lattice.points(coords @ R.T).arguments(d)
-    c, s = 0.5, S3 / 2
-    assert np.allclose(turned, args @ np.array([[c, -s], [s, c]]))
-    assert np.array_equal((coords @ R.T) @ L.T, (coords @ L.T) @ X.T)
-    # tau does not act on the hat arguments, and dense arguments take none
-    assert cap.lattice.argument_action(d, cap.field.gen("tau")) is None
-    quarter = dataclasses.replace(d, rows=((Surd.rational(Fraction(1, 4)), Surd()),
-                                           (Surd(), Surd.rational(Fraction(1, 4)))))
-    assert cap.lattice.argument_action(quarter, xi) is None
 
 
 @pytest.mark.parametrize("name,defs", [("silver", ["equal-lengths"]),

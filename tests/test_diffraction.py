@@ -8,9 +8,9 @@ import pytest
 
 from tilediff import cocycle, diffraction, windows
 from tilediff.algebra import Surd
-from tilediff.cps import enumerate_module, module_point
-from tilediff.diffraction import (_class_keys, _orbit_action,
-                                  _orbit_representatives, amplitude_at, analytic_silver,
+from tilediff.cps import LatticeBasis, enumerate_module, module_point
+from tilediff.diffraction import (_orbit_action, _orbit_representatives,
+                                  amplitude_at, analytic_silver,
                                   deformation_from_lengths,
                                   mean_log_intensity, peak_list,
                                   peaks_to_csv, peaks_to_json, peaks_to_svg,
@@ -305,17 +305,20 @@ def test_peak_order_matches_list_sort(cap_equal_peaks, name, deformation):
 # -- exact amplitude classes -----------------------------------------------------
 
 CAP_XI = [[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+HAT_XI = [[1, 1], [-1, 0]]     # xi on the hat argument keys c @ L.T
 
 
-def _own_class(model, coords, *_):
-    return coords, np.eye(model.lattice.rank, dtype=np.int64), False, None
+def _own_class(coords, *_):
+    rows = np.arange(len(coords))
+    return coords, rows, np.zeros(len(coords), dtype=bool)
 
 
 def _full_sweep_peaks(monkeypatch, model, **kw):
-    """peak_list with every point its own class, swept at k_int - D^T k_phys:
-    the full-sweep oracle."""
+    """peak_list with every point its own class, swept at k_int - D^T k_phys
+    with no conjugation: the full-sweep oracle."""
     with monkeypatch.context() as m:
-        m.setattr(diffraction, "_class_keys", _own_class)
+        m.setattr(diffraction, "_orbit_representatives", _own_class)
+        m.setattr(LatticeBasis, "argument_lattice", lambda self, d: None)
         return peak_list(model, **kw)
 
 
@@ -357,11 +360,35 @@ def test_cap_orbit_action_multiplies_by_xi(cap):
     assert np.allclose(rot.k_phys, pts.k_phys @ np.array([[c, s], [-s, c]]))
     assert np.allclose(rot.k_int, pts.k_int @ np.array([[c, -s], [s, c]]))
     # hat commutes with xi exactly; per-shape and zero-central weights too
-    assert _orbit_action(cap, np.zeros(2), w, cap.deformations["hat"]).tolist() \
-        == CAP_XI
+    hat = cap.deformations["hat"]
+    assert _orbit_action(cap, np.zeros(2), w, hat).tolist() == CAP_XI
     for spec in ("zero-central", (1, 2, 3, 4)):
         assert _orbit_action(cap, [0, 0], weight_vector(cap, spec),
                              None).tolist() == CAP_XI
+    # on the hat arguments xi_int turns by -60 degrees; on their keys c @ L.T
+    # it is the integer X with L R == X L (its transpose maps no rows)
+    args = pts.arguments(hat)
+    assert np.allclose(rot.arguments(hat), args @ np.array([[c, -s], [s, c]]))
+    L, _ = cap.lattice.argument_lattice(hat)
+    X = np.array(HAT_XI)
+    assert np.array_equal(L @ R, X @ L) and not np.array_equal(L @ R, X.T @ L)
+    assert np.array_equal((coords @ R.T) @ L.T, (coords @ L.T) @ X.T)
+
+
+@pytest.mark.parametrize("weights", ["equal", "zero-central"])
+def test_hat_classes_on_module_match_argument_keys(cap, weights):
+    """xi acting on module coordinates, keyed by L, gives the classes that X
+    acting on the argument keys c @ L.T gives, array for array."""
+    hat = cap.deformations["hat"]
+    w = weight_vector(cap, weights)
+    R = _orbit_action(cap, np.zeros(2), w, hat)
+    L, _ = cap.lattice.argument_lattice(hat)
+    coords = enumerate_module(cap.lattice, [0, 0], 0.6, cap.internal_cutoff).coords
+    got = _orbit_representatives(coords, R, True, L)
+    ref = _orbit_representatives(coords @ L.T, np.array(HAT_XI), True)
+    assert R.tolist() == CAP_XI and len(got[0]) < len(coords) / 10
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _row_reps(keys, action, friedel=False):
@@ -435,19 +462,26 @@ def _bits(z) -> list:
 
 
 def _rows_swept(monkeypatch, model, **kw):
-    """peak_list, and the number of arguments its one sweep ran."""
-    calls = []
+    """peak_list, the number of arguments its one sweep ran, and the group
+    its class reduction took: (action, friedel, L)."""
+    calls, groups = [], []
     sweep = cocycle.FourierEvaluator.amplitude_batch
+    reduce = diffraction._orbit_representatives
 
     def spy(self, K, *args, **kwargs):
         calls.append(len(K))
         return sweep(self, K, *args, **kwargs)
 
+    def group_spy(coords, *group):
+        groups.append(group)
+        return reduce(coords, *group)
+
     with monkeypatch.context() as m:
         m.setattr(cocycle.FourierEvaluator, "amplitude_batch", spy)
+        m.setattr(diffraction, "_orbit_representatives", group_spy)
         peaks = peak_list(model, **kw)
-    assert len(calls) == 1
-    return peaks, calls[0]
+    assert len(calls) == 1 and len(groups) == 1
+    return peaks, calls[0], groups[0]
 
 
 @pytest.mark.parametrize("name,radius,weights,deformation,swept", [
@@ -479,7 +513,7 @@ def test_class_reduction_matches_full_sweep(monkeypatch, name, radius, weights,
     model = builtin(name)
     kw = dict(radius=radius, threshold=1e-6, weights=weights,
               deformation=deformation)
-    got, rows = _rows_swept(monkeypatch, model, **kw)
+    got, rows, group = _rows_swept(monkeypatch, model, **kw)
     ref = _full_sweep_peaks(monkeypatch, model, **kw)
     assert rows == swept
     coords = np.array([p.k.coords for p in got])
@@ -504,9 +538,12 @@ def test_class_reduction_matches_full_sweep(monkeypatch, name, radius, weights,
             * model.density * np.sum(np.abs(w) * model.evaluator.right)
         assert np.all(np.abs(A - A_ref) <= lipschitz * (dq + ulp) + 1e-15 * A_max)
     # class members carry one total, conjugated where the class says so
-    keys, action, friedel, _ = _class_keys(model, coords, np.zeros(model.dim),
-                                           w, d)
-    _, inverse, conj = _orbit_representatives(keys, action, friedel)
+    action, friedel, L = group
+    # real weights at centre 0, and every deformation here has a lattice
+    assert friedel and (L is None) == (d is None)
+    assert action.tolist() == (CAP_XI if name == "cap" else [[1, 0], [0, 1]])
+    _, inverse, conj = _orbit_representatives(coords, action, friedel, L)
+    keys = coords if L is None else coords @ L.T
     total = np.where(conj, A.conj(), A)
     for c in np.unique(inverse):
         assert len(set(_bits(total[inverse == c]))) == 1
@@ -540,9 +577,8 @@ def test_conjugated_zero_imaginary_part(monkeypatch, tmp_path):
     assert [p.k.coords for p in got] == [p.k.coords for p in ref]
     assert [p.amplitude for p in got] == [p.amplitude for p in ref]
     coords = np.array([p.k.coords for p in got])
-    w = weight_vector(silver, "equal")
-    keys, action, friedel, _ = _class_keys(silver, coords, [0.0], w, None)
-    conj = _orbit_representatives(keys, action, friedel)[2]
+    action = _orbit_action(silver, [0.0], weight_vector(silver, "equal"), None)
+    conj = _orbit_representatives(coords, action, True)[2]
     negative = np.signbit([p.amplitude.imag for p in got])
     assert conj.sum() > 10 and np.array_equal(negative, conj)
     assert not np.signbit([p.amplitude.imag for p in ref]).any()
@@ -552,12 +588,15 @@ def test_conjugated_zero_imaginary_part(monkeypatch, tmp_path):
     assert im == ["-0" if c else "0" for c in conj]
 
 
-def test_complex_weights_take_no_conjugate(cap):
-    w = weight_vector(cap, [1 + 1j] * 4)
-    coords = enumerate_module(cap.lattice, [0, 0], 0.3, 3.0).coords
-    assert not _class_keys(cap, coords, [0, 0], w, None)[2]
-    assert _class_keys(cap, coords, [0, 0], w.real + 0j, None)[2]
-    assert not _class_keys(cap, coords, [0.1, 0], w.real + 0j, None)[2]
+def test_complex_weights_take_no_conjugate(cap, monkeypatch):
+    """Friedel's law joins the group only for real weights at centre 0."""
+    def friedel(center, weights):
+        return _rows_swept(monkeypatch, cap, center=center, radius=0.3,
+                           internal_cutoff=3.0, weights=weights)[2][1]
+
+    assert not friedel([0, 0], [1 + 1j] * 4)
+    assert friedel([0, 0], [1] * 4)
+    assert not friedel([0.1, 0], [1] * 4)
 
 
 def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
