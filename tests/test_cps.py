@@ -381,6 +381,43 @@ def test_hat_argument_lattice(cap):
         assert np.max(np.abs(c - np.round(c))) < 1e-10
 
 
+def _argument_action(lat, d, x):
+    """Exact X with X L == L R for x's action R, or None (L has full row rank,
+    so X is unique when it exists)."""
+    L, _ = lat.argument_lattice(d)
+    R = lat.dual_action(x)
+    as_q = lambda m: [[Fraction(int(v)) for v in row] for row in m.tolist()]
+    Xt = fraction_solve(as_q(L @ L.T), as_q((L @ R @ L.T).T))
+    X = [[Xt[j][i] for j in range(len(Xt))] for i in range(len(Xt))]
+    if any(v.denominator != 1 for row in X for v in row):
+        return None
+    X = np.array(X, dtype=np.int64)
+    return X if np.array_equal(X @ L, L @ R) else None
+
+
+def test_argument_action_of_xi_on_hat(cap):
+    d = cap.deformations["hat"]
+    xi = cap.field.gen("xi")
+    L, _ = cap.lattice.argument_lattice(d)
+    X = _argument_action(cap.lattice, d, xi)
+    R = cap.lattice.dual_action(xi)
+    assert X.tolist() == [[1, 1], [-1, 0]] and np.array_equal(L @ R, X @ L)
+    # the transpose is no action: rows would not map to rows
+    assert not np.array_equal(L @ R, X.T @ L)
+    # xi_int turns the arguments by -60 degrees, exactly on the keys
+    coords = np.random.default_rng(13).integers(-9, 10, size=(50, 4))
+    args = cap.lattice.points(coords).arguments(d)
+    turned = cap.lattice.points(coords @ R.T).arguments(d)
+    c, s = 0.5, S3 / 2
+    assert np.allclose(turned, args @ np.array([[c, -s], [s, c]]))
+    assert np.array_equal((coords @ R.T) @ L.T, (coords @ L.T) @ X.T)
+    # tau does not act on the hat arguments, and dense arguments have no keys
+    assert _argument_action(cap.lattice, d, cap.field.gen("tau")) is None
+    quarter = dataclasses.replace(d, rows=((Surd.rational(Fraction(1, 4)), Surd()),
+                                           (Surd(), Surd.rational(Fraction(1, 4)))))
+    assert cap.lattice.argument_lattice(quarter) is None
+
+
 @pytest.mark.parametrize("name,deformation,expect", [
     ("cap", "hat", [[-1, 3, 1, -2], [1, -2, 0, -1]]),
     ("silver", "equal-lengths", [[-1, 1]]),

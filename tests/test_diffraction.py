@@ -365,14 +365,6 @@ def test_cap_orbit_action_multiplies_by_xi(cap):
     for spec in ("zero-central", (1, 2, 3, 4)):
         assert _orbit_action(cap, [0, 0], weight_vector(cap, spec),
                              None).tolist() == CAP_XI
-    # on the hat arguments xi_int turns by -60 degrees; on their keys c @ L.T
-    # it is the integer X with L R == X L (its transpose maps no rows)
-    args = pts.arguments(hat)
-    assert np.allclose(rot.arguments(hat), args @ np.array([[c, -s], [s, c]]))
-    L, _ = cap.lattice.argument_lattice(hat)
-    X = np.array(HAT_XI)
-    assert np.array_equal(L @ R, X @ L) and not np.array_equal(L @ R, X.T @ L)
-    assert np.array_equal((coords @ R.T) @ L.T, (coords @ L.T) @ X.T)
 
 
 @pytest.mark.parametrize("weights", ["equal", "zero-central"])
