@@ -189,6 +189,20 @@ class Surd:
     def __float__(self):
         return float(sum(float(q) * math.sqrt(m) for m, q in self._terms.items()))
 
+    def sign(self) -> int:
+        """Exact sign, -1, 0 or 1: each term is bracketed by isqrt(m 4**b) <=
+        2**b sqrt(m) < isqrt(m 4**b) + 1, b doubling until the sum excludes 0,
+        as it does for every nonzero surd (square-free radicals are independent)."""
+        b = 32
+        while self._terms:
+            r = {m: math.isqrt(m << 2 * b) for m in self._terms}
+            if sum(q * (r[m] + (q < 0)) for m, q in self._terms.items()) > 0:
+                return 1
+            if sum(q * (r[m] + (q > 0)) for m, q in self._terms.items()) < 0:
+                return -1
+            b *= 2
+        return 0
+
     def __repr__(self):
         if not self._terms:
             return "Surd(0)"

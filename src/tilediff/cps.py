@@ -250,6 +250,10 @@ class ModuleSet:
     def __len__(self) -> int:
         return len(self.coords)
 
+    def __iter__(self):
+        return map(ModulePoint, [self.lattice] * len(self),
+                   zip(*self.coords.T.tolist()), self.k_phys, self.k_int)
+
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             return ModulePoint(self.lattice, tuple(self.coords[index].tolist()),

@@ -8,6 +8,7 @@ and finite-patch Weyl sums provide two independent cross-checks.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -102,15 +103,17 @@ def analytic_silver(k_int: float) -> tuple:
 def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> complex:
     """Volume-averaged exponential sum over a finite patch.
 
-    ``region_measure`` is the measure of the region the patch covers
-    (length in 1d, area in 2d); the caller controls truncation.
+    ``region_measure`` (finite, > 0) is the measure of the region the patch
+    covers (length in 1d, area in 2d); the caller controls truncation.
     """
-    if region_measure <= 0:
-        raise ValueError("region_measure must be positive")
+    if not 0 < region_measure < math.inf:     # NaN too
+        raise ValueError(f"region_measure must be finite and > 0, got {region_measure}")
     if not len(patch):
         raise ValueError("empty patch")
-    pos = patch.positions_phys()
     k = np.atleast_1d(np.asarray(k_phys, dtype=float))
+    if k.shape != (patch.field.dim,):
+        raise ValueError(f"k_phys must have shape ({patch.field.dim},), got {k.shape}")
+    pos = patch.positions_phys()
     w = np.asarray(weights, dtype=complex)[patch.types()]
     phases = pos @ k
     return complex(np.sum(w * np.exp(-2j * np.pi * phases)) / region_measure)
@@ -257,8 +260,8 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     order = order[np.lexsort(np.vstack([pts.coords[order].T[::-1],
                                         np.cumsum(gap)]))]
     name = deformation.name if deformation is not None else None
-    return [Peak(pts[i], name, complex(totals[i]), float(intensities[i]), n)
-            for i in order.tolist()]
+    return [Peak(k, name, a, i, n) for k, a, i in
+            zip(pts[order], totals[order].tolist(), intensities[order].tolist())]
 
 
 def deformation_from_lengths(ell_a, ell_b) -> DeformationMap:
@@ -272,7 +275,7 @@ def deformation_from_lengths(ell_a, ell_b) -> DeformationMap:
     s2 = Surd.root(2)
     if a + s2 * b != s2 * 2:
         raise ValueError("lengths must satisfy ell_a + sqrt2*ell_b = 2*sqrt2 exactly")
-    if float(a) <= 0 or float(b) <= 0:
+    if a.sign() <= 0 or b.sign() <= 0:
         raise ValueError("degenerate deformation: tile lengths must be positive")
     d = Surd.rational(1) - a / s2
     return DeformationMap(name="from-lengths", rows=((d,),))
@@ -380,52 +383,40 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
 # ---------------------------------------------------------------------------
 # Output formats
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+def _rows(peaks: list, fmt) -> list:
+    """``fmt(rank, ky) % row`` per peak of one request, ``ky`` being "%.17g" in
+    2d and the literal 0 in 1d: a row is the module coordinates, kx, ky (2d),
+    re_amp, im_amp, intensity and n_iters, floats to 17 digits."""
+    if not peaks:
+        return []
+    k = peaks[0].k
+    fmt = fmt(len(k.coords), "%.17g" if k.k_phys.shape == (2,) else "0")
+    return [fmt % (*p.k.coords, *p.k.k_phys.tolist(), p.amplitude.real,
+                   p.amplitude.imag, p.intensity, p.n_iters) for p in peaks]
 
 
 def peaks_to_csv(peaks: list, path) -> None:
     """CSV with header c1,c2,c3,c4,kx,ky,re_amp,im_amp,intensity,n_iters.
 
-    c3,c4 stay empty for rank-2 modules; ky is 0 for 1d models.  Floats
-    carry 17 significant digits so repeated runs are byte-identical.
+    c3,c4 stay empty for rank-2 modules; ky is 0 for 1d models.
     """
+    rows = _rows(peaks, lambda rank, ky: ",".join(["%d"] * rank + [""] * (4 - rank))
+                 + ",%.17g," + ky + ",%.17g,%.17g,%.17g,%d\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("c1,c2,c3,c4,kx,ky,re_amp,im_amp,intensity,n_iters\n")
-        for p in peaks:
-            c = list(p.k.coords)
-            cs = [str(x) for x in c] + [""] * (4 - len(c))
-            k = p.k.k_phys
-            kx = k[0]
-            ky = k[1] if k.shape == (2,) else 0.0
-            fh.write(",".join(cs + [_g17(kx), _g17(ky), _g17(p.amplitude.real),
-                                    _g17(p.amplitude.imag), _g17(p.intensity),
-                                    str(p.n_iters)]) + "\n")
+        fh.writelines(rows)
 
 
 def peaks_to_json(peaks: list, path) -> None:
-    """JSON mirror of the CSV records, with identical float formatting."""
-    rows = []
-    for p in peaks:
-        c = list(p.k.coords)
-        k = p.k.k_phys
-        ky = k[1] if k.shape == (2,) else 0.0
-        fields = [
-            f'"coords":[{",".join(str(x) for x in c)}]',
-            f'"deformation":{_json_str(p.deformation)}',
-            f'"kx":{_g17(k[0])}', f'"ky":{_g17(ky)}',
-            f'"re_amp":{_g17(p.amplitude.real)}',
-            f'"im_amp":{_g17(p.amplitude.imag)}',
-            f'"intensity":{_g17(p.intensity)}',
-            f'"n_iters":{p.n_iters}',
-        ]
-        rows.append("{" + ",".join(fields) + "}")
+    """JSON mirror of the CSV records, with identical float formatting; the
+    peaks share one deformation (ValueError when they do not)."""
+    (name,) = {p.deformation for p in peaks} or {None}
+    name = json.dumps(name).replace("%", "%%")
+    rows = _rows(peaks, lambda rank, ky: '{"coords":[' + ",".join(["%d"] * rank)
+                 + '],"deformation":' + name + ',"kx":%.17g,"ky":' + ky
+                 + ',"re_amp":%.17g,"im_amp":%.17g,"intensity":%.17g,"n_iters":%d}')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("[\n" + ",\n".join(rows) + "\n]\n")
-
-
-def _json_str(s) -> str:
-    return "null" if s is None else '"' + str(s) + '"'
 
 
 def peaks_to_svg(peaks: list, path) -> None:
@@ -433,8 +424,8 @@ def peaks_to_svg(peaks: list, path) -> None:
     if not peaks:
         SvgCanvas((0, 0, 1, 1)).write(path)
         return
-    K = np.array([[p.k.k_phys[0], p.k.k_phys[1] if p.k.k_phys.shape == (2,) else 0.0]
-                  for p in peaks])
+    K = np.zeros((len(peaks), 2))   # y is 0 in 1d
+    K[:, :peaks[0].k.k_phys.size] = [p.k.k_phys for p in peaks]
     I = np.array([p.intensity for p in peaks])
     pad = 0.05 * max(float(np.ptp(K[:, 0])), float(np.ptp(K[:, 1])), 1e-9)
     canvas = SvgCanvas((K[:, 0].min() - pad, K[:, 1].min() - pad,

@@ -165,14 +165,11 @@ def substitution_matrix(model: ModelSpec) -> np.ndarray:
 
 def patch_to_csv(patch: TypedPointSet, path, model: ModelSpec | None = None) -> None:
     """Write (type, x, y) rows; y is 0 for one-dimensional models."""
-    labels = model.tile_labels if model is not None else None
-    pos = patch.positions_phys()
-    types = patch.tile_types.tolist()
-    names = [labels[ty] for ty in types] if labels else types
-    xs = [format(x, ".17g") for x in pos[:, 0].tolist()]
-    # format(0.0, ".17g") is "0": the 1d y column is written as that literal
-    ys = [format(y, ".17g") for y in pos[:, 1].tolist()] if pos.shape[1] == 2 \
-        else ["0"] * len(xs)
+    pos, names = patch.positions_phys(), patch.tile_types.tolist()
+    if model is not None and model.tile_labels:
+        names = [model.tile_labels[ty] for ty in names]
+    # "%.17g" % 0.0 is "0": the 1d y column is written as that literal
+    fmt = "%s,%.17g,%.17g\n" if pos.shape[1] == 2 else "%s,%.17g,0\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("type,x,y\n")
-        fh.writelines(f"{name},{x},{y}\n" for name, x, y in zip(names, xs, ys))
+        fh.writelines(fmt % row for row in zip(names, *pos.T.tolist()))

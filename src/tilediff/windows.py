@@ -213,18 +213,14 @@ def _interior_mask(cells: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     own, mult = row_keys(cells)
     keys = np.sort(own)
-    offsets = np.concatenate([mult, -mult])
     mask = np.ones(len(cells), dtype=bool)
-    for off in offsets:
-        idx = np.searchsorted(keys, own + off)
-        idx = np.clip(idx, 0, len(keys) - 1)
+    for off in np.concatenate([mult, -mult]):
+        idx = np.minimum(np.searchsorted(keys, own + off), len(keys) - 1)
         mask &= keys[idx] == own + off
     return mask
 
 
 def _boundary_count(cells: np.ndarray) -> int:
-    if cells.size == 0:
-        return 0
     return int(len(cells) - _interior_mask(cells).sum())
 
 
@@ -238,9 +234,7 @@ def volume(cloud: WindowCloud, per_type: bool = False):
     converges usefully when the boundary dimension is well below the
     ambient dimension (silver/CAP windows, not the Cantorvals).
     """
-    h = cloud.cell_size
-    d = cloud.dim
-    cell_vol = h ** d
+    cell_vol = cloud.cell_size ** cloud.dim
     if per_type:
         return [(c.shape[0] * cell_vol, _boundary_count(c) * cell_vol)
                 for c in cloud.cells]
@@ -251,8 +245,6 @@ def volume(cloud: WindowCloud, per_type: bool = False):
 def interior_cells(cloud: WindowCloud, i: int) -> set:
     """Occupied cells of type i whose axis neighbors are all occupied."""
     cells = cloud.cells[i]
-    if cells.size == 0:
-        return set()
     return set(map(tuple, cells[_interior_mask(cells)]))
 
 

@@ -185,6 +185,22 @@ def test_surd_arithmetic():
         x / (s2 + 1)  # only single-term divisors
 
 
+def test_surd_sign_exact():
+    """Pell pairs X - Y sqrt2 = +-1/(X + Y sqrt2) cancel in floats (the
+    first reads 0.0); the exact sign does not, for any radicands."""
+    for x, y, sign in [(4478554083, 3166815962, 1),     # X^2 - 2Y^2 = 1
+                       (1855077841, 1311738121, -1)]:   # X^2 - 2Y^2 = -1
+        s = Surd.rational(x) - Surd.root(2, y)
+        assert s.sign() == sign and (-s).sign() == -sign
+    assert float(Surd.rational(4478554083) - Surd.root(2, 3166815962)) == 0.0
+    assert Surd().sign() == 0 and (Surd.root(2) - Surd.root(8, Fraction(1, 2))).sign() == 0
+    assert Surd.rational(Fraction(-1, 10 ** 40)).sign() == -1
+    tiny = Surd({2: 1, 3: 1, 5: -1, 1: Fraction(-1, 10 ** 30)})
+    assert tiny.sign() == 1     # sqrt2 + sqrt3 - sqrt5 = 0.9137...
+    near = Surd({6: 1, 1: -Fraction(math.isqrt(6 * 10 ** 60), 10 ** 30)})
+    assert near.sign() == 1     # sqrt6 minus its floor at 30 digits
+
+
 surds = st.builds(
     Surd,
     st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 15]),
@@ -200,6 +216,9 @@ def test_surd_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert abs(float(a * b) - float(a) * float(b)) <= \
         1e-9 * max(1.0, abs(float(a)) * abs(float(b)))
+    assert (a - b).sign() == -(b - a).sign() and (a * a).sign() == (1 if a else 0)
+    if abs(float(a - b)) > 1e-9:
+        assert (a - b).sign() == (1 if float(a - b) > 0 else -1)
 
 
 def test_fraction_linalg():

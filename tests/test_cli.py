@@ -129,6 +129,23 @@ def test_peaks_from_lengths_beyond_int64(tmp_path, capsys, monkeypatch):
     assert not out and not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("lengths,code", [
+    ("6333631924-4478554081*sqrt2,4478554083-3166815962*sqrt2", 0),
+    ("2623476242-1855077839*sqrt2,1855077841-1311738121*sqrt2", 1)])
+def test_peaks_from_lengths_exact_sign(lengths, code, tmp_path, capsys,
+                                       monkeypatch):
+    """ell_b = X - Y sqrt2 with X^2 - 2Y^2 = +-1 is +-1/(X + Y sqrt2), 0.0
+    in floats: only the exact sign tells the valid pair from the other."""
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    got, out, err = run(["peaks", "--model", "silver", "--radius", "2",
+                         "--deformation", f"from-lengths:{lengths}"], capsys)
+    assert got == code
+    if code:
+        assert "tile lengths must be positive" in err and not out
+    else:
+        assert "peaks with intensity" in out and not err
+
+
 def test_peaks_weight_list(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     code, out, _ = run(["peaks", "--model", "silver", "--weights",

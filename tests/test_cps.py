@@ -190,6 +190,25 @@ def test_module_set_indexing(cap):
         cap.lattice.points([(1, 2, 3)])
 
 
+@pytest.mark.parametrize("name", ["silver", "cap"])
+def test_module_set_iteration_matches_indexing(name):
+    """Iteration converts coords once; its points are those of int indexing,
+    bitwise, with int coordinates and row views of the projections."""
+    model = builtin(name)
+    pts = enumerate_module(model.lattice, np.zeros(model.dim), 3.0 if name == "silver"
+                           else 0.3, internal_cutoff=model.internal_cutoff)
+    assert len(pts) > 10
+    for i, p in enumerate(pts):
+        q = pts[i]
+        assert p == q and p.lattice is q.lattice
+        assert all(type(c) is int for c in p.coords)
+        assert p.k_phys.tobytes() == q.k_phys.tobytes()
+        assert p.k_int.tobytes() == q.k_int.tobytes()
+        assert np.shares_memory(p.k_phys, pts.k_phys)
+        assert p.k_phys.flags.writeable == q.k_phys.flags.writeable
+    assert list(pts[np.array([], dtype=int)]) == []
+
+
 def test_enumerate_rejects_huge_boxes(cap, silver):
     with pytest.raises(ValueError, match="ceiling"):
         enumerate_module(cap.lattice, np.zeros(2), 0.6, internal_cutoff=100.0)

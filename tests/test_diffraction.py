@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from fractions import Fraction
@@ -169,6 +170,17 @@ def test_weyl_errors(silver_patch):
     with pytest.raises(ValueError):
         weyl_sum(truncate(silver_patch, 0.5, center=[-1e6]), [0.0],
                  np.ones(2), 1.0)
+
+
+@pytest.mark.parametrize("measure", [math.nan, math.inf, 0.0, -1.0])
+def test_weyl_rejects_bad_measure(silver_patch, measure):
+    with pytest.raises(ValueError, match="region_measure"):
+        weyl_sum(silver_patch, [0.5], np.ones(2), measure)
+
+
+def test_weyl_rejects_wrong_dimension(silver_patch):
+    with pytest.raises(ValueError, match=r"k_phys must have shape \(1,\)"):
+        weyl_sum(silver_patch, [0.5, 0.0], np.ones(2), 1.0)
 
 
 # -- peak lists ---------------------------------------------------------------
@@ -784,6 +796,96 @@ def test_peak_outputs_deterministic(tmp_path, silver):
     rows = _json.loads(j1.read_text())
     assert len(rows) == len(peaks)
     assert abs(rows[0]["intensity"] - peaks[0].intensity) < 1e-17
+
+
+def _per_field_writers(peaks, csv_path, json_path):
+    """The former writers, which formatted every field on its own and
+    branched on ky per row: the reference for the one row format."""
+    def g17(x):
+        return format(float(x), ".17g")
+
+    def json_str(s):
+        return "null" if s is None else '"' + str(s) + '"'
+
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("c1,c2,c3,c4,kx,ky,re_amp,im_amp,intensity,n_iters\n")
+        for p in peaks:
+            cs = [str(x) for x in p.k.coords] + [""] * (4 - len(p.k.coords))
+            k = p.k.k_phys
+            ky = k[1] if k.shape == (2,) else 0.0
+            fh.write(",".join(cs + [g17(k[0]), g17(ky), g17(p.amplitude.real),
+                                    g17(p.amplitude.imag), g17(p.intensity),
+                                    str(p.n_iters)]) + "\n")
+    rows = []
+    for p in peaks:
+        k = p.k.k_phys
+        ky = k[1] if k.shape == (2,) else 0.0
+        fields = [f'"coords":[{",".join(str(x) for x in p.k.coords)}]',
+                  f'"deformation":{json_str(p.deformation)}',
+                  f'"kx":{g17(k[0])}', f'"ky":{g17(ky)}',
+                  f'"re_amp":{g17(p.amplitude.real)}',
+                  f'"im_amp":{g17(p.amplitude.imag)}',
+                  f'"intensity":{g17(p.intensity)}', f'"n_iters":{p.n_iters}']
+        rows.append("{" + ",".join(fields) + "}")
+    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("[\n" + ",\n".join(rows) + "\n]\n")
+
+
+@pytest.mark.parametrize("case", ["cap", "hat", "silver", "twisted", "empty",
+                                  "negative-zero"])
+def test_peak_rows_match_per_field_writers(tmp_path, cap, silver, cap_equal_peaks,
+                                           case):
+    """One %-format per row writes the bytes of the per-field writers: rank
+    4 (cap), a deformation name (hat), rank 2 in 1d (silver), the empty
+    list and an imaginary part of -0.0, written ``-0``."""
+    if case == "cap":
+        peaks = cap_equal_peaks
+    elif case == "hat":
+        peaks = peak_list(cap, radius=0.4, deformation="hat", n=15)
+    elif case == "silver":
+        peaks = peak_list(silver, radius=20.0, n=30)
+    elif case == "twisted":
+        peaks = peak_list(builtin("silver_twisted"), radius=20.0, n=30,
+                          deformation="equal-lengths")
+    elif case == "empty":
+        peaks = []
+    else:
+        peaks = [diffraction.Peak(module_point(silver.lattice, (1, 0)), "lengths",
+                                  complex(0.5, -0.0), 0.25, 30)]
+    assert len(peaks) > 10 or case in ("empty", "negative-zero")
+    peaks_to_csv(peaks, tmp_path / "new.csv")
+    peaks_to_json(peaks, tmp_path / "new.json")
+    _per_field_writers(peaks, tmp_path / "old.csv", tmp_path / "old.json")
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"new.{ext}").read_bytes() == \
+            (tmp_path / f"old.{ext}").read_bytes()
+    if case == "negative-zero":
+        assert (tmp_path / "new.csv").read_text().splitlines()[1] == \
+            "1,0,,,0.5,0,0.5,-0,0.25,30"
+        assert '"im_amp":-0,' in (tmp_path / "new.json").read_text()
+
+
+def test_peaks_to_json_rejects_mixed_deformations(tmp_path, silver):
+    peaks = [diffraction.Peak(module_point(silver.lattice, (1, 0)), name,
+                              0.5 + 0j, 0.25, 30) for name in ("a", None)]
+    with pytest.raises(ValueError):
+        peaks_to_json(peaks, tmp_path / "mixed.json")
+
+
+def test_peak_fields_the_bench_reads(cap, silver):
+    """perfbench/workloads.py hashes (coords, repr(amplitude)) through
+    json.dumps: coords are tuples of Python ints, the amplitude a complex
+    and the intensity a float."""
+    for peaks in (peak_list(silver, radius=5.0, n=30),
+                  peak_list(builtin("silver_twisted"), radius=5.0, n=30,
+                            deformation="equal-lengths"),
+                  peak_list(cap, radius=0.3, n=15, deformation="hat")):
+        assert peaks
+        for p in peaks:
+            assert type(p.k.coords) is tuple
+            assert all(type(c) is int for c in p.k.coords)
+            assert type(p.amplitude) is complex and type(p.intensity) is float
+        json.dumps([(p.k.coords, repr(p.amplitude)) for p in peaks])
 
 
 def test_peak_svg(tmp_path, cap, cap_equal_peaks):

@@ -241,9 +241,10 @@ def _csv_formatting_every_y(patch, path, model=None):
                                 ys.tolist()))
 
 
-@pytest.mark.parametrize("name,steps", [("silver", 12), ("cap", 2)])
+@pytest.mark.parametrize("name,steps", [("silver", 12), ("cap", 2), ("cap", 4)])
 def test_patch_csv_bytes(tmp_path, name, steps):
-    """The literal 1d y column writes the same bytes as formatting 0.0."""
+    """One %-format per point, with the literal 1d y column, writes the
+    bytes of formatting each field, 0.0 too."""
     model = builtin(name)
     patch = inflate(seed_patch(model), model, steps)
     for labelled in (model, None):
