@@ -358,19 +358,10 @@ class FieldSpec:
             [tuple(map(float, v)) for v in exact], tuple(map(float, one)))))
         star_f = np.array([[float(c) for c in row] for row in self.star_matrix])
         self.int_columns = read_only(self.phys_columns @ star_f)
-
-        # Galois group as coordinate matrices: {id, star} in degree 2,
-        # {id, star, conj, star*conj} in degree 4.
-        self._galois = (galois([(0, 1)] * len(generators)), self.star_matrix)
-        if self.degree == 4:
-            sc = _mat_mul(self.star_matrix, self.conj_matrix)
-            self._galois += (self.conj_matrix, sc)
         self.tr_factor = Fraction(2, self.degree)
-        # the group's sum maps x to Tr(x), a rational: only row 0 may be nonzero
-        total = [tuple(map(sum, zip(*rows))) for rows in zip(*self._galois)]
-        if any(any(row) for row in total[1:]):
-            raise ValueError("trace of basis element is not rational")
-        self.trace_vector = total[0]
+        # Tr(e_k), the trace of x -> e_k * x
+        self.trace_vector = tuple(sum(row[i][i] for i in range(self.degree))
+                                  for row in self.mul_table)
 
     # -- element constructors ------------------------------------------------
 

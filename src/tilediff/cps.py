@@ -24,7 +24,7 @@ from .algebra import (AlgebraicElement, FieldSpec, Surd, fraction_det,
                       fraction_matrix_inverse, hermite_normal_form, read_only)
 
 __all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "enumerate_module",
-           "internal_argument", "MAX_CANDIDATES"]
+           "float_arguments", "internal_argument", "MAX_CANDIDATES"]
 
 # Most candidates enumerate_module scans, checked before allocating; the
 # casper r=0.5 support scan needs 944,055 and cap r=0.6 needs 50,625.
@@ -204,6 +204,21 @@ class LatticeBasis:
         _, L, Q = self._argument_map(deformation)
         return None if L is None else (L, Q)
 
+    def argument_keys(self, coords, deformation=None, g=None) -> np.ndarray:
+        """Int64 keys ``coords @ M.T`` of the arguments of the dual points
+        ``coords @ g.T`` (g the identity when None): M = L @ g where they form
+        a lattice (:meth:`argument_lattice`), else M = g.  ValueError names the
+        deformation where max|c| times the largest row sum of |M| reaches 2**63."""
+        lattice = deformation and self.argument_lattice(deformation)
+        M = np.array(np.eye(self.rank, dtype=int) if g is None else g, dtype=object)
+        M = lattice[0].astype(object) @ M if lattice else M
+        bound = max(1, int(np.abs(coords).max(initial=0))) \
+            * max(sum(map(abs, row)) for row in M.tolist())
+        if bound >= 2 ** 63:
+            raise ValueError(f"deformation {getattr(deformation, 'name', None)!r}: "
+                             f"its argument keys reach {bound:.3g}, past int64")
+        return coords @ M.astype(np.int64).T
+
     def __repr__(self):
         return f"LatticeBasis({self.field.name}, rank={self.rank})"
 
@@ -263,11 +278,21 @@ class ModuleSet:
 
     def arguments(self, deformation=None) -> np.ndarray:
         """Cocycle arguments: k_int, or k_int - D^T k_phys for a
-        ``DeformationMap`` D."""
-        if deformation is None:
-            return self.k_int
-        DT = deformation.matrix.T
-        return self.k_int - (DT[None] @ self.k_phys[:, :, None])[:, :, 0]
+        ``DeformationMap`` D, as ``(c @ L.T) @ Q.T`` where they form a lattice
+        (``LatticeBasis.argument_lattice``), else by :func:`float_arguments`."""
+        if lattice := deformation and self.lattice.argument_lattice(deformation):
+            return self.lattice.argument_keys(self.coords, deformation) @ lattice[1].T
+        return float_arguments(self, deformation)
+
+
+def float_arguments(points: ModuleSet, deformation=None) -> np.ndarray:
+    """The float formula k_int - D^T k_phys (k_int without a deformation):
+    the arguments of a dense deformation, and the reference that checks the
+    exact argument lattice."""
+    if deformation is None:
+        return points.k_int
+    DT = deformation.matrix.T
+    return points.k_int - (DT[None] @ points.k_phys[:, :, None])[:, :, 0]
 
 
 def _int64(a) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Surd, _mat_mul
-from .cps import ModulePoint, enumerate_module, internal_argument
+from .cps import ModulePoint, enumerate_module, float_arguments, internal_argument
 from .inflation import TypedPointSet
 from .models import DeformationMap, ModelSpec, sixfold_shift
 from .svg import SvgCanvas
@@ -152,21 +152,20 @@ def _orbit_action(model: ModelSpec, center, w: np.ndarray,
     return identity if R is None else R
 
 
-def _orbit_representatives(coords: np.ndarray, action: np.ndarray,
-                           friedel: bool = False,
-                           L: np.ndarray | None = None) -> tuple:
-    """Classes of the rows of ``coords`` under the cyclic group generated by
-    ``action`` (rows map as ``coords @ action.T``) and, with ``friedel``,
-    by -1: (reps, inverse, conj).
+def _orbit_representatives(points, action: np.ndarray, friedel: bool = False,
+                           deformation=None) -> tuple:
+    """Classes of the module points ``points`` under the cyclic group
+    generated by ``action`` (coordinates map as ``c @ action.T``) and, with
+    ``friedel``, by -1: (reps, inverse, conj).
 
-    A row's keys are its images ``coords @ (L @ g).T`` (L the identity when
-    None) for each group element g, the powers of ``action`` first, then
-    their negatives.  ``reps`` holds the distinct representative keys in
-    lexicographic order, each the smallest key in its class, and
-    ``reps[inverse]`` is the representative of each row.  ``conj`` marks
-    the rows that only -1 takes to their representative; they take the
+    A point's keys are those of its images (``LatticeBasis.argument_keys``)
+    under each group element g, the powers of ``action`` first, then their
+    negatives.  ``reps`` holds the module coordinates of one image per
+    class, the one with the smallest key, in lexicographic key order, and
+    ``reps[inverse]`` is the representative of each point.  ``conj`` marks
+    the points that only -1 takes to their representative; they take the
     conjugate of its total.  Since argmin keeps the first smallest key, a
-    row that a power of ``action`` takes there is never conjugated, also
+    point that a power of ``action`` takes there is never conjugated, also
     where L maps a power and a negative to one key, and -1 adds nothing
     when it is a power of ``action``.
     """
@@ -178,17 +177,16 @@ def _orbit_representatives(coords: np.ndarray, action: np.ndarray,
     plain = len(group)
     if friedel and not any(np.array_equal(g, -eye) for g in group):
         group += [-g for g in group]
-    if L is not None:
-        group = [L @ g for g in group]
-    images = np.concatenate([coords @ g.T for g in group])
+    images = np.concatenate([points.lattice.argument_keys(points.coords, deformation, g)
+                             for g in group])
     # row keys ascend in lexicographic row order; argmin takes the first
     # smallest image, so a power of ``action`` wins a tie with its negative
-    flat = row_keys(images)[0].reshape(len(group), len(coords))
+    flat = row_keys(images)[0].reshape(len(group), len(points))
     which = flat.argmin(axis=0)
-    rows = np.arange(len(coords))
-    _, first, inverse = np.unique(flat[which, rows], return_index=True,
+    _, first, inverse = np.unique(flat.min(axis=0), return_index=True,
                                   return_inverse=True)
-    return images[which[first] * len(coords) + first], inverse, which >= plain
+    reps = (np.array(group)[which[first]] @ points.coords[first, :, None])[:, :, 0]
+    return reps, inverse, which >= plain
 
 
 def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
@@ -209,12 +207,11 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     fixes the request, xi on module coordinates for CAP
     (``_orbit_action``) and -1 with conjugation for real weights at a
     centre of 0 (Friedel's law), with each image keyed by its argument
-    coordinates ``c @ L.T`` when the deformation's arguments form a
-    lattice (``LatticeBasis.argument_lattice``), so points with one
-    argument share a class.  A class is swept at the argument of its
-    representative, ``key @ Q.T`` on a lattice and k_int - D^T k_phys
-    otherwise.  Every row carries its class total, conjugated where only
-    -1 reaches its representative: bitwise what the full sweep gives at
+    coordinates where the deformation's arguments form a lattice, so
+    points with one argument share a class.  A class is swept at the
+    argument of its representative (``ModuleSet.arguments``).  Every row
+    carries its class total, conjugated where only -1 reaches its
+    representative: bitwise what the full sweep gives at
     the representative's argument.  The conjugate of an exact +0
     imaginary part is -0, which the exporters write as ``-0``.
 
@@ -241,12 +238,8 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     action = _orbit_action(model, center, w, deformation)
     # Friedel's law: at centre 0 with real weights, -q sweeps to q's conjugate
     friedel = not np.any(center) and not np.any(w.imag)
-    lattice = None if deformation is None else \
-        model.lattice.argument_lattice(deformation)
-    L, Q = lattice or (None, None)
-    reps, inverse, conj = _orbit_representatives(pts.coords, action, friedel, L)
-    args = model.lattice.points(reps).arguments(deformation) if Q is None \
-        else reps @ Q.T
+    reps, inverse, conj = _orbit_representatives(pts, action, friedel, deformation)
+    args = model.lattice.points(reps).arguments(deformation)
     totals = model.evaluator.amplitude_batch(args, n, weights=w,
                                              floor=threshold)[inverse]
     np.conjugate(totals, out=totals, where=conj)
@@ -335,7 +328,7 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
                          n: int | None = None, seed: int = 0) -> float:
     """Max |I(k+p) - I(k)| over the period generators p of the deformation
     (``LatticeBasis.periods``, derived from its rows) and ``n_samples`` >= 1
-    random k in [-6, 6]^rank."""
+    random k in [-6, 6]^rank, at the float formula ``cps.float_arguments``."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if isinstance(deformation, str):
@@ -349,7 +342,7 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
     base = rng.integers(-6, 7, size=(n_samples, rank))
     # the base sample and each of its period shifts, in one sweep
     coords = np.concatenate([base] + [base + pc for pc in period_coords])
-    args = model.lattice.points(coords).arguments(deformation)
+    args = float_arguments(model.lattice.points(coords), deformation)
     I = np.abs(model.evaluator.amplitude_batch(args, n, weights=w)) ** 2
     I = I.reshape(len(period_coords) + 1, n_samples)
     return float(np.max(np.abs(I[1:] - I[0])))

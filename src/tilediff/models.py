@@ -616,8 +616,7 @@ def validate_symmetry(model: ModelSpec, n_samples: int = 20,
     violations = list(disp.sixfold_violations)
     ev = model.evaluator
     perm = sixfold_shift(disp.n)
-    xi_phys = xi.embed_phys()
-    rot = np.array([[xi_phys[0], -xi_phys[1]], [xi_phys[1], xi_phys[0]]])
+    rot = model._scalar_matrix(xi)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):

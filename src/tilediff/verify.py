@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cps import LatticeBasis, float_arguments
 from .models import ModelSpec, validate_symmetry
 
 __all__ = ["Check", "verification_suite", "run_verification"]
@@ -114,16 +115,17 @@ def _deformation_checks(model: ModelSpec, seed: int) -> list:
     """The derived periods lie in the deformation kernel in floats,
     |p_int - D^T p_phys| < 1e-10, which makes the deformed intensity
     lattice-periodic; and where the arguments form a lattice,
-    (c @ L.T) @ Q.T matches k_int - D^T k_phys at 200 seeded points."""
+    ``ModuleSet.arguments`` ((c @ L.T) @ Q.T) matches the float formula
+    k_int - D^T k_phys (``cps.float_arguments``) at 200 seeded points."""
     lat = model.lattice
     coords = np.random.default_rng(seed).integers(-10, 11, size=(200, lat.rank))
-    kernel, lattices, worst = [], [], 0.0
+    pts, kernel, lattices, worst = lat.points(coords), [], [], 0.0
     for name, d in model.deformations.items():
-        kernel.extend(np.linalg.norm(lat.periods(d).arguments(d), axis=1))
+        kernel.extend(np.linalg.norm(float_arguments(lat.periods(d), d), axis=1))
         if (lattice := lat.argument_lattice(d)) is not None:
-            (L, Q), args = lattice, lat.points(coords).arguments(d)
-            worst = max(worst, float(np.max(np.abs((coords @ L.T) @ Q.T - args))))
-            lattices.append(f"{name}: L {L.shape[0]}x{L.shape[1]}")
+            error = pts.arguments(d) - float_arguments(pts, d)
+            worst = max(worst, float(np.max(np.abs(error))))
+            lattices.append(f"{name}: L {'x'.join(map(str, lattice[0].shape))}")
     if not kernel:
         checks = [Check("deformation-periods", SKIP, "no deformation has periods")]
     else:
@@ -157,7 +159,6 @@ def _fourier_module_check_spectre(model: ModelSpec) -> Check:
 
 def _module_equality_check(model: ModelSpec, alt_gens) -> Check:
     """Dual module equals the documented prefactor module (both inclusions)."""
-    from .cps import LatticeBasis
     dual = model.lattice.dual()
     alt = LatticeBasis(alt_gens)
     ok = all(alt.integer_coords(g) is not None for g in dual.generators) and \

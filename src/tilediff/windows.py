@@ -136,7 +136,9 @@ def iterate_windows(model: ModelSpec, generations: int,
     while cloud.generation < generations:
         if front is None:
             last, cloud = cloud, ifs_step(cloud, model)
-            front = _frontier(last.cells, cloud.cells)
+            pairs = list(zip(last.cells, cloud.cells))
+            if all(_locate(c, o)[1].sum() == len(o) for o, c in pairs):
+                front = tuple(c[~_locate(c, o)[1]] for o, c in pairs)
         elif not any(map(len, front)):
             return WindowCloud(cloud.cells, cloud.cell_size, generations)
         else:
@@ -145,18 +147,6 @@ def iterate_windows(model: ModelSpec, generations: int,
             cells, front = zip(*map(_add_absent, cloud.cells, images))
             cloud = WindowCloud(cells, cloud.cell_size, cloud.generation + 1)
     return cloud
-
-
-def _frontier(old: tuple, new: tuple):
-    """Per type, the rows of ``new`` that are not rows of ``old``, or None
-    unless every type's ``old`` is a subset of its ``new``."""
-    front = []
-    for o, c in zip(old, new):
-        found = _locate(c, o)[1]
-        if found.sum() < len(o):    # distinct rows: o lies in c iff all match
-            return None
-        front.append(c[~found])
-    return tuple(front)
 
 
 def _add_absent(cells: np.ndarray, images: np.ndarray):

@@ -129,6 +129,29 @@ def test_peaks_from_lengths_beyond_int64(tmp_path, capsys, monkeypatch):
     assert not out and not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("e,extra,peaks", [
+    (18, ["--center", "12.717514421272202", "--radius", "0.05",
+          "--internal-cutoff", "1", "--threshold", "1e-9"], None),
+    (18, ["--radius", "2"], None),
+    (17, ["--radius", "2"], 619)])
+def test_peaks_argument_keys_within_int64(e, extra, peaks, tmp_path, capsys,
+                                          monkeypatch):
+    """The same family at t = -10^-e has L = [[-1, 5*10^(e-1)]]: at e = 18
+    the key of (12, 19) is 9.5e18, past int64, a usage error naming the
+    deformation where the key used to wrap into a wrong peak; at e = 17 the
+    keys fit."""
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    q = 5 * 10 ** (2 * e - 1) - 1
+    lengths = f"{2 * 10 ** e}/{q}-2/{q}*sqrt2,{10 ** (2 * e)}/{q}-{10 ** e}/{q}*sqrt2"
+    code, out, err = run(["peaks", "--model", "silver", *extra, "--deformation",
+                          f"from-lengths:{lengths}"], capsys)
+    if peaks is None:
+        assert code == 1 and "'from-lengths'" in err and "past int64" in err
+        assert not out and not any(tmp_path.iterdir())
+    else:
+        assert code == 0 and out.startswith(f"{peaks} peaks") and not err
+
+
 @pytest.mark.parametrize("lengths,code", [
     ("6333631924-4478554081*sqrt2,4478554083-3166815962*sqrt2", 0),
     ("2623476242-1855077839*sqrt2,1855077841-1311738121*sqrt2", 1)])

@@ -8,8 +8,8 @@ import pytest
 from tilediff import cps
 from tilediff.algebra import (CAP, SILVER, SPECTRE, Surd, fraction_solve,
                               hermite_normal_form)
-from tilediff.cps import (LatticeBasis, enumerate_module, internal_argument,
-                          module_point)
+from tilediff.cps import (LatticeBasis, enumerate_module, float_arguments,
+                          internal_argument, module_point)
 from tilediff.models import DeformationMap, builtin
 
 S2, S3, S5, S15 = (math.sqrt(x) for x in (2, 3, 5, 15))
@@ -155,17 +155,26 @@ def test_points_match_per_point_projection(name):
     ("cap", "hat"), ("casper_scaffold", "hex"), ("casper_scaffold", "ht"),
     ("casper_scaffold", "spectre")])
 def test_arguments_match_per_point_formula(name, deformation):
+    """The float reference is k_int - D^T k_phys per point, bitwise; the
+    arguments are (C @ L.T) @ Q.T on an argument lattice, bitwise, and the
+    reference where the arguments are dense."""
     model = builtin(name)
     lat = model.lattice
     d = model.deformations[deformation]
     C = np.random.default_rng(6).integers(-40, 41, size=(300, lat.rank))
     pts = lat.points(C)
-    args = pts.arguments(d)
-    for kp, ki, a in zip(pts.k_phys, pts.k_int, args):
+    ref = float_arguments(pts, d)
+    for kp, ki, a in zip(pts.k_phys, pts.k_int, ref):
         assert a.tobytes() == (ki - d.matrix.T @ kp).tobytes()
+    args = pts.arguments(d)
+    if (lattice := lat.argument_lattice(d)) is None:
+        assert deformation == "spectre" and args.tobytes() == ref.tobytes()
+    else:
+        L, Q = lattice
+        assert args.tobytes() == ((C @ L.T) @ Q.T).tobytes()
     same = DeformationMap("copy", d.rows)    # the rows alone set the arguments
     assert pts.arguments(same).tobytes() == args.tobytes()
-    assert pts.arguments() is pts.k_int
+    assert pts.arguments() is pts.k_int and float_arguments(pts) is pts.k_int
 
 
 def test_module_set_indexing(cap):
@@ -453,7 +462,7 @@ def test_argument_lattice_is_exact(name, deformation, expect):
     assert lat.argument_lattice(d)[0] is L      # cached per deformation
     coords = np.random.default_rng(12).integers(-10, 11, size=(200, lat.rank))
     assert np.max(np.abs((coords @ L.T) @ Q.T
-                         - lat.points(coords).arguments(d))) < 1e-12
+                         - float_arguments(lat.points(coords), d))) < 1e-12
     rows = ((d.rows[0][0] + Fraction(1, 10 ** 15),) + d.rows[0][1:],) + d.rows[1:]
     near = dataclasses.replace(d, rows=rows)
     assert lat.argument_lattice(near) is None
@@ -474,7 +483,7 @@ def test_periods_lie_in_deformation_kernel(name, defs):
         d = model.deformations[dname]
         periods = model.lattice.periods(d)
         assert len(periods) == model.dim
-        assert np.max(np.linalg.norm(periods.arguments(d), axis=1)) < 1e-10
+        assert np.max(np.linalg.norm(float_arguments(periods, d), axis=1)) < 1e-10
         for c in periods.coords.tolist():
             assert not any(_exact_argument(model.lattice, d, c))
 

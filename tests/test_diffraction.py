@@ -9,7 +9,8 @@ import pytest
 
 from tilediff import cocycle, diffraction, windows
 from tilediff.algebra import Surd
-from tilediff.cps import LatticeBasis, enumerate_module, module_point
+from tilediff.cps import (LatticeBasis, ModuleSet, enumerate_module,
+                          float_arguments, module_point)
 from tilediff.diffraction import (_orbit_action, _orbit_representatives,
                                   amplitude_at, analytic_silver,
                                   deformation_from_lengths,
@@ -320,9 +321,15 @@ CAP_XI = [[1, 0, -1, 0], [0, 1, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
 HAT_XI = [[1, 1], [-1, 0]]     # xi on the hat argument keys c @ L.T
 
 
-def _own_class(coords, *_):
-    rows = np.arange(len(coords))
-    return coords, rows, np.zeros(len(coords), dtype=bool)
+def _own_class(points, *_):
+    rows = np.arange(len(points))
+    return points.coords, rows, np.zeros(len(points), dtype=bool)
+
+
+def _points(coords):
+    """Integer rows as a ModuleSet: without a deformation only their
+    coordinates key the classes."""
+    return ModuleSet(builtin("cap").lattice, np.asarray(coords), None, None)
 
 
 def _full_sweep_peaks(monkeypatch, model, **kw):
@@ -382,22 +389,24 @@ def test_cap_orbit_action_multiplies_by_xi(cap):
 @pytest.mark.parametrize("weights", ["equal", "zero-central"])
 def test_hat_classes_on_module_match_argument_keys(cap, weights):
     """xi acting on module coordinates, keyed by L, gives the classes that X
-    acting on the argument keys c @ L.T gives, array for array."""
+    acting on the argument keys c @ L.T gives, array for array, with the
+    representatives' module coordinates mapping to the key representatives."""
     hat = cap.deformations["hat"]
     w = weight_vector(cap, weights)
     R = _orbit_action(cap, np.zeros(2), w, hat)
     L, _ = cap.lattice.argument_lattice(hat)
-    coords = enumerate_module(cap.lattice, [0, 0], 0.6, cap.internal_cutoff).coords
-    got = _orbit_representatives(coords, R, True, L)
-    ref = _orbit_representatives(coords @ L.T, np.array(HAT_XI), True)
-    assert R.tolist() == CAP_XI and len(got[0]) < len(coords) / 10
+    pts = enumerate_module(cap.lattice, [0, 0], 0.6, cap.internal_cutoff)
+    got = _orbit_representatives(pts, R, True, hat)
+    ref = _orbit_representatives(_points(pts.coords @ L.T), np.array(HAT_XI), True)
+    assert R.tolist() == CAP_XI and len(got[0]) < len(pts) / 10
+    got = (got[0] @ L.T,) + got[1:]
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _row_reps(keys, action, friedel=False):
     """Representative of each row, and its conjugation flag."""
-    reps, inverse, conj = _orbit_representatives(keys, action, friedel)
+    reps, inverse, conj = _orbit_representatives(_points(keys), action, friedel)
     return reps[inverse], conj
 
 
@@ -425,7 +434,7 @@ def test_orbit_representatives():
         neg = [-x for x in c]
         assert rep == min(c, neg) and flip == (neg < c)
     # distinct representatives, in lexicographic order
-    distinct = _orbit_representatives(coords, eye, True)[0].tolist()
+    distinct = _orbit_representatives(_points(coords), eye, True)[0].tolist()
     assert distinct == sorted(map(list, set(map(tuple, reps.tolist()))))
 
 
@@ -467,7 +476,7 @@ def _bits(z) -> list:
 
 def _rows_swept(monkeypatch, model, **kw):
     """peak_list, the number of arguments its one sweep ran, and the group
-    its class reduction took: (action, friedel, L)."""
+    its class reduction took: (action, friedel, deformation)."""
     calls, groups = [], []
     sweep = cocycle.FourierEvaluator.amplitude_batch
     reduce = diffraction._orbit_representatives
@@ -476,9 +485,9 @@ def _rows_swept(monkeypatch, model, **kw):
         calls.append(len(K))
         return sweep(self, K, *args, **kwargs)
 
-    def group_spy(coords, *group):
+    def group_spy(points, *group):
         groups.append(group)
-        return reduce(coords, *group)
+        return reduce(points, *group)
 
     with monkeypatch.context() as m:
         m.setattr(cocycle.FourierEvaluator, "amplitude_batch", spy)
@@ -534,7 +543,7 @@ def test_class_reduction_matches_full_sweep(monkeypatch, name, radius, weights,
     else:
         L, Q = model.lattice.argument_lattice(d)
         pts = model.lattice.points(coords)
-        q, q_ref = (coords @ L.T) @ Q.T, pts.arguments(d)
+        q, q_ref = (coords @ L.T) @ Q.T, float_arguments(pts, d)
         ulp = np.spacing(np.max(np.abs(coords) @ np.abs(model.lattice.dual_columns.T)))
         dq = np.linalg.norm(q - q_ref, axis=1)
         assert dq.max() <= 4 * ulp
@@ -542,12 +551,14 @@ def test_class_reduction_matches_full_sweep(monkeypatch, name, radius, weights,
             * model.density * np.sum(np.abs(w) * model.evaluator.right)
         assert np.all(np.abs(A - A_ref) <= lipschitz * (dq + ulp) + 1e-15 * A_max)
     # class members carry one total, conjugated where the class says so
-    action, friedel, L = group
+    action, friedel, group_d = group
     # real weights at centre 0, and every deformation here has a lattice
-    assert friedel and (L is None) == (d is None)
+    assert friedel and group_d is d
+    assert d is None or model.lattice.argument_lattice(d) is not None
     assert action.tolist() == (CAP_XI if name == "cap" else [[1, 0], [0, 1]])
-    _, inverse, conj = _orbit_representatives(coords, action, friedel, L)
-    keys = coords if L is None else coords @ L.T
+    _, inverse, conj = _orbit_representatives(model.lattice.points(coords),
+                                              action, friedel, d)
+    keys = model.lattice.argument_keys(coords, d)
     total = np.where(conj, A.conj(), A)
     for c in np.unique(inverse):
         assert len(set(_bits(total[inverse == c]))) == 1
@@ -561,6 +572,30 @@ def test_class_reduction_matches_full_sweep(monkeypatch, name, radius, weights,
         expect = A[i] if conj[i] == conj[j] else A[i].conjugate()
         assert _bits(A[j]) == _bits(expect)
     assert not (name == "cap" and conj.any())
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted"])
+def test_amplitude_at_matches_peaks_bitwise(name):
+    """One argument per point: ``amplitude_at`` sweeps at the argument the
+    peak list swept its class at, so it gives every peak's amplitude bit
+    for bit."""
+    model = builtin(name)
+    d = model.deformations["equal-lengths"]
+    peaks = peak_list(model, radius=50.0, deformation=d, n=30)
+    assert len(peaks) > 100
+    assert _bits([amplitude_at(model, p.k, "equal", d, n=30) for p in peaks]) \
+        == _bits([p.amplitude for p in peaks])
+
+
+def test_amplitude_at_matches_hat_peaks(cap):
+    """On the hat a sixfold representative's argument and the one-row sweep
+    differ from a member's by rounding: within 1e-14 of the brightest."""
+    d, n = cap.deformations["hat"], cap.default_iters
+    peaks = peak_list(cap, radius=0.6, deformation=d, n=n)
+    A = np.array([p.amplitude for p in peaks])
+    got = np.array([amplitude_at(cap, p.k, "equal", d, n=n) for p in peaks])
+    assert len(peaks) > 1000
+    assert np.max(np.abs(got - A)) <= 1e-14 * np.max(np.abs(A))
 
 
 def test_conjugated_zero_imaginary_part(monkeypatch, tmp_path):
@@ -582,7 +617,7 @@ def test_conjugated_zero_imaginary_part(monkeypatch, tmp_path):
     assert [p.amplitude for p in got] == [p.amplitude for p in ref]
     coords = np.array([p.k.coords for p in got])
     action = _orbit_action(silver, [0.0], weight_vector(silver, "equal"), None)
-    conj = _orbit_representatives(coords, action, True)[2]
+    conj = _orbit_representatives(silver.lattice.points(coords), action, True)[2]
     negative = np.signbit([p.amplitude.imag for p in got])
     assert conj.sum() > 10 and np.array_equal(negative, conj)
     assert not np.signbit([p.amplitude.imag for p in ref]).any()
@@ -608,15 +643,12 @@ def _assert_full_sweep_bitwise(model, peaks, center, radius, weights,
     """Every peak carries the unpruned weighted sweep's total at its own
     argument, bitwise, and the product path's total w.C_n(k)v, normalized
     by C_n(0)v, to 1e-14 of the brightest amplitude.  The argument is
-    (c @ L.T) @ Q.T for a deformation with an argument lattice."""
+    ``ModuleSet.arguments``, (c @ L.T) @ Q.T for a deformation with an
+    argument lattice."""
     n = model.default_iters
     pts = enumerate_module(model.lattice, center, radius, model.internal_cutoff)
     d = model.deformations.get(deformation, deformation)
     args, w = pts.arguments(d), weight_vector(model, weights)
-    lattice = None if d is None else model.lattice.argument_lattice(d)
-    if lattice is not None:
-        L, Q = lattice
-        args = (pts.coords @ L.T) @ Q.T
     totals = model.evaluator.amplitude_batch(args, n, weights=w)
     coords = list(map(tuple, pts.coords.tolist()))
     full = dict(zip(coords, totals.tolist()))
