@@ -31,7 +31,7 @@ print(f"interval windows: W_a = [{hulls[0][0]:+.9f}, {hulls[0][1]:+.9f}], "
       f"W_b = [{hulls[1][0]:+.9f}, {hulls[1][1]:+.9f}]")
 print(f"  (exact endpoints: sqrt2/2 - 1 = {S2/2-1:+.9f}, sqrt2/2 = {S2/2:+.9f})")
 for model, label in ((silver, "silver"), (twisted, "twisted")):
-    vol = window_volume_from_patch(model, 12)
+    vol = window_volume_from_patch(model)
     print(f"{label:8s} total window volume from patch density: {vol:.8f} "
           f"(1 + sqrt2 = {LAM:.8f})")
 

@@ -31,7 +31,7 @@ for name, gens, res in (("silver", 22, None), ("silver_twisted", 26, None),
     if name == "silver_twisted":
         # cover estimates cannot converge on a Cantorval boundary; the
         # patch-density identity gives the true value
-        line += f"; patch-density volume {window_volume_from_patch(model, 12):.6f}"
+        line += f"; patch-density volume {window_volume_from_patch(model):.6f}"
     if name == "cap":
         line += (f"; density x covolume check: "
                  f"{model.lattice.density * (v - bracket/2):.6f} "

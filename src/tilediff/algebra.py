@@ -26,6 +26,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -88,6 +89,11 @@ def _split_square(m: int) -> tuple[int, int]:
     return g, h * n
 
 
+# one signed term of Surd.parse: p[/q][*sqrtm] or sqrtm, q and m >= 1
+_TERM = re.compile(r"([+-])(?:([0-9]+)(?:/(0*[1-9][0-9]*))?"
+                   r"(?:\*sqrt(0*[1-9][0-9]*))?|sqrt(0*[1-9][0-9]*))")
+
+
 class Surd:
     """Exact real number of the form sum_m q_m * sqrt(m), m square-free.
 
@@ -116,6 +122,24 @@ class Surd:
     def root(cls, m: int, coeff=1) -> "Surd":
         """coeff * sqrt(m)."""
         return cls({m: _frac(coeff)})
+
+    @classmethod
+    def parse(cls, text: str) -> "Surd":
+        """The surd written ``text``: a sum of terms p, p/q, p*sqrtm, p/q*sqrtm
+        and sqrtm with integers p >= 0 and q, m >= 1, each with one sign
+        (optional on the first), whitespace ignored.  Anything else, such as
+        a second sign, a missing ``*``, ``1/0`` or ``sqrt0``, is a ValueError."""
+        s = "".join(text.split())
+        s = s if s[:1] in ("+", "-") else "+" + s
+        total, pos = cls(), 0
+        while pos < len(s):
+            if (term := _TERM.match(s, pos)) is None:
+                raise ValueError(f"cannot parse {text!r} as a sum of p/q*sqrtm terms")
+            sign, p, q, m, root = term.groups()
+            total += cls.root(int(m or root or 1),
+                              Fraction(int(sign + (p or "1")), int(q or 1)))
+            pos = term.end()
+        return total
 
     @property
     def terms(self) -> dict[int, Fraction]:

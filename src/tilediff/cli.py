@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import Surd
@@ -91,39 +90,6 @@ def _load_model(args, need_data: bool = True):
     return model
 
 
-def _parse_exact_length(token: str) -> Surd:
-    """Parse 'p', 'p/q', 'p*sqrt2', or combinations 'a+b*sqrt2'/'a-b*sqrt2'."""
-    token = token.strip().replace(" ", "")
-    if "." in token or "e" in token.lower():
-        raise UsageError(
-            f"length {token!r} is not exact; use rationals in 1 and sqrt2 "
-            "(e.g. 4-2*sqrt2) or the equal-lengths preset")
-
-    def atom(s: str) -> Surd:
-        neg = s.startswith("-")
-        s = s.lstrip("+-")
-        if s.endswith("sqrt2"):
-            s = s[:-5].rstrip("*")
-            q = Fraction(s) if s else Fraction(1)
-            out = Surd.root(2, q)
-        else:
-            out = Surd.rational(Fraction(s))
-        return -out if neg else out
-
-    total = Surd()
-    start = 0
-    try:
-        for i in range(1, len(token)):
-            if token[i] in "+-" and token[i - 1] not in "+-*/":
-                total = total + atom(token[start:i])
-                start = i
-        return total + atom(token[start:])
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(
-            f"cannot parse length {token!r}; use rationals in 1 and sqrt2, "
-            "e.g. 4-2*sqrt2") from None
-
-
 def _resolve_deformation(model, spec: str):
     if spec.startswith("from-lengths:"):
         if model.field.name != "silver":
@@ -132,9 +98,17 @@ def _resolve_deformation(model, spec: str):
         if len(parts) != 2:
             raise UsageError("from-lengths needs two lengths, e.g. "
                              "from-lengths:4-2*sqrt2,4-2*sqrt2")
-        la, lb = (_parse_exact_length(p) for p in parts)
+        lengths = []
+        for token in parts:
+            try:
+                lengths.append(Surd.parse(token))
+            except ValueError:
+                what = "not exact" if "." in token or "e" in token.lower() \
+                    else "cannot parse"
+                raise UsageError(f"{what} length {token!r}; write a sum of "
+                                 "p/q*sqrtm terms, e.g. 4-2*sqrt2") from None
         try:
-            deformation = diffraction.deformation_from_lengths(la, lb)
+            deformation = diffraction.deformation_from_lengths(*lengths)
             model.lattice.periods(deformation)   # its exact data fit int64
         except ValueError as exc:
             raise UsageError(str(exc)) from exc

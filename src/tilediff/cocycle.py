@@ -74,18 +74,15 @@ class FourierEvaluator:
         # exponentials are evaluated once per starred translation up to the
         # sign of its first nonzero coordinate, at the sign of its first
         # entry, and gathered per translation through _phase; an entry of
-        # the other sign takes the conjugate (cos is even, sin is odd and
-        # negation is exact) from the columns after len(_t_star), in _twin
+        # the other sign, in _flip, takes the conjugate (cos is even, sin is
+        # odd and negation is exact)
         stars = disp.stars[by_col]
         lead = stars[np.arange(len(stars)), np.argmax(stars != 0, axis=1)]
         sign = np.where(lead < 0, -1.0, 1.0)
         _, first, phase = np.unique(stars * sign[:, None], axis=0,
                                     return_index=True, return_inverse=True)
-        flip = sign != sign[first][phase]
-        twin, slot = np.unique(phase[flip], return_inverse=True)
-        phase[flip] = len(first) + slot
-        self._t_star, self._phase, self._twin = map(read_only, (
-            stars[first], phase, twin))
+        self._t_star, self._phase, self._flip = map(read_only, (
+            stars[first], phase, sign != sign[first][phase]))
 
         self.M = read_only(disp.card_matrix())
         self.left, self.right = map(read_only, pf_data(self.M)[1:])
@@ -96,12 +93,12 @@ class FourierEvaluator:
         """exp(2 pi i <t*, k>) per translation, shape (nk, m), in the
         column-sorted order of the table."""
         X = _TWO_PI * (K @ self._t_star.T)
-        u = X.shape[1]
-        E = np.empty((len(X), u + len(self._twin)), dtype=complex)
-        np.cos(X, out=E.real[:, :u])
-        np.sin(X, out=E.imag[:, :u])
-        np.conjugate(E[:, self._twin], out=E[:, u:])
-        return E[:, self._phase]
+        E = np.empty(X.shape, dtype=complex)
+        np.cos(X, out=E.real)
+        np.sin(X, out=E.imag)
+        E = E[:, self._phase]
+        np.negative(E.imag, out=E.imag, where=self._flip)
+        return E
 
     def fourier_matrix_batch(self, K: np.ndarray) -> np.ndarray:
         """B(k) for a batch of internal arguments, shape (nk, n, n)."""

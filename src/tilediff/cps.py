@@ -204,20 +204,15 @@ class LatticeBasis:
         _, L, Q = self._argument_map(deformation)
         return None if L is None else (L, Q)
 
-    def argument_keys(self, coords, deformation=None, g=None) -> np.ndarray:
+    def argument_keys(self, coords, deformation=None, group=None) -> np.ndarray:
         """Int64 keys ``coords @ M.T`` of the arguments of the dual points
-        ``coords @ g.T`` (g the identity when None): M = L @ g where they form
-        a lattice (:meth:`argument_lattice`), else M = g.  ValueError names the
-        deformation where max|c| times the largest row sum of |M| reaches 2**63."""
+        ``coords @ g.T``, a block of rows per g in ``group`` (the identity
+        when None): M = L @ g where they form a lattice (:meth:`argument_lattice`),
+        else M = g; one lookup and one int64 bound for the group (:func:`_keys`)."""
         lattice = deformation and self.argument_lattice(deformation)
-        M = np.array(np.eye(self.rank, dtype=int) if g is None else g, dtype=object)
-        M = lattice[0].astype(object) @ M if lattice else M
-        bound = max(1, int(np.abs(coords).max(initial=0))) \
-            * max(sum(map(abs, row)) for row in M.tolist())
-        if bound >= 2 ** 63:
-            raise ValueError(f"deformation {getattr(deformation, 'name', None)!r}: "
-                             f"its argument keys reach {bound:.3g}, past int64")
-        return coords @ M.astype(np.int64).T
+        group = [np.eye(self.rank, dtype=int)] if group is None else group
+        return _keys(coords, [lattice[0] @ np.array(g, dtype=object) for g in group]
+                     if lattice else group, deformation)
 
     def __repr__(self):
         return f"LatticeBasis({self.field.name}, rank={self.rank})"
@@ -281,7 +276,8 @@ class ModuleSet:
         ``DeformationMap`` D, as ``(c @ L.T) @ Q.T`` where they form a lattice
         (``LatticeBasis.argument_lattice``), else by :func:`float_arguments`."""
         if lattice := deformation and self.lattice.argument_lattice(deformation):
-            return self.lattice.argument_keys(self.coords, deformation) @ lattice[1].T
+            L, Q = lattice
+            return _keys(self.coords, [L], deformation) @ Q.T
         return float_arguments(self, deformation)
 
 
@@ -293,6 +289,17 @@ def float_arguments(points: ModuleSet, deformation=None) -> np.ndarray:
         return points.k_int
     DT = deformation.matrix.T
     return points.k_int - (DT[None] @ points.k_phys[:, :, None])[:, :, 0]
+
+
+def _keys(coords, maps, deformation) -> np.ndarray:
+    """``coords @ M.T`` for each integer M in ``maps``, stacked, in int64;
+    ValueError naming ``deformation`` where max|c| max row sum |M| >= 2**63."""
+    bound = max(1, int(np.abs(coords).max(initial=0))) \
+        * max(sum(map(abs, row)) for M in maps for row in M.tolist())
+    if bound >= 2 ** 63:
+        raise ValueError(f"deformation {getattr(deformation, 'name', None)!r}: "
+                         f"its argument keys reach {bound:.3g}, past int64")
+    return np.concatenate([coords @ M.astype(np.int64).T for M in maps])
 
 
 def _int64(a) -> np.ndarray:

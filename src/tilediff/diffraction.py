@@ -177,8 +177,7 @@ def _orbit_representatives(points, action: np.ndarray, friedel: bool = False,
     plain = len(group)
     if friedel and not any(np.array_equal(g, -eye) for g in group):
         group += [-g for g in group]
-    images = np.concatenate([points.lattice.argument_keys(points.coords, deformation, g)
-                             for g in group])
+    images = points.lattice.argument_keys(points.coords, deformation, group)
     # row keys ascend in lexicographic row order; argmin takes the first
     # smallest image, so a power of ``action`` wins a tie with its negative
     flat = row_keys(images)[0].reshape(len(group), len(points))
@@ -425,5 +424,5 @@ def peaks_to_svg(peaks: list, path) -> None:
                         K[:, 0].max() + pad, K[:, 1].max() + pad))
     imax = I.max()
     for (x, y), ii in zip(K, I):
-        canvas.circle(x, y, 9.0 * math.sqrt(ii / imax), color="#111111")
+        canvas.circle(x, y, 9.0 * math.sqrt(ii / imax))
     canvas.write(path)

@@ -38,12 +38,12 @@ class SvgCanvas:
         py = self.height - self.margin - (y - self.y0) * self.scale
         return px, py
 
-    def circle(self, x, y, r_px, color="#000000", opacity=1.0):
+    def circle(self, x, y, r_px):
+        """Opaque disk of fill #111111 and pixel radius ``r_px``."""
         px, py = self.map(x, y)
-        op = "" if opacity >= 1.0 else f' fill-opacity="{_f(opacity)}"'
         self._parts.append(
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(max(r_px, 0.0))}" '
-            f'fill="{color}"{op}/>')
+            f'fill="#111111"/>')
 
     def rect(self, x, y, w, h, color="#000000", opacity=1.0):
         """Rectangle given in data coordinates (x, y lower-left corner)."""
@@ -53,11 +53,12 @@ class SvgCanvas:
             f'<rect x="{_f(px)}" y="{_f(py)}" width="{_f(w * self.scale)}" '
             f'height="{_f(h * self.scale)}" fill="{color}"{op}/>')
 
-    def text(self, x, y, s, size=12, color="#333333"):
+    def text(self, x, y, s):
+        """Label ``s`` at font size 12 in #333333."""
         px, py = self.map(x, y)
         self._parts.append(
-            f'<text x="{_f(px)}" y="{_f(py)}" font-size="{size}" '
-            f'fill="{color}" font-family="sans-serif">{s}</text>')
+            f'<text x="{_f(px)}" y="{_f(py)}" font-size="12" '
+            f'fill="#333333" font-family="sans-serif">{s}</text>')
 
     def write(self, path) -> None:
         body = "\n".join(self._parts)

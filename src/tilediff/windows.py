@@ -83,14 +83,12 @@ def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
     return math.ldexp(mantissa, exponent)
 
 
-def seed_clouds(model: ModelSpec, cell_size: float | None = None,
-                resolution: int | None = None) -> WindowCloud:
-    """Single point 0 per type (0 lies in every window closure here)."""
-    if cell_size is None:
-        cell_size = default_cell_size(model, resolution)
+def seed_clouds(model: ModelSpec, resolution: int | None = None) -> WindowCloud:
+    """Single point 0 per type (0 lies in every window closure here), on
+    the grid of :func:`default_cell_size` at ``resolution``."""
     z = np.zeros((1, model.dim), dtype=np.int64)
     return WindowCloud(tuple(z.copy() for _ in range(model.n_tiles)),
-                       float(cell_size), 0)
+                       default_cell_size(model, resolution), 0)
 
 
 def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
@@ -136,9 +134,10 @@ def iterate_windows(model: ModelSpec, generations: int,
     while cloud.generation < generations:
         if front is None:
             last, cloud = cloud, ifs_step(cloud, model)
-            pairs = list(zip(last.cells, cloud.cells))
-            if all(_locate(c, o)[1].sum() == len(o) for o, c in pairs):
-                front = tuple(c[~_locate(c, o)[1]] for o, c in pairs)
+            # per type, which new cells the last generation holds
+            held = [_locate(c, o)[1] for o, c in zip(last.cells, cloud.cells)]
+            if all(h.sum() == len(o) for h, o in zip(held, last.cells)):
+                front = tuple(c[~h] for h, c in zip(held, cloud.cells))
         elif not any(map(len, front)):
             return WindowCloud(cloud.cells, cloud.cell_size, generations)
         else:
@@ -210,12 +209,8 @@ def _interior_mask(cells: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _boundary_count(cells: np.ndarray) -> int:
-    return int(len(cells) - _interior_mask(cells).sum())
-
-
-def volume(cloud: WindowCloud, per_type: bool = False):
-    """Occupied-cell volume with a one-boundary-layer bracket.
+def volume(cloud: WindowCloud):
+    """Union occupied-cell volume with a one-boundary-layer bracket.
 
     Returns (value, bracket) with value = occupied cells x cell measure
     and bracket = boundary cells x cell measure.  The occupied count
@@ -225,11 +220,9 @@ def volume(cloud: WindowCloud, per_type: bool = False):
     ambient dimension (silver/CAP windows, not the Cantorvals).
     """
     cell_vol = cloud.cell_size ** cloud.dim
-    if per_type:
-        return [(c.shape[0] * cell_vol, _boundary_count(c) * cell_vol)
-                for c in cloud.cells]
     union = _unique_cells(np.vstack(cloud.cells))
-    return union.shape[0] * cell_vol, _boundary_count(union) * cell_vol
+    boundary = int(len(union) - _interior_mask(union).sum())
+    return union.shape[0] * cell_vol, boundary * cell_vol
 
 
 def interior_cells(cloud: WindowCloud, i: int) -> set:
@@ -238,8 +231,9 @@ def interior_cells(cloud: WindowCloud, i: int) -> set:
     return set(map(tuple, cells[_interior_mask(cells)]))
 
 
-def window_volume_from_patch(model: ModelSpec, steps: int = 12):
-    """Total window volume via the point density of an inflation patch.
+def window_volume_from_patch(model: ModelSpec):
+    """Total window volume via the point density of an inflation patch of
+    12 steps.
 
     Regular model sets equidistribute in their window, so the window
     volume equals point density times the lattice covolume.  The patch
@@ -248,7 +242,7 @@ def window_volume_from_patch(model: ModelSpec, steps: int = 12):
     ambient dimension (the twisted Cantorval windows).
     """
     from .inflation import inflate, seed_patch
-    patch = inflate(seed_patch(model), model, steps)
+    patch = inflate(seed_patch(model), model, 12)
     pos = patch.positions_phys()
     if model.dim == 1:
         xs = pos[:, 0]

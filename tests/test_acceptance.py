@@ -88,7 +88,7 @@ def test_c03_reprojected_silver():
 def test_c04_cap_structural():
     t0 = time.perf_counter()
     cap = builtin("cap")
-    rep = validate_symmetry(cap, n_samples=20)
+    rep = validate_symmetry(cap)
     ok_exact = not rep.exact_violations
     ok_numeric = rep.max_numeric_residual < 1e-12
     ev = cap.evaluator
@@ -167,7 +167,7 @@ def test_c07_windows():
     ok_silver = abs(v_silver - LAM) / LAM < 0.02
     # cell covers cannot converge for the Cantorval boundary (dimension
     # ~0.897), so the twisted total uses the patch-density identity
-    v_twisted = window_volume_from_patch(builtin("silver_twisted"), 12)
+    v_twisted = window_volume_from_patch(builtin("silver_twisted"))
     ok_twisted = abs(v_twisted - LAM) / LAM < 0.02
 
     cap = builtin("cap")

@@ -221,6 +221,41 @@ def test_surd_ring_laws(a, b, c):
         assert (a - b).sign() == (1 if float(a - b) > 0 else -1)
 
 
+SQUARE_FREE = [m for m in range(1, 31) if all(m % (p * p) for p in (2, 3, 5))]
+
+
+def _spell(x: Surd) -> str:
+    """Canonical spelling: signed terms p/q*sqrtm, dropping /1, 1* and *sqrt1."""
+    terms = []
+    for m, q in x.terms.items():
+        p = f"{abs(q.numerator)}" + (f"/{q.denominator}" if q.denominator > 1 else "")
+        root = "" if m == 1 else ("sqrt" if p == "1" else p + "*sqrt") + str(m)
+        terms.append(("-" if q < 0 else "+") + (root or p))
+    return "".join(terms).removeprefix("+") or "0"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(SQUARE_FREE),
+                       st.fractions(max_denominator=10 ** 6).filter(bool),
+                       max_size=4))
+def test_surd_parse_round_trip(terms):
+    x = Surd(terms)
+    assert Surd.parse(_spell(x)) == x
+
+
+def test_surd_parse_grammar():
+    """One sign per term, ``*`` before sqrt, q and m >= 1; square factors
+    leave the radicand and whitespace is ignored."""
+    assert Surd.parse("4-sqrt8") == Surd.parse("4-2*sqrt2") == Surd({1: 4, 2: -2})
+    assert Surd.parse(" -1 / 2 * sqrt 12 +3/6") == Surd({1: Fraction(1, 2), 3: -1})
+    assert Surd.parse("+0/7*sqrt5") == Surd() == Surd.parse("0")
+    for text in ["4--2*sqrt2", "4+-2*sqrt2", "--1", "2**sqrt2", "2sqrt2",
+                 "sqrt0", "0*sqrt0", "1/0", "1/-2", "", "+", "sqrt", "1.5",
+                 "1e3", "4-2*sqrt2*", "4-", "sqrt2/2", "-sqrt-2", "a"]:
+        with pytest.raises(ValueError, match="cannot parse"):
+            Surd.parse(text)
+
+
 def test_fraction_linalg():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = fraction_matrix_inverse(a)

@@ -117,6 +117,40 @@ def test_peaks_from_lengths_rejects_malformed(lengths, tmp_path, capsys,
     assert not out and not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("lengths", ["4--2*sqrt2,4-2*sqrt2", "4+-2*sqrt2,4-2*sqrt2",
+                                     "4-2**sqrt2,4-2*sqrt2", "--1,1"])
+def test_peaks_from_lengths_rejects_second_sign(lengths, tmp_path, capsys,
+                                                monkeypatch):
+    """A term has one sign and one ``*``: 4--2*sqrt2 is not read as
+    4 - 2 sqrt2, nor 2**sqrt2 as 2 sqrt2."""
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    code, out, err = run(["peaks", "--model", "silver", "--radius", "2",
+                          "--deformation", f"from-lengths:{lengths}"], capsys)
+    assert code == 1 and "cannot parse length" in err
+    assert not out and not any(tmp_path.iterdir())
+
+
+def test_peaks_from_lengths_any_radicand(tmp_path, capsys, monkeypatch):
+    """sqrt8 is 2 sqrt2, so 4-sqrt8 writes the files of 4-2*sqrt2; lengths in
+    sqrt3 and sqrt6 that keep ell_a + sqrt2 ell_b = 2 sqrt2 give a member
+    with dense arguments and no period line."""
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    outs = {}
+    for base, lengths in [("plain", "4-2*sqrt2,4-2*sqrt2"),
+                          ("sqrt8", "4-sqrt8,4-2*sqrt2"),
+                          ("dense", "4-2*sqrt2+1/10*sqrt3,4-2*sqrt2-1/20*sqrt6")]:
+        code, outs[base], err = run(["peaks", "--model", "silver", "--radius", "2",
+                                     "--deformation", f"from-lengths:{lengths}",
+                                     "--out", base], capsys)
+        assert code == 0 and not err
+    for ext in ("csv", "json", "svg"):
+        assert (tmp_path / f"sqrt8.{ext}").read_bytes() == \
+            (tmp_path / f"plain.{ext}").read_bytes()
+    assert outs["sqrt8"] == outs["plain"].replace("plain", "sqrt8")
+    assert "period generators" in outs["plain"]
+    assert outs["dense"].startswith("633 peaks") and len(outs["dense"].splitlines()) == 1
+
+
 def test_peaks_from_lengths_beyond_int64(tmp_path, capsys, monkeypatch):
     """D = (1 + 2t^2 + 2t sqrt2) / (1 - 2t^2) at t = -1e-30 has one period,
     with dual coordinates near 5e29: a usage error, not a traceback."""

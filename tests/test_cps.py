@@ -409,6 +409,24 @@ def test_hat_argument_lattice(cap):
         assert np.max(np.abs(c - np.round(c))) < 1e-10
 
 
+def test_argument_keys_of_a_group(cap):
+    """One call keys a whole group, a block of rows per element, under one
+    int64 bound that covers every element."""
+    lat, hat = cap.lattice, cap.deformations["hat"]
+    L, _ = lat.argument_lattice(hat)
+    R = lat.dual_action(cap.field.gen("xi"))
+    eye = np.eye(4, dtype=np.int64)
+    coords = np.random.default_rng(3).integers(-9, 10, size=(20, 4))
+    group = [eye, R, R @ R, -eye]
+    assert lat.argument_keys(coords, hat, group).tolist() == \
+        np.concatenate([coords @ (L @ g).T for g in group]).tolist()
+    assert lat.argument_keys(coords, hat).tolist() == (coords @ L.T).tolist()
+    big = np.array([[2 ** 61, 0, 0, 0]])
+    assert lat.argument_keys(big, None, [eye]).tolist() == big.tolist()
+    with pytest.raises(ValueError, match="past int64"):
+        lat.argument_keys(big, None, [eye, 4 * eye])
+
+
 def _argument_action(lat, d, x):
     """Exact X with X L == L R for x's action R, or None (L has full row rank,
     so X is unique when it exists)."""

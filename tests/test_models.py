@@ -203,7 +203,7 @@ def test_shared_model_arrays_are_read_only(name):
                    "displacement.row_start"}
         expect |= {f"evaluator.{a}" for a in (
             "_row", "_col_start", "_cells", "_cell_start", "_t_star", "_phase",
-            "_twin", "M", "left", "right")}
+            "_flip", "M", "left", "right")}
     arrays = [(f"{owner}.{path}", a) for owner, obj in owners.items()
               for key, value in vars(obj).items() for path, a in _arrays(value, key)]
     assert expect <= {path for path, _ in arrays}

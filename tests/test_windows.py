@@ -92,7 +92,8 @@ def test_fixed_point_property(silver):
 
 def test_hausdorff_contraction_rate(silver):
     """Consecutive-generation Hausdorff distance shrinks at ~|contraction|."""
-    cloud = seed_clouds(silver, cell_size=1e-7)
+    seed = np.zeros((1, 1), dtype=np.int64)
+    cloud = WindowCloud((seed,) * silver.n_tiles, 1e-7, 0)
     gens = [cloud]
     for _ in range(16):
         gens.append(ifs_step(gens[-1], silver))
@@ -247,18 +248,19 @@ def test_silver_volume(silver):
     v, bracket = volume(cloud)
     assert abs(v - LAM) / LAM < 0.01
     assert abs(v - LAM) <= bracket
-    per = volume(cloud, per_type=True)
+    per = [volume(WindowCloud((c,), cloud.cell_size, cloud.generation))
+           for c in cloud.cells]
     assert abs(per[0][0] - 1.0) < 0.01
     assert abs(per[1][0] - S2) < 0.01
 
 
 def test_twisted_volume_from_patch(twisted):
-    v = window_volume_from_patch(twisted, 12)
+    v = window_volume_from_patch(twisted)
     assert abs(v - LAM) / LAM < 0.02
 
 
 def test_silver_volume_from_patch(silver):
-    v = window_volume_from_patch(silver, 12)
+    v = window_volume_from_patch(silver)
     assert abs(v - LAM) / LAM < 0.001
 
 
