@@ -12,7 +12,7 @@ from .algebra import (CAP, FIELDS, SILVER, SPECTRE, AlgebraicElement,
 from .cocycle import AmplitudeVector, FourierEvaluator
 from .cps import (LatticeBasis, ModulePoint, enumerate_module,
                   internal_argument, module_point)
-from .diffraction import (Peak, amplitude_at, analytic_silver,
+from .diffraction import (Peak, PeakTable, amplitude_at, analytic_silver,
                           deformation_from_lengths, peak_list, peaks_to_csv,
                           peaks_to_json, peaks_to_svg, symmetry_report,
                           weight_vector, weyl_sum)
@@ -30,8 +30,8 @@ __all__ = [
     "AlgebraicElement", "AmplitudeVector", "CAP", "DeformationMap",
     "DisplacementMatrix", "FIELDS", "FieldMismatchError", "FieldSpec",
     "FourierEvaluator", "LatticeBasis", "ModelDataError", "ModelSpec",
-    "ModulePoint", "Peak", "SILVER", "SPECTRE", "Surd", "TypedPointSet",
-    "WindowCloud", "amplitude_at", "analytic_silver", "builtin",
+    "ModulePoint", "Peak", "PeakTable", "SILVER", "SPECTRE", "Surd",
+    "TypedPointSet", "WindowCloud", "amplitude_at", "analytic_silver", "builtin",
     "builtin_names", "deformation_from_lengths",
     "enumerate_module", "hull_intervals", "ifs_step", "inflate",
     "internal_argument", "iterate_windows", "load_displacement",

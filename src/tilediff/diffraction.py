@@ -11,19 +11,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .algebra import Surd, _mat_mul
-from .cps import ModulePoint, enumerate_module, float_arguments, internal_argument
+from .algebra import Surd, _mat_mul, read_only
+from .cps import (ModulePoint, ModuleSet, enumerate_module, float_arguments,
+                  internal_argument)
 from .inflation import TypedPointSet
 from .models import DeformationMap, ModelSpec, sixfold_shift
 from .svg import SvgCanvas
 from .windows import row_keys
 
 __all__ = [
-    "Peak", "weight_vector", "amplitude_at", "analytic_silver", "weyl_sum",
-    "peak_list", "deformation_from_lengths", "symmetry_report",
+    "Peak", "PeakTable", "weight_vector", "amplitude_at", "analytic_silver",
+    "weyl_sum", "peak_list", "deformation_from_lengths", "symmetry_report",
     "SymmetryGroupReport", "periodicity_residual", "mean_log_intensity",
     "peaks_to_csv", "peaks_to_json", "peaks_to_svg",
 ]
@@ -43,6 +46,56 @@ class Peak:
     amplitude: complex
     intensity: float
     n_iters: int
+
+
+@dataclass(frozen=True, eq=False)
+class PeakTable:
+    """The peaks of one request as columns, in peak order: the kept module
+    ``points``, the ``deformation`` name, ``n_iters`` and the read-only
+    ``amplitude`` (complex) and ``intensity`` arrays.  An int index and
+    iteration give ``Peak``s, built on demand; a slice or index array gives
+    a ``PeakTable``."""
+
+    points: ModuleSet
+    deformation: str | None
+    n_iters: int
+    amplitude: np.ndarray
+    intensity: np.ndarray
+
+    def __post_init__(self):
+        read_only(self.amplitude)
+        read_only(self.intensity)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        return map(Peak, self.points, repeat(self.deformation),
+                   self.amplitude.tolist(), self.intensity.tolist(),
+                   repeat(self.n_iters))
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Peak(self.points[index], self.deformation,
+                        self.amplitude[index].item(),
+                        self.intensity[index].item(), self.n_iters)
+        return PeakTable(self.points[index], self.deformation, self.n_iters,
+                         self.amplitude[index], self.intensity[index])
+
+    @cached_property
+    def _fields(self) -> tuple:
+        """The fields the CSV and the JSON share, one list of strings per
+        column: the module coordinates joined by commas, then kx, ky, re_amp,
+        im_amp and intensity, each float formatted once with %.17g; ky is
+        the literal 0 in 1d."""
+        def g17(x):
+            return list(map("%.17g".__mod__, x.tolist()))
+
+        coords = zip(*(map(str, c) for c in self.points.coords.T.tolist()))
+        kx, *ky = self.points.k_phys.T
+        return (list(map(",".join, coords)), g17(kx),
+                g17(ky[0]) if ky else ["0"] * len(self), g17(self.amplitude.real),
+                g17(self.amplitude.imag), g17(self.intensity))
 
 
 def weight_vector(model: ModelSpec, spec) -> np.ndarray:
@@ -191,8 +244,9 @@ def _orbit_representatives(points, action: np.ndarray, friedel: bool = False,
 def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
               internal_cutoff: float | None = None, threshold: float = 1e-6,
               weights="equal", deformation: DeformationMap | str | None = None,
-              n: int | None = None) -> list:
-    """All Bragg peaks with intensity >= threshold in a physical ball.
+              n: int | None = None) -> PeakTable:
+    """All Bragg peaks with intensity >= threshold in a physical ball, as
+    a :class:`PeakTable`.
 
     Deterministic: peaks are sorted by descending intensity, and each
     peak whose intensity lies within a relative ``_TIE_RTOL`` of the
@@ -230,9 +284,10 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     if isinstance(deformation, str):
         deformation = model.deformations[deformation]
     w = weight_vector(model, weights)
+    name = deformation.name if deformation is not None else None
     pts = enumerate_module(model.lattice, center, radius, internal_cutoff)
     if not len(pts):
-        return []
+        return PeakTable(pts, name, n, np.zeros(0, complex), np.zeros(0))
     # one sweep per class; each row takes its class total
     action = _orbit_action(model, center, w, deformation)
     # Friedel's law: at centre 0 with real weights, -q sweeps to q's conjugate
@@ -251,9 +306,7 @@ def peak_list(model: ModelSpec, center=None, radius: float = 1.0,
     # np.lexsort's last key is primary: tie group, then coordinates
     order = order[np.lexsort(np.vstack([pts.coords[order].T[::-1],
                                         np.cumsum(gap)]))]
-    name = deformation.name if deformation is not None else None
-    return [Peak(k, name, a, i, n) for k, a, i in
-            zip(pts[order], totals[order].tolist(), intensities[order].tolist())]
+    return PeakTable(pts[order], name, n, totals[order], intensities[order])
 
 
 def deformation_from_lengths(ell_a, ell_b) -> DeformationMap:
@@ -375,54 +428,38 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
 # ---------------------------------------------------------------------------
 # Output formats
 
-def _rows(peaks: list, fmt) -> list:
-    """``fmt(rank, ky) % row`` per peak of one request, ``ky`` being "%.17g" in
-    2d and the literal 0 in 1d: a row is the module coordinates, kx, ky (2d),
-    re_amp, im_amp, intensity and n_iters, floats to 17 digits."""
-    if not peaks:
-        return []
-    k = peaks[0].k
-    fmt = fmt(len(k.coords), "%.17g" if k.k_phys.shape == (2,) else "0")
-    return [fmt % (*p.k.coords, *p.k.k_phys.tolist(), p.amplitude.real,
-                   p.amplitude.imag, p.intensity, p.n_iters) for p in peaks]
-
-
-def peaks_to_csv(peaks: list, path) -> None:
+def peaks_to_csv(peaks: PeakTable, path) -> None:
     """CSV with header c1,c2,c3,c4,kx,ky,re_amp,im_amp,intensity,n_iters.
 
     c3,c4 stay empty for rank-2 modules; ky is 0 for 1d models.
     """
-    rows = _rows(peaks, lambda rank, ky: ",".join(["%d"] * rank + [""] * (4 - rank))
-                 + ",%.17g," + ky + ",%.17g,%.17g,%.17g,%d\n")
+    pad, n = "," * (5 - peaks.points.coords.shape[1]), peaks.n_iters
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("c1,c2,c3,c4,kx,ky,re_amp,im_amp,intensity,n_iters\n")
-        fh.writelines(rows)
+        fh.writelines([f"{c}{pad}{x},{y},{re},{im},{i},{n}\n"
+                       for c, x, y, re, im, i in zip(*peaks._fields)])
 
 
-def peaks_to_json(peaks: list, path) -> None:
-    """JSON mirror of the CSV records, with identical float formatting; the
-    peaks share one deformation (ValueError when they do not)."""
-    (name,) = {p.deformation for p in peaks} or {None}
-    name = json.dumps(name).replace("%", "%%")
-    rows = _rows(peaks, lambda rank, ky: '{"coords":[' + ",".join(["%d"] * rank)
-                 + '],"deformation":' + name + ',"kx":%.17g,"ky":' + ky
-                 + ',"re_amp":%.17g,"im_amp":%.17g,"intensity":%.17g,"n_iters":%d}')
+def peaks_to_json(peaks: PeakTable, path) -> None:
+    """JSON mirror of the CSV records, with identical float formatting."""
+    name, n = json.dumps(peaks.deformation), peaks.n_iters
+    rows = [f'{{"coords":[{c}],"deformation":{name},"kx":{x},"ky":{y},'
+            f'"re_amp":{re},"im_amp":{im},"intensity":{i},"n_iters":{n}}}'
+            for c, x, y, re, im, i in zip(*peaks._fields)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("[\n" + ",\n".join(rows) + "\n]\n")
 
 
-def peaks_to_svg(peaks: list, path) -> None:
+def peaks_to_svg(peaks: PeakTable, path) -> None:
     """Scatter plot, disk area proportional to intensity (brightest: radius 9)."""
-    if not peaks:
+    if not len(peaks):
         SvgCanvas((0, 0, 1, 1)).write(path)
         return
     K = np.zeros((len(peaks), 2))   # y is 0 in 1d
-    K[:, :peaks[0].k.k_phys.size] = [p.k.k_phys for p in peaks]
-    I = np.array([p.intensity for p in peaks])
+    K[:, :peaks.points.k_phys.shape[1]] = peaks.points.k_phys
+    I = peaks.intensity
     pad = 0.05 * max(float(np.ptp(K[:, 0])), float(np.ptp(K[:, 1])), 1e-9)
     canvas = SvgCanvas((K[:, 0].min() - pad, K[:, 1].min() - pad,
                         K[:, 0].max() + pad, K[:, 1].max() + pad))
-    imax = I.max()
-    for (x, y), ii in zip(K, I):
-        canvas.circle(x, y, 9.0 * math.sqrt(ii / imax))
+    canvas.circles(K[:, 0], K[:, 1], 9.0 * np.sqrt(I / I.max()))
     canvas.write(path)

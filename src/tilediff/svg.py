@@ -33,17 +33,20 @@ class SvgCanvas:
         self.margin = margin
         self._parts: list[str] = []
 
-    def map(self, x: float, y: float) -> tuple[float, float]:
+    def map(self, x, y) -> tuple:
+        """Pixel coordinates of data coordinates, floats or float arrays."""
         px = self.margin + (x - self.x0) * self.scale
         py = self.height - self.margin - (y - self.y0) * self.scale
         return px, py
 
-    def circle(self, x, y, r_px):
-        """Opaque disk of fill #111111 and pixel radius ``r_px``."""
-        px, py = self.map(x, y)
-        self._parts.append(
-            f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(max(r_px, 0.0))}" '
-            f'fill="#111111"/>')
+    def circles(self, xs, ys, radii):
+        """Opaque disks of fill #111111 at the data points ``xs``, ``ys``,
+        of pixel radii ``radii`` >= 0 (float arrays, mapped at once)."""
+        px, py = self.map(xs, ys)
+        self._parts += [f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
+                        'fill="#111111"/>'
+                        for x, y, r in zip(px.tolist(), py.tolist(),
+                                           radii.tolist())]
 
     def rect(self, x, y, w, h, color="#000000", opacity=1.0):
         """Rectangle given in data coordinates (x, y lower-left corner)."""

@@ -270,7 +270,7 @@ def test_sweep_rejects_bad_floors(ev_silver):
         with pytest.raises(ValueError, match="floor"):
             ev_silver.amplitude_batch(K, 5, weights=w, floor=floor)
     assert not ev_silver.amplitude_batch(K, 5, weights=w, floor=np.inf).any()
-    assert peak_list(builtin("silver"), threshold=np.inf) == []
+    assert len(peak_list(builtin("silver"), threshold=np.inf)) == 0
 
 
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",

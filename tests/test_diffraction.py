@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tilediff import cocycle, diffraction, windows
+from tilediff import cocycle, diffraction, svg, windows
 from tilediff.algebra import Surd
 from tilediff.cps import (LatticeBasis, ModuleSet, enumerate_module,
                           float_arguments, module_point)
@@ -722,7 +722,8 @@ def test_orbit_action_checks_data_displacements(cap, tmp_path):
 
 def test_peak_list_empty_enumeration(silver):
     assert len(enumerate_module(silver.lattice, [0.123], 0.0, 1.0)) == 0
-    assert peak_list(silver, center=[0.123], radius=0.0, internal_cutoff=1.0) == []
+    empty = peak_list(silver, center=[0.123], radius=0.0, internal_cutoff=1.0)
+    assert isinstance(empty, diffraction.PeakTable) and len(empty) == 0
 
 
 def test_symmetry_report_empty():
@@ -880,10 +881,11 @@ def test_peak_rows_match_per_field_writers(tmp_path, cap, silver, cap_equal_peak
         peaks = peak_list(builtin("silver_twisted"), radius=20.0, n=30,
                           deformation="equal-lengths")
     elif case == "empty":
-        peaks = []
+        peaks = cap_equal_peaks[:0]
     else:
-        peaks = [diffraction.Peak(module_point(silver.lattice, (1, 0)), "lengths",
-                                  complex(0.5, -0.0), 0.25, 30)]
+        peaks = diffraction.PeakTable(silver.lattice.points([(1, 0)]), "lengths",
+                                      30, np.array([complex(0.5, -0.0)]),
+                                      np.array([0.25]))
     assert len(peaks) > 10 or case in ("empty", "negative-zero")
     peaks_to_csv(peaks, tmp_path / "new.csv")
     peaks_to_json(peaks, tmp_path / "new.json")
@@ -892,16 +894,98 @@ def test_peak_rows_match_per_field_writers(tmp_path, cap, silver, cap_equal_peak
         assert (tmp_path / f"new.{ext}").read_bytes() == \
             (tmp_path / f"old.{ext}").read_bytes()
     if case == "negative-zero":
+        assert repr(peaks[0].amplitude) == repr(next(iter(peaks)).amplitude) \
+            == "(0.5-0j)"
         assert (tmp_path / "new.csv").read_text().splitlines()[1] == \
             "1,0,,,0.5,0,0.5,-0,0.25,30"
         assert '"im_amp":-0,' in (tmp_path / "new.json").read_text()
 
 
-def test_peaks_to_json_rejects_mixed_deformations(tmp_path, silver):
-    peaks = [diffraction.Peak(module_point(silver.lattice, (1, 0)), name,
-                              0.5 + 0j, 0.25, 30) for name in ("a", None)]
+def _same_peak(p, q):
+    """Field by field, bitwise, with the Python types the bench hashes."""
+    assert p.k.lattice is q.k.lattice and p.k.coords == q.k.coords
+    assert all(type(c) is int for c in p.k.coords)
+    assert p.k.k_phys.tobytes() == q.k.k_phys.tobytes()
+    assert p.k.k_int.tobytes() == q.k.k_int.tobytes()
+    assert type(p.amplitude) is complex and repr(p.amplitude) == repr(q.amplitude)
+    assert type(p.intensity) is float and p.intensity == q.intensity
+    assert (p.deformation, p.n_iters) == (q.deformation, q.n_iters)
+
+
+@pytest.mark.parametrize("case", ["cap", "hat", "silver"])
+def test_peak_table_rows(cap, silver, cap_equal_peaks, case):
+    """An int index (negative too) and iteration give the Peaks that the
+    former row builder made from the kept points and the columns; a slice
+    or index array gives a PeakTable, and the columns are read-only."""
+    table = {"cap": cap_equal_peaks,
+             "hat": lambda: peak_list(cap, radius=0.4, deformation="hat", n=15),
+             "silver": lambda: peak_list(silver, radius=20.0, n=30)}[case]
+    table = table if case == "cap" else table()
+    assert isinstance(table, diffraction.PeakTable) and len(table) > 10
+    expected = [diffraction.Peak(k, table.deformation, a, i, table.n_iters)
+                for k, a, i in zip(table.points, table.amplitude.tolist(),
+                                   table.intensity.tolist())]
+    assert len(expected) == len(table)
+    for got in (list(table), [table[i] for i in range(len(table))],
+                [table[np.int64(i)] for i in range(len(table))],
+                [table[i - len(table)] for i in range(len(table))]):
+        for p, q in zip(got, expected, strict=True):
+            _same_peak(p, q)
+    for part, rows in ((table[3:9], expected[3:9]),
+                       (table[np.array([5, 0, 2])], [expected[i] for i in (5, 0, 2)])):
+        assert isinstance(part, diffraction.PeakTable)
+        assert (part.deformation, part.n_iters) == (table.deformation, table.n_iters)
+        for p, q in zip(part, rows, strict=True):
+            _same_peak(p, q)
     with pytest.raises(ValueError):
-        peaks_to_json(peaks, tmp_path / "mixed.json")
+        table.amplitude[0] = 0
+    with pytest.raises(ValueError):
+        table.intensity[0] = 0
+
+
+def test_empty_peak_table_files(tmp_path, silver):
+    """An empty table writes what the empty list wrote: the CSV header, an
+    empty JSON array and the blank SVG."""
+    empty = peak_list(silver, threshold=np.inf)
+    assert isinstance(empty, diffraction.PeakTable) and len(empty) == 0
+    assert list(empty) == []
+    peaks_to_csv(empty, tmp_path / "e.csv")
+    peaks_to_json(empty, tmp_path / "e.json")
+    peaks_to_svg(empty, tmp_path / "e.svg")
+    assert (tmp_path / "e.csv").read_bytes() == \
+        b"c1,c2,c3,c4,kx,ky,re_amp,im_amp,intensity,n_iters\n"
+    assert (tmp_path / "e.json").read_bytes() == b"[\n\n]\n"
+    assert (tmp_path / "e.svg").read_bytes() == (
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+        b'viewBox="0 0 640 640">\n<rect width="100%" height="100%" '
+        b'fill="#ffffff"/>\n\n</svg>\n')
+
+
+def _per_circle(canvas, xs, ys, radii):
+    """The former per-circle writer: each point mapped on its own, the
+    radius clamped at 0."""
+    f = svg._f
+    out = []
+    for x, y, r in zip(xs, ys, radii):
+        px, py = canvas.map(x, y)
+        out.append(f'<circle cx="{f(px)}" cy="{f(py)}" r="{f(max(r, 0.0))}" '
+                   'fill="#111111"/>')
+    return out
+
+
+def test_svg_circles_match_per_circle_strings(tmp_path):
+    """Mapping all points at once writes the strings of mapping each point
+    on its own, radii that round to 0 included."""
+    rng = np.random.default_rng(7)
+    xs, ys = rng.normal(size=50), rng.uniform(-3, 1e-3, size=50)
+    radii = rng.uniform(0, 9, size=50)
+    radii[:3] = [0.0, 4e-7, 6e-7]
+    canvas = svg.SvgCanvas((xs.min(), ys.min(), xs.max(), ys.max()))
+    canvas.circles(xs, ys, radii)
+    canvas.write(tmp_path / "c.svg")
+    expected = _per_circle(canvas, xs, ys, radii)
+    assert 'r="0" ' in expected[1] and 'r="0.000001" ' in expected[2]
+    assert "\n".join(expected) in (tmp_path / "c.svg").read_text()
 
 
 def test_peak_fields_the_bench_reads(cap, silver):
@@ -920,12 +1004,24 @@ def test_peak_fields_the_bench_reads(cap, silver):
         json.dumps([(p.k.coords, repr(p.amplitude)) for p in peaks])
 
 
-def test_peak_svg(tmp_path, cap, cap_equal_peaks):
-    out = tmp_path / "peaks.svg"
-    peaks_to_svg(cap_equal_peaks, out)
-    text = out.read_text()
-    assert text.count("<circle") == len(cap_equal_peaks)
-    peaks_to_svg([], tmp_path / "empty.svg")
+def test_peak_svg(tmp_path, silver, cap_equal_peaks):
+    """The columnar writer draws the bytes of the former per-peak one, in
+    2d (cap) and 1d (silver, y = 0)."""
+    for peaks in (cap_equal_peaks, peak_list(silver, radius=20.0, n=30)):
+        out = tmp_path / "peaks.svg"
+        peaks_to_svg(peaks, out)
+        K = np.zeros((len(peaks), 2))
+        K[:, :peaks[0].k.k_phys.size] = [p.k.k_phys for p in peaks]
+        I = np.array([p.intensity for p in peaks])
+        pad = 0.05 * max(float(np.ptp(K[:, 0])), float(np.ptp(K[:, 1])), 1e-9)
+        canvas = svg.SvgCanvas((K[:, 0].min() - pad, K[:, 1].min() - pad,
+                                K[:, 0].max() + pad, K[:, 1].max() + pad))
+        canvas._parts = _per_circle(canvas, K[:, 0], K[:, 1],
+                                    [9.0 * math.sqrt(i / I.max()) for i in I])
+        canvas.write(tmp_path / "old.svg")
+        assert out.read_bytes() == (tmp_path / "old.svg").read_bytes()
+        assert out.read_text().count("<circle") == len(peaks)
+    peaks_to_svg(cap_equal_peaks[:0], tmp_path / "empty.svg")
     assert (tmp_path / "empty.svg").read_text().startswith("<svg")
 
 
