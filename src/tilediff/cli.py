@@ -188,7 +188,7 @@ def cmd_peaks(args) -> int:
     diffraction.peaks_to_json(peaks, outdir / f"{base}.json")
     diffraction.peaks_to_svg(peaks, outdir / f"{base}.svg")
 
-    brightest = peaks[0].intensity if peaks else 0.0
+    brightest = peaks.intensity[0] if len(peaks) else 0.0
     print(f"{len(peaks)} peaks with intensity >= {args.threshold:g}; "
           f"brightest {brightest:.9g}; wrote {base}.csv/.json/.svg in {outdir}")
     if deformation is not None and len(periods := model.lattice.periods(deformation)):

@@ -8,9 +8,11 @@ t* the starred translations.  The normalized product
 
 converges exponentially fast to a rank-one matrix |c(k)><u| whose column
 factor is proportional to the vector of window Fourier transforms.  The
-per-tile amplitudes are normalized so that H_i(0) equals density times
-the tile frequency, which makes the central equal-weight intensity equal
-the squared point density.
+per-tile amplitudes are H(k) = density C_n(k) v / (1^T v), with v the
+right PF vector.  When pf is the PF eigenvalue of the substitution matrix
+M = B(0), H_i(0) = density v_i / (1^T v) is density times the tile
+frequency, and the central equal-weight intensity is the squared point
+density.
 
 Evaluators are immutable, with read-only arrays; amplitude evaluation at
 distinct arguments is pure and batches over many arguments at once.
@@ -86,6 +88,8 @@ class FourierEvaluator:
 
         self.M = read_only(disp.card_matrix())
         self.left, self.right = map(read_only, pf_data(self.M)[1:])
+        # H(k) = scale C_n(k) v: the one normalization of both paths
+        self.scale = model.density / self.right.sum()
 
     # -- Fourier matrix ---------------------------------------------------------
 
@@ -108,9 +112,6 @@ class FourierEvaluator:
                                             self._cell_start, axis=1)
         return B.reshape(-1, self.n, self.n)
 
-    def fourier_matrix(self, k_int) -> np.ndarray:
-        return self.fourier_matrix_batch(np.atleast_1d(k_int))[0]
-
     # -- cocycle ----------------------------------------------------------------
 
     def cocycle_limit_batch(self, K: np.ndarray, n: int) -> np.ndarray:
@@ -125,9 +126,6 @@ class FourierEvaluator:
             P = P @ (self.fourier_matrix_batch(K) * inv)
         return P
 
-    def cocycle_limit(self, k_int, n: int) -> np.ndarray:
-        return self.cocycle_limit_batch(np.atleast_1d(k_int), n)[0]
-
     # -- amplitudes ---------------------------------------------------------------
 
     def amplitude_batch(self, K: np.ndarray, n: int | None = None, *,
@@ -137,19 +135,19 @@ class FourierEvaluator:
 
         The cocycle is applied from the left, y <- pf^-1 y^T B(q) with
         q <- A^T q per step from q = k, y = w, one segmented sum per step
-        over the column-sorted translations; total = density (y . v) /
-        (1^T v) with v the right PF vector.  Since |B_il| <= M_il and
-        Mv = pf v, every step bounds |total| <= density sum_i |y_i| v_i /
-        (1^T v), and the bound never grows.  With ``floor`` > 0 a row whose
-        squared bound falls below ``floor`` by more than a relative
-        ``_PRUNE_RTOL`` (a rounding margin) at a checked step stops there,
-        leaves the sweep and comes back as exactly 0; every other row is
-        the unpruned weighted total.  The bound is checked at every step
-        while the last check stopped a row; after a check that stops none
-        the gap to the next check doubles.  Rows run in blocks of
-        ``_CHUNK``, each with its own check schedule.  Per-type
-        amplitudes H_i(k) are the totals at unit weights, one call per tile
-        type.
+        over the column-sorted translations; total = ``scale`` (y . v) with
+        v the right PF vector and ``scale`` = density / (1^T v).  Since
+        |B_il| <= M_il and Mv = pf v, every step bounds |total| <=
+        ``scale`` sum_i |y_i| v_i, and the bound never grows.  With
+        ``floor`` > 0 a row whose squared bound falls below ``floor`` by
+        more than a relative ``_PRUNE_RTOL`` (a rounding margin) at a
+        checked step stops there, leaves the sweep and comes back as
+        exactly 0; every other row is the unpruned weighted total.  The
+        bound is checked at every step while the last check stopped a row;
+        after a check that stops none the gap to the next check doubles.
+        Rows run in blocks of ``_CHUNK``, each with its own check schedule.
+        Per-type amplitudes H_i(k) are the totals at unit weights, one call
+        per tile type.
         """
         if n is None:
             n = self.model.default_iters
@@ -166,8 +164,7 @@ class FourierEvaluator:
             raise ValueError(f"weights must have length {self.n}, got shape "
                              f"{w.shape}")
         inv = 1.0 / self.pf
-        scale = self.model.density / self.right.sum()
-        cut = np.sqrt(floor * (1.0 - _PRUNE_RTOL)) / scale
+        cut = np.sqrt(floor * (1.0 - _PRUNE_RTOL)) / self.scale
         out = np.zeros(len(K), dtype=complex)
         for lo in range(0, len(K), _CHUNK):
             q = K[lo:lo + _CHUNK]
@@ -188,17 +185,17 @@ class FourierEvaluator:
                         gap = 1
                         rows, y, q = rows[live], y[live], q[live]
                     due = step + gap
-            out[rows] = scale * (y * self.right).sum(axis=1)
+            out[rows] = self.scale * (y * self.right).sum(axis=1)
         return out
 
     def amplitudes(self, k_int, n: int | None = None) -> AmplitudeVector:
-        """Amplitudes with the rank-one convergence diagnostic."""
+        """H(k) = ``scale`` C_n(k) v from the matrix product, normalized as
+        the sweep is, with the rank-one diagnostic sigma2/sigma1 of C_n(k)."""
         if n is None:
             n = self.model.default_iters
-        P0, P = self.cocycle_limit_batch(
-            np.vstack([np.zeros(self.d), np.atleast_1d(k_int)]), n)
-        H = self.model.density * (P @ self.right) / (P0 @ self.right).sum()
+        P = self.cocycle_limit_batch(k_int, n)[0]
         sv = np.linalg.svd(P, compute_uv=False)
         residual = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
-        return AmplitudeVector(H=H, n_iters=n, rank1_residual=residual)
+        return AmplitudeVector(H=self.scale * (P @ self.right), n_iters=n,
+                               rank1_residual=residual)
 

@@ -349,30 +349,40 @@ def _group_matrix(group: str) -> np.ndarray:
     raise ValueError(f"unknown group {group!r}")
 
 
-def symmetry_report(peaks: list, group: str) -> SymmetryGroupReport:
+def symmetry_report(peaks: PeakTable, group: str) -> SymmetryGroupReport:
     """Compare peak intensities against their image under a group action.
 
-    Peaks are matched by nearest physical k within 1e-9.
-    Unmatched orbit members are reported and their intensity counts
-    toward the discrepancy (their partner fell below the run threshold).
+    Peaks are matched by nearest physical k within 1e-9, among the peaks
+    within 1e-9 in kx (bisection in kx order).  Unmatched orbit members are
+    reported and their intensity counts toward the discrepancy (their
+    partner fell below the run threshold).
     """
     G = _group_matrix(group)
-    if not peaks:
+    if not len(peaks):
         return SymmetryGroupReport(group, 0.0, 0, [])
-    K = np.array([p.k.k_phys for p in peaks])
+    K, I = peaks.points.k_phys, peaks.intensity
     if K.shape[1] != 2:
         raise ValueError("symmetry groups act on planar peak sets")
-    I = np.array([p.intensity for p in peaks])
     mapped = K @ G.T
-    # the peak nearest to each image, 512 images at a time
-    idx = np.concatenate([
-        np.argmin(np.linalg.norm(mapped[lo:lo + 512, None, :] - K[None], axis=2),
-                  axis=1)
-        for lo in range(0, len(K), 512)])
-    matched = np.linalg.norm(mapped - K[idx], axis=1) <= 1e-9
-    worst = np.where(matched, np.abs(I - I[idx]), I).max()
-    return SymmetryGroupReport(group, float(worst), int(matched.sum()),
-                               [p for p, m in zip(peaks, matched) if not m])
+    by_x = np.argsort(K[:, 0], kind="stable")
+    lo, hi = (np.searchsorted(K[by_x, 0], mapped[:, 0] + dx, side)
+              for dx, side in ((-1e-9, "left"), (1e-9, "right")))
+    # one (image, peak) pair per candidate, the images in order
+    count = hi - lo
+    image = np.repeat(np.arange(len(K)), count)
+    start = np.cumsum(count) - count    # the first pair of each image
+    peak = by_x[np.arange(len(image)) + np.repeat(lo - start, count)]
+    dist = np.linalg.norm(mapped[image] - K[peak], axis=1)
+    near = dist <= 1e-9
+    image, peak, dist = image[near], peak[near], dist[near]
+    # the nearest peak per image, the lower index on a tie
+    first = np.lexsort((peak, dist, image))
+    image, at = np.unique(image[first], return_index=True)
+    gap = I.copy()      # an unmatched peak counts with its whole intensity
+    gap[image] = np.abs(I[image] - I[peak[first[at]]])
+    unmatched = np.setdiff1d(np.arange(len(K)), image)
+    return SymmetryGroupReport(group, float(gap.max()), len(image),
+                               list(peaks[unmatched]))
 
 
 def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,

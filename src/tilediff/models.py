@@ -189,7 +189,6 @@ class ModelSpec:
     orientations: int | None = None
     internal_cutoff: float = 3.0
     default_iters: int = 15
-    return_module_doc: str = ""
 
     def __post_init__(self):
         if self.displacement is not None and self.displacement.n != self.n_tiles:
@@ -484,7 +483,6 @@ def _build_silver_model(twisted: bool) -> ModelSpec:
         density_sq=_el(SILVER, Fraction(3, 8), Fraction(1, 4)),
         window_volume=Surd({1: 1, 2: 1}),
         fourier_module_doc="sqrt2/4 * Z[sqrt2]",
-        return_module_doc="Z[sqrt2]",
         deformations={"equal-lengths": equal_lengths},
         orientations=None,
         internal_cutoff=30.0,
@@ -515,7 +513,6 @@ def _build_cap_model() -> ModelSpec:
         density_sq=_el(CAP, Fraction(1, 15), Fraction(-1, 25), 0, 0),
         window_volume=None,
         fourier_module_doc="(1+xi)(tau-xi) i/(3 sqrt15) * Z[tau,xi]",
-        return_module_doc="(3 tau + 2 - xi) * Z[tau,xi]",
         deformations={"hat": hat},
         orientations=6,
         internal_cutoff=3.0,
@@ -558,7 +555,6 @@ def _build_casper_model() -> ModelSpec:
         density_sq=_el(SPECTRE, Fraction(7, 108), 0, Fraction(-2, 243), 0),
         window_volume=Surd({3: 270, 5: Fraction(-405, 2)}),
         fourier_module_doc="i sqrt5 / 135 * R_CASPr",
-        return_module_doc="ideal (g1, g3) in Z[lam,xi]",
         deformations=deformations,
         orientations=None,
         internal_cutoff=3.0,
@@ -617,12 +613,8 @@ def validate_symmetry(model: ModelSpec, seed: int = 0) -> SymmetryReport:
     ev = model.evaluator
     perm = sixfold_shift(disp.n)
     rot = model._scalar_matrix(xi)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(20):
-        k = rng.uniform(-2.0, 2.0, size=2)
-        B = ev.fourier_matrix(k)
-        lhs = B[np.ix_(perm, perm)]          # (S^T B S)_{ij} = B_{sigma(i) sigma(j)}
-        rhs = ev.fourier_matrix(rot @ k)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return SymmetryReport(violations, worst, 20)
+    K = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, 2))
+    B = ev.fourier_matrix_batch(K)
+    lhs = B[:, perm][:, :, perm]         # (S^T B S)_{ij} = B_{sigma(i) sigma(j)}
+    rhs = ev.fourier_matrix_batch(K @ rot.T)
+    return SymmetryReport(violations, float(np.max(np.abs(lhs - rhs))), 20)

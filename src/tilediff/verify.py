@@ -74,7 +74,7 @@ def verification_suite(model: ModelSpec, seed: int = 0) -> list:
         return checks
 
     ev = model.evaluator
-    B0 = ev.fourier_matrix(np.zeros(model.dim))
+    B0 = ev.fourier_matrix_batch(np.zeros(model.dim))[0]
     checks.append(_check("fourier-at-zero",
                          float(np.max(np.abs(B0 - ev.M))) < 1e-12,
                          "B(0) equals the substitution matrix"))

@@ -92,7 +92,7 @@ def test_c04_cap_structural():
     ok_exact = not rep.exact_violations
     ok_numeric = rep.max_numeric_residual < 1e-12
     ev = cap.evaluator
-    B0 = ev.fourier_matrix(np.zeros(2))
+    B0 = ev.fourier_matrix_batch(np.zeros(2))[0]
     ok_b0 = float(np.max(np.abs(B0 - ev.M))) < 1e-12
     lam = float(np.max(np.abs(np.linalg.eigvals(ev.M.astype(float)))))
     ok_pf = abs(lam - TAU ** 4) < 1e-10
@@ -254,10 +254,10 @@ def test_c11_property_suite(tmp_path):
         k = rng.uniform(-1.0, 1.0, size=ev.d)
         for mm in range(1, 6):
             for nn in range(1, 6):
-                full = ev.cocycle_limit(k, mm + nn)
-                left = ev.cocycle_limit(k, mm)
+                full = ev.cocycle_limit_batch(k, mm + nn)[0]
+                left = ev.cocycle_limit_batch(k, mm)[0]
                 k2 = np.atleast_1d(k) @ np.linalg.matrix_power(ev.contraction, mm)
-                right = ev.cocycle_limit(k2, nn)
+                right = ev.cocycle_limit_batch(k2, nn)[0]
                 ok_cocycle &= bool(np.max(np.abs(full - left @ right)) < 1e-10)
 
     # amplitude linearity in the weights

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from tilediff.cocycle import FourierEvaluator
 from tilediff.cps import enumerate_module, internal_argument
 from tilediff.diffraction import analytic_silver, peak_list, weight_vector
 from tilediff.models import ModelDataError, builtin
+from tilediff.verify import run_verification
 
 S2 = math.sqrt(2)
 LAM = 1 + S2
@@ -36,13 +39,13 @@ def ev_cap():
 
 def test_fourier_matrix_at_zero_is_substitution_matrix(ev_twisted, ev_cap):
     for ev in (ev_twisted, ev_cap):
-        B0 = ev.fourier_matrix(np.zeros(ev.d))
+        B0 = ev.fourier_matrix_batch(np.zeros(ev.d))[0]
         assert np.max(np.abs(B0 - ev.M)) < 1e-12
 
 
 def test_twisted_fourier_matrix_closed_form(ev_twisted):
     for k in (0.3, -1.7, 0.05):
-        B = ev_twisted.fourier_matrix(k)
+        B = ev_twisted.fourier_matrix_batch(k)[0]
         expect = np.array([
             [np.exp(4j * np.pi * k), 1.0],
             [1 + np.exp(2j * np.pi * k), np.exp(-2j * np.pi * k * S2)]])
@@ -55,15 +58,15 @@ def test_cap_sixfold_fourier_identity(ev_cap):
     rng = np.random.default_rng(5)
     for _ in range(20):
         k = rng.uniform(-2, 2, size=2)
-        B = ev_cap.fourier_matrix(k)
-        assert np.max(np.abs(B[np.ix_(perm, perm)]
-                             - ev_cap.fourier_matrix(rot @ k))) < 1e-12
+        B = ev_cap.fourier_matrix_batch(k)[0]
+        rhs = ev_cap.fourier_matrix_batch(rot @ k)[0]
+        assert np.max(np.abs(B[np.ix_(perm, perm)] - rhs)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap"])
 def test_cocycle_at_zero_is_pf_projector(name):
     ev = FourierEvaluator(builtin(name))
-    C = ev.cocycle_limit(np.zeros(ev.d), 40)
+    C = ev.cocycle_limit_batch(np.zeros(ev.d), 40)[0]
     assert np.max(np.abs(C @ C - C)) < 1e-10  # idempotent
     assert np.max(np.abs(C.imag)) < 1e-12
     # rank one: C = |v><u|
@@ -110,6 +113,27 @@ def test_amplitude_normalization(name):
     assert abs(complex(av.H.sum()) - m.density) < 1e-10
 
 
+def test_amplitude_normalization_detects_wrong_pf():
+    """A documented PF eigenvalue 1e-7 off fails verify's
+    amplitude-normalization: the product path normalizes by the sweep's
+    constant, not by its own value at k = 0, which would divide the
+    error away."""
+    m = builtin("silver")
+    lam = m.field.one() + m.field.gen("sqrt2")
+    assert m.pf_eigenvalue == lam
+    bad = dataclasses.replace(m, pf_eigenvalue=lam + Fraction(1, 10**7))
+    status = {model: {c.name: c.status for c in run_verification(model)[0]}
+              for model in (m, bad)}
+    assert status[m]["amplitude-normalization"] == "PASS"
+    assert status[bad]["amplitude-normalization"] == "FAIL"
+    # both paths read the same wrong sum
+    ev = bad.evaluator
+    s = complex(ev.amplitudes(np.zeros(1), n=30).H.sum())
+    assert abs(s - m.density) > 1e-7
+    total = ev.amplitude_batch(np.zeros((1, 1)), 30, weights=np.ones(2))[0]
+    assert abs(s - total) < 1e-15
+
+
 @pytest.mark.parametrize("name", ["silver_twisted", "cap"])
 def test_cocycle_identity(name):
     """B^(m+n)(k) = B^(m)(k) . B^(n)((A^T)^m k) for m, n <= 5."""
@@ -121,11 +145,11 @@ def test_cocycle_identity(name):
         k = rng.uniform(-1.5, 1.5, size=ev.d)
         for mm in range(1, 6):
             for nn in range(1, 6):
-                full = ev.cocycle_limit(k, mm + nn) * lam ** (mm + nn)
-                left = ev.cocycle_limit(k, mm) * lam ** mm
+                full = ev.cocycle_limit_batch(k, mm + nn)[0] * lam ** (mm + nn)
+                left = ev.cocycle_limit_batch(k, mm)[0] * lam ** mm
                 k_shift = np.atleast_1d(k) @ np.linalg.matrix_power(
                     ev.contraction, mm)
-                right = ev.cocycle_limit(k_shift, nn) * lam ** nn
+                right = ev.cocycle_limit_batch(k_shift, nn)[0] * lam ** nn
                 err = np.max(np.abs(full - left @ right))
                 assert err < 1e-10 * lam ** (mm + nn)
 
@@ -137,7 +161,7 @@ def test_convergence_monotone_geometric(name):
     rng = np.random.default_rng(13)
     for _ in range(20):
         k = rng.uniform(-2, 2, size=ev.d)
-        prods = {n: ev.cocycle_limit(k, n) for n in range(10, 31)}
+        prods = {n: ev.cocycle_limit_batch(k, n)[0] for n in range(10, 31)}
         diffs = [np.max(np.abs(prods[n + 1] - prods[n])) for n in range(10, 30)]
         for a, b in zip(diffs, diffs[1:]):
             assert b <= 0.95 * a + 1e-15
@@ -178,7 +202,7 @@ def test_window_transform_recursion(name):
         k_next = np.atleast_1d(k) @ ev.contraction
         H_next = _per_type(ev, k_next[None, :], 40)[0]
         lhs = H_k
-        rhs = ev.fourier_matrix(k) @ H_next / ev.pf
+        rhs = ev.fourier_matrix_batch(k)[0] @ H_next / ev.pf
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -189,7 +213,7 @@ def test_scaffold_has_no_evaluator():
 
 def test_cocycle_requires_positive_n(ev_silver):
     with pytest.raises(ValueError):
-        ev_silver.cocycle_limit(0.3, 0)
+        ev_silver.cocycle_limit_batch(0.3, 0)
     with pytest.raises(ValueError, match="at least one cocycle factor"):
         ev_silver.amplitude_batch(np.array([[0.3]]), 0, weights=np.ones(2))
 

@@ -11,7 +11,8 @@ from tilediff import cocycle, diffraction, svg, windows
 from tilediff.algebra import Surd
 from tilediff.cps import (LatticeBasis, ModuleSet, enumerate_module,
                           float_arguments, module_point)
-from tilediff.diffraction import (_orbit_action, _orbit_representatives,
+from tilediff.diffraction import (_group_matrix, _orbit_action,
+                                  _orbit_representatives,
                                   amplitude_at, analytic_silver,
                                   deformation_from_lengths,
                                   mean_log_intensity, peak_list,
@@ -22,7 +23,7 @@ from tilediff.inflation import inflate, seed_patch, truncate
 from tilediff.models import (DeformationMap, DisplacementMatrix,
                              ModelDataError, ModelSpec,
                              builtin, load_displacement, save_displacement,
-                             validate_symmetry)
+                             sixfold_shift, validate_symmetry)
 
 S2, S3, S5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 LAM = 1 + S2
@@ -704,6 +705,71 @@ def test_reduction_never_manufactures_symmetry():
     rep = symmetry_report(peak_list(bad, radius=0.6, threshold=1e-6),
                           "rotation6")
     assert rep.max_discrepancy > 1e-6 and rep.unmatched and not rep.ok
+
+
+def _sixfold_residual_per_sample(model, seed):
+    """max |S^T B(k) S - B(xi k)| one sample at a time, as
+    ``validate_symmetry`` computed it before its one batched call."""
+    ev = model.evaluator
+    perm = sixfold_shift(model.n_tiles)
+    rot = model._scalar_matrix(model.field.gen("xi"))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        k = rng.uniform(-2.0, 2.0, size=2)
+        lhs = ev.fourier_matrix_batch(k)[0][np.ix_(perm, perm)]
+        rhs = ev.fourier_matrix_batch(rot @ k)[0]
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_validate_symmetry_batch_matches_per_sample_loop(cap, seed):
+    draws = np.random.default_rng(seed)
+    once = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, 2))
+    assert np.array_equal(once, [draws.uniform(-2.0, 2.0, size=2)
+                                 for _ in range(20)])
+    rep = validate_symmetry(cap, seed=seed)
+    ref = _sixfold_residual_per_sample(cap, seed)
+    assert rep.n_sampled == 20
+    assert rep.max_numeric_residual < 1e-12 and ref < 1e-12
+    assert abs(rep.max_numeric_residual - ref) < 1e-13
+    bad = _perturbed_cap()
+    rep = validate_symmetry(bad, seed=seed)
+    ref = _sixfold_residual_per_sample(bad, seed)
+    assert rep.max_numeric_residual > 1e-3
+    assert abs(rep.max_numeric_residual - ref) <= 1e-12 * ref
+
+
+def _symmetry_report_dense(peaks, group):
+    """The nearest peak to every image by a dense scan over all peaks, as
+    ``symmetry_report`` matched them before its kx bisection: (max
+    discrepancy, matched count, module coordinates of the unmatched)."""
+    K, I = peaks.points.k_phys, peaks.intensity
+    mapped = K @ _group_matrix(group).T
+    idx = np.concatenate([
+        np.argmin(np.linalg.norm(mapped[lo:lo + 512, None, :] - K[None],
+                                 axis=2), axis=1)
+        for lo in range(0, len(K), 512)])
+    matched = np.linalg.norm(mapped - K[idx], axis=1) <= 1e-9
+    worst = np.where(matched, np.abs(I - I[idx]), I).max()
+    return (float(worst), int(matched.sum()),
+            [tuple(c) for c in peaks.points.coords[~matched].tolist()])
+
+
+@pytest.mark.parametrize("weights,threshold,deformation", [
+    ("equal", 1e-6, None), ("zero-central", 1e-12, None),
+    ("equal", 1e-9, "hat")])
+def test_symmetry_report_matches_dense_scan(cap, weights, threshold,
+                                            deformation):
+    peaks = peak_list(cap, radius=0.6, threshold=threshold, weights=weights,
+                      deformation=deformation, n=15)
+    for group in ("rotation6", "mirror"):
+        rep = symmetry_report(peaks, group)
+        assert (rep.max_discrepancy, rep.n_matched,
+                [p.k.coords for p in rep.unmatched]) == \
+            _symmetry_report_dense(peaks, group)
+        assert (len(rep.unmatched) > 0) == (group == "mirror")
 
 
 def test_orbit_action_checks_data_displacements(cap, tmp_path):
