@@ -581,10 +581,6 @@ class AlgebraicElement:
         return tuple(sum((col * c for col, c in zip(row, self.coords)), Surd())
                      for row in self.field.exact_phys_columns)
 
-    def phys_complex(self) -> complex:
-        v = self.embed_phys()
-        return complex(v[0], v[1]) if v.shape == (2,) else complex(v[0], 0.0)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

@@ -9,10 +9,10 @@ t* the starred translations.  The normalized product
 converges exponentially fast to a rank-one matrix |c(k)><u| whose column
 factor is proportional to the vector of window Fourier transforms.  The
 per-tile amplitudes are H(k) = density C_n(k) v / (1^T v), with v the
-right PF vector.  When pf is the PF eigenvalue of the substitution matrix
-M = B(0), H_i(0) = density v_i / (1^T v) is density times the tile
-frequency, and the central equal-weight intensity is the squared point
-density.
+right PF vector.  pf is the PF eigenvalue of the substitution matrix
+M = B(0), which every model proves exactly when it is built, so
+H_i(0) = density v_i / (1^T v) is density times the tile frequency, and
+the central equal-weight intensity is the squared point density.
 
 Evaluators are immutable, with read-only arrays; amplitude evaluation at
 distinct arguments is pure and batches over many arguments at once.

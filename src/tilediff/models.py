@@ -96,6 +96,25 @@ class DisplacementMatrix:
             if {(xi * t).coords for t in self.entries[i][j]}
             != {t.coords for t in self.entries[sigma[i]][sigma[j]]})
 
+    @cached_property
+    def charpoly(self) -> tuple:
+        """Integer coefficients of det(xI - M), M the cardinality matrix, highest
+        degree first, by Faddeev-LeVerrier (M_1 = I, c_k = -tr(M M_k) / k,
+        M_(k+1) = M M_k + c_k I; each division is exact), in int64 while
+        |M M_k| < 2**62 and in Python ints from the first step that could pass
+        it.  Computed once per matrix, which the models built on it share."""
+        M = self.card_matrix()
+        limit = 2 ** 62 // (self.n * int(M.max()))    # |M X| <= n max(M) max|X|
+        coeffs, MMk = [1], M
+        for k in range(1, self.n + 1):
+            coeffs.append(-sum(MMk.diagonal().tolist()) // k)
+            if k < self.n:
+                big = np.abs(MMk).max() + abs(coeffs[-1]) > limit
+                X = MMk.astype(object if big else MMk.dtype)
+                X[np.diag_indices(self.n)] += coeffs[-1]
+                MMk = M @ X
+        return tuple(coeffs)
+
     def card_matrix(self) -> np.ndarray:
         counts = np.bincount(self.rows * self.n + self.cols, minlength=self.n ** 2)
         return counts.reshape(self.n, self.n)
@@ -172,6 +191,8 @@ class ModelSpec:
     instance per name, and the lattice, integer tables, evaluator and
     symmetry data derived from it are cached on it, arrays read-only.
     Variants come from :meth:`with_displacement` or :func:`dataclasses.replace`.
+    Every model with a displacement, built-in or variant, proves its
+    ``pf_eigenvalue`` when it is built (:meth:`_require_pf_root`).
     """
 
     name: str
@@ -191,10 +212,29 @@ class ModelSpec:
     default_iters: int = 15
 
     def __post_init__(self):
-        if self.displacement is not None and self.displacement.n != self.n_tiles:
-            raise ModelDataError("displacement size does not match tile count")
+        if self.displacement is not None:
+            if self.displacement.n != self.n_tiles:
+                raise ModelDataError("displacement size does not match tile count")
+            self._require_pf_root()
         object.__setattr__(self, "deformations",
                            MappingProxyType(dict(self.deformations)))
+
+    def _require_pf_root(self) -> None:
+        """Raise :class:`ModelDataError` unless ``pf_eigenvalue`` is the
+        Perron-Frobenius root of the primitive cardinality matrix M:
+        det(xI - M) must vanish there exactly (Horner's rule in the field),
+        and among the float eigenvalues of M the one nearest to it must be
+        the one with the largest real part."""
+        lam, M = self.pf_eigenvalue, self.displacement.card_matrix()
+        _require_primitive(M)
+        value = self.field.zero()
+        for c in self.displacement.charpoly:
+            value = value * lam + c
+        eigs = np.linalg.eigvals(M.astype(float))
+        nearest = np.argmin(np.abs(eigs - complex(*lam.embed_phys())))
+        if value or nearest != np.argmax(eigs.real):
+            raise ModelDataError(f"documented PF eigenvalue {lam} is not the PF "
+                                 f"root {eigs.real.max():.12g} of det(xI - M)")
 
     # -- derived data ----------------------------------------------------------
 
@@ -276,10 +316,6 @@ class ModelSpec:
         return read_only(m)
 
     @cached_property
-    def phys_expansion_matrix(self) -> np.ndarray:
-        return self._scalar_matrix(self.expansion)
-
-    @cached_property
     def int_contraction_matrix(self) -> np.ndarray:
         return self._scalar_matrix(self.contraction)
 
@@ -298,9 +334,9 @@ class ModelSpec:
     def with_displacement(self, disp: DisplacementMatrix) -> "ModelSpec":
         """Attach validated displacement data; returns a new model.
 
-        Checks field identity, return-module membership of every
-        translation, and that the cardinality matrix is primitive with
-        the documented Perron-Frobenius eigenvalue (to within 1e-9).
+        Checks field identity and return-module membership of every
+        translation; building the model proves that the cardinality matrix
+        is primitive with the documented Perron-Frobenius eigenvalue.
         """
         if disp.field is not self.field:
             raise ModelDataError("displacement data for a different field")
@@ -312,12 +348,6 @@ class ModelSpec:
             labels = tuple(f"t{i:02d}" for i in range(disp.n))
         model = dataclasses.replace(self, tile_labels=labels, displacement=disp)
         model.translation_coords   # noqa: B018  (the return-module check)
-        lam = pf_data(disp.card_matrix())[0]
-        lam_doc = float(self.pf_eigenvalue.embed_phys()[0])
-        if abs(lam - lam_doc) > 1e-9:
-            raise ModelDataError(
-                f"cardinality matrix PF eigenvalue {lam:.12g} does not match "
-                f"documented {lam_doc:.12g}")
         return model
 
     def __repr__(self):

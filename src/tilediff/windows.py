@@ -25,8 +25,7 @@ from .svg import PALETTE, SvgCanvas
 
 __all__ = ["WindowCloud", "seed_clouds", "ifs_step", "iterate_windows",
            "volume", "hull_intervals", "render_windows",
-           "box_counting_dimension", "TWISTED_BOUNDARY_DIM",
-           "CAP_BOUNDARY_DIM", "MAX_STEP_CELLS"]
+           "TWISTED_BOUNDARY_DIM", "CAP_BOUNDARY_DIM", "MAX_STEP_CELLS"]
 
 # Most candidate cells one IFS step may map before deduplication; the
 # largest step of the CAP window at 12 generations, its seventh, maps
@@ -225,12 +224,6 @@ def volume(cloud: WindowCloud):
     return union.shape[0] * cell_vol, boundary * cell_vol
 
 
-def interior_cells(cloud: WindowCloud, i: int) -> set:
-    """Occupied cells of type i whose axis neighbors are all occupied."""
-    cells = cloud.cells[i]
-    return set(map(tuple, cells[_interior_mask(cells)]))
-
-
 def window_volume_from_patch(model: ModelSpec):
     """Total window volume via the point density of an inflation patch of
     12 steps.
@@ -272,24 +265,6 @@ def hull_intervals(model: ModelSpec, steps: int = 80) -> list:
         ends = disp.images(hulls, model.int_contraction_matrix, disp.stars)
         hulls = np.array([[e.min(), e.max()] for e in ends])[:, :, None]
     return [(float(lo), float(hi)) for lo, hi in hulls[:, :, 0]]
-
-
-def box_counting_dimension(cloud: WindowCloud):
-    """Optional diagnostic: box-count slope over 4 grids, cells h to 8h.
-
-    Convergence is slow; no acceptance threshold is attached to this.
-    """
-    union = _unique_cells(np.vstack(cloud.cells))
-    sizes, counts = [], []
-    for lev in range(4):
-        factor = 2 ** lev
-        coarse = _unique_cells(union // factor)
-        sizes.append(cloud.cell_size * factor)
-        counts.append(coarse.shape[0])
-    logs = np.log(np.array(sizes))
-    logn = np.log(np.array(counts, dtype=float))
-    slope = np.polyfit(logs, logn, 1)[0]
-    return float(-slope)
 
 
 def render_windows(cloud: WindowCloud, path, model: ModelSpec | None = None,

@@ -293,7 +293,9 @@ def test_verify_silver(capsys):
 def test_verify_cap(capsys):
     code, out, _ = run(["verify", "--model", "cap"], capsys)
     assert code == 0
-    assert "sixfold-exact" in out and "pf-eigenvalue" in out
+    assert "sixfold-exact" in out
+    line = next(s for s in out.splitlines() if "pf-eigenvalue" in s)
+    assert "PASS" in line and line.endswith("exactly")
 
 
 def test_verify_casper_skips_without_data(capsys):
@@ -417,6 +419,19 @@ def test_bad_data_exit_code(tmp_path, capsys):
     code, _, err = run(["peaks", "--model", "cap", "--data", str(bad)], capsys)
     assert code == 3
     assert "data error" in err
+
+
+def test_wrong_pf_data_exit_code(tmp_path, capsys):
+    """Silver data whose cardinality matrix [[1, 1], [1, 1]] has PF root 2,
+    not 1 + sqrt2, is a data error that names the documented eigenvalue."""
+    one, zero = [[1, 1], [0, 1]], [[0, 1], [0, 1]]
+    path = tmp_path / "pf2.json"
+    path.write_text(json.dumps({"field": "silver", "n": 2, "entries": [
+        [[zero], [zero]], [[one], [one]]]}))
+    code, out, err = run(["peaks", "--model", "silver", "--data", str(path)],
+                         capsys)
+    assert code == 3 and not out
+    assert "data error" in err and "PF eigenvalue 1 + sqrt2" in err
 
 
 @pytest.mark.parametrize("command", ["peaks", "patch", "window", "verify"])

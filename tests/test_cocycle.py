@@ -8,7 +8,7 @@ import pytest
 from tilediff.cocycle import FourierEvaluator
 from tilediff.cps import enumerate_module, internal_argument
 from tilediff.diffraction import analytic_silver, peak_list, weight_vector
-from tilediff.models import ModelDataError, builtin
+from tilediff.models import ModelDataError, ModelSpec, builtin
 from tilediff.verify import run_verification
 
 S2 = math.sqrt(2)
@@ -114,22 +114,29 @@ def test_amplitude_normalization(name):
 
 
 def test_amplitude_normalization_detects_wrong_pf():
-    """A documented PF eigenvalue 1e-7 off fails verify's
-    amplitude-normalization: the product path normalizes by the sweep's
-    constant, not by its own value at k = 0, which would divide the
-    error away."""
+    """The cocycle divides every step by the documented PF eigenvalue, so a
+    wrong one cannot be built: 1e-7 off, 1e-12 off (which a float check to
+    1e-9 passed) and the other exact root 1 - sqrt2 of det(xI - M) each
+    raise, through dataclasses.replace, a direct ModelSpec(...) and
+    with_displacement.  On the model that exists, both amplitude paths
+    read the same sum at k = 0."""
     m = builtin("silver")
     lam = m.field.one() + m.field.gen("sqrt2")
     assert m.pf_eigenvalue == lam
-    bad = dataclasses.replace(m, pf_eigenvalue=lam + Fraction(1, 10**7))
-    status = {model: {c.name: c.status for c in run_verification(model)[0]}
-              for model in (m, bad)}
-    assert status[m]["amplitude-normalization"] == "PASS"
-    assert status[bad]["amplitude-normalization"] == "FAIL"
-    # both paths read the same wrong sum
-    ev = bad.evaluator
+    fields = {f.name: getattr(m, f.name) for f in dataclasses.fields(m)}
+    for bad in (lam + Fraction(1, 10**7), lam + Fraction(1, 10**12), 2 - lam):
+        with pytest.raises(ModelDataError, match="documented PF eigenvalue"):
+            dataclasses.replace(m, pf_eigenvalue=bad)
+        with pytest.raises(ModelDataError, match="documented PF eigenvalue"):
+            ModelSpec(**fields | {"pf_eigenvalue": bad})
+        bare = dataclasses.replace(m, pf_eigenvalue=bad, displacement=None)
+        with pytest.raises(ModelDataError, match="documented PF eigenvalue"):
+            bare.with_displacement(m.displacement)
+    checks = {c.name: c for c in run_verification(m)[0]}
+    assert checks["amplitude-normalization"].status == "PASS"
+    assert checks["pf-eigenvalue"].detail.endswith("exactly")
+    ev = m.evaluator
     s = complex(ev.amplitudes(np.zeros(1), n=30).H.sum())
-    assert abs(s - m.density) > 1e-7
     total = ev.amplitude_batch(np.zeros((1, 1)), 30, weights=np.ones(2))[0]
     assert abs(s - total) < 1e-15
 

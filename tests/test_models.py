@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilediff.algebra import CAP, SILVER, Surd
+from tilediff.algebra import CAP, SILVER, Surd, fraction_det
 from tilediff.cps import LatticeBasis
 from tilediff.models import (DisplacementMatrix, ModelDataError, builtin,
                              builtin_names, displacement_from_dict,
@@ -111,7 +111,7 @@ def test_casper_scaffold():
         m.require_displacement()
     assert set(m.deformations) == {"hex", "ht", "spectre"}
     # expansion is a matrix square root of lam * identity
-    R = m.phys_expansion_matrix
+    R = m._scalar_matrix(m.expansion)
     lam = 4 + S15
     assert np.allclose(R @ R, lam * np.eye(2), atol=1e-12)
     assert np.allclose(R, np.array([[9 + 2 * S15, -S3], [-S3, -9 - 2 * S15]]) / 6)
@@ -184,7 +184,7 @@ def test_shared_model_arrays_are_read_only(name):
     for basis in (lat, dual):
         basis.columns, basis.dual_columns          # noqa: B018  (fill the caches)
     action = lat.dual_action(model.field.one())
-    model.phys_expansion_matrix, model.int_contraction_matrix  # noqa: B018
+    model.int_contraction_matrix                   # noqa: B018
     model.expansion_coords                         # noqa: B018
     owners = {"model": model, "lattice": lat, "dual": dual, "field": model.field}
     for key, d in model.deformations.items():
@@ -192,8 +192,7 @@ def test_shared_model_arrays_are_read_only(name):
         owners[f"deformation {key}"] = d
     expect = {"lattice.columns", "lattice.dual_columns", "dual.columns",
               "dual.dual_columns", "field.phys_columns", "field.int_columns",
-              "model.phys_expansion_matrix", "model.int_contraction_matrix",
-              "model.expansion_coords"}
+              "model.int_contraction_matrix", "model.expansion_coords"}
     expect |= {f"deformation {key}.matrix" for key in model.deformations}
     if model.has_displacement:
         model.translation_coords                   # noqa: B018
@@ -471,6 +470,59 @@ def test_casper_rejects_wrong_pf():
     disp = _synthetic_casper_displacement([[2, 1], [1, 1]])
     with pytest.raises(ModelDataError, match="eigenvalue"):
         builtin("casper_scaffold").with_displacement(disp)
+
+
+def test_casper_rejects_reducible_matrix():
+    """Two copies of the matching block have the PF root 4 + sqrt15, but
+    the matrix is not primitive."""
+    block = [[4, 3], [5, 4]]
+    disp = _synthetic_casper_displacement(
+        [row + [0, 0] for row in block] + [[0, 0] + row for row in block])
+    with pytest.raises(ModelDataError, match="not primitive"):
+        builtin("casper_scaffold").with_displacement(disp)
+
+
+@pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap", "casper"])
+def test_charpoly_matches_independent_references(name):
+    """det(xI - M) by Faddeev-LeVerrier is monic with integer coefficients,
+    its x^(n-1) coefficient is -trace(M), its constant term (-1)^n det(M)
+    by exact elimination, and M is a root of it in Python ints
+    (Cayley-Hamilton); its coefficients are those of the float eigenvalues
+    of M (np.poly), and np.roots finds the PF root.
+    np.roots cannot resolve cap's multiple roots (-1 to ~2e-3), so the
+    eigenvalues are compared through the coefficients."""
+    if name == "casper":
+        disp = _synthetic_casper_displacement([[4, 3], [5, 4]])
+    else:
+        disp = builtin(name).displacement
+    M = disp.card_matrix()
+    n, p = len(M), disp.charpoly
+    assert len(p) == n + 1 and p[0] == 1
+    assert all(type(c) is int for c in p)
+    assert p[1] == -np.trace(M)
+    assert p[-1] == (-1) ** n * fraction_det(M.tolist())
+    at_M = np.zeros((n, n), dtype=object)
+    for c in p:
+        at_M = at_M @ M.astype(object) + c * np.eye(n, dtype=int).astype(object)
+    assert not at_M.any()
+    eigs = np.linalg.eigvals(M.astype(float))
+    scale = max(map(abs, p))
+    assert np.max(np.abs(np.poly(eigs).real - p)) <= 1e-8 * scale
+    lead = eigs.real.max()
+    assert abs(np.roots(p).real.max() - lead) <= 1e-8 * lead
+
+
+def test_charpoly_beyond_int64():
+    """Past int64 the recursion continues in Python ints: M = 80 I + P, with
+    P a 16-cycle, has det(xI - M) = (x - 80)^16 - 1, whose middle
+    coefficients pass 2**63."""
+    n, z = 16, SILVER.zero()
+    entries = [[(z,) * (80 * (i == j) + (j == (i + 1) % n)) for j in range(n)]
+               for i in range(n)]
+    expect = [math.comb(n, k) * (-80) ** k for k in range(n + 1)]
+    expect[-1] -= 1
+    p = DisplacementMatrix(SILVER, entries).charpoly
+    assert p == tuple(expect) and max(map(abs, p)) > 2 ** 63
 
 
 def test_validate_symmetry_pass():
