@@ -16,8 +16,8 @@ from .diffraction import (Peak, PeakTable, amplitude_at, analytic_silver,
                           deformation_from_lengths, peak_list, peaks_to_csv,
                           peaks_to_json, peaks_to_svg, symmetry_report,
                           weight_vector, weyl_sum)
-from .inflation import (TypedPointSet, inflate, pf_data, seed_patch,
-                        substitution_matrix, truncate)
+from .inflation import (TypedPointSet, inflate, seed_patch, substitution_matrix,
+                        truncate)
 from .models import (DeformationMap, DisplacementMatrix, ModelDataError,
                      ModelSpec, builtin, builtin_names, load_displacement,
                      save_displacement, validate_symmetry)
@@ -36,7 +36,7 @@ __all__ = [
     "enumerate_module", "hull_intervals", "ifs_step", "inflate",
     "internal_argument", "iterate_windows", "load_displacement",
     "module_point", "peak_list", "peaks_to_csv", "peaks_to_json",
-    "peaks_to_svg", "pf_data", "render_windows", "save_displacement",
+    "peaks_to_svg", "render_windows", "save_displacement",
     "seed_patch", "substitution_matrix", "symmetry_report", "truncate",
     "validate_symmetry", "volume", "weight_vector", "weyl_sum",
     "window_volume_from_patch",

@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import Surd
 from .models import ModelDataError, builtin, builtin_names, load_displacement
 from . import diffraction, inflation, windows
@@ -196,8 +198,11 @@ def cmd_peaks(args) -> int:
             model, deformation, weights, n_samples=20, n=args.iters)
         gens = "; ".join("(" + ", ".join(format(x, ".9g") for x in p) + ")"
                          for p in periods.k_phys)
+        # what rounding alone puts into k_int - D^T k_phys at a shift by p
+        scale = (np.finfo(float).eps * np.linalg.norm(deformation.matrix, 2)
+                 * np.linalg.norm(periods.k_phys, axis=1).max())
         print(f"intensity is lattice-periodic: period generators {gens} "
-              f"(max residual {resid:.3g})")
+              f"(rounding scale {scale:.3g}, max residual {resid:.3g})")
     return EXIT_OK
 
 

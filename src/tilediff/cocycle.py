@@ -9,10 +9,11 @@ t* the starred translations.  The normalized product
 converges exponentially fast to a rank-one matrix |c(k)><u| whose column
 factor is proportional to the vector of window Fourier transforms.  The
 per-tile amplitudes are H(k) = density C_n(k) v / (1^T v), with v the
-right PF vector.  pf is the PF eigenvalue of the substitution matrix
-M = B(0), which every model proves exactly when it is built, so
-H_i(0) = density v_i / (1^T v) is density times the tile frequency, and
-the central equal-weight intensity is the squared point density.
+right PF vector (``DisplacementMatrix.perron``) of the substitution matrix
+M = B(0).  pf is the PF eigenvalue of M, which every model proves exactly
+when it is built, so H_i(0) = density v_i / (1^T v) is density times the
+tile frequency, and the central equal-weight intensity is the squared
+point density.
 
 Evaluators are immutable, with read-only arrays; amplitude evaluation at
 distinct arguments is pure and batches over many arguments at once.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import read_only
-from .models import ModelSpec, pf_data
+from .models import ModelSpec
 
 __all__ = ["FourierEvaluator", "AmplitudeVector"]
 
@@ -86,8 +87,7 @@ class FourierEvaluator:
         self._t_star, self._phase, self._flip = map(read_only, (
             stars[first], phase, sign != sign[first][phase]))
 
-        self.M = read_only(disp.card_matrix())
-        self.left, self.right = map(read_only, pf_data(self.M)[1:])
+        self.M, self.right = disp.card_matrix(), disp.perron[1]
         # H(k) = scale C_n(k) v: the one normalization of both paths
         self.scale = model.density / self.right.sum()
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraicElement, FieldMismatchError, FieldSpec
-from .models import _EXACT, ModelSpec, pf_data
+from .models import _EXACT, ModelSpec
 
 __all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
-           "substitution_matrix", "pf_data", "patch_to_csv", "MAX_PATCH_POINTS"]
+           "substitution_matrix", "patch_to_csv", "MAX_PATCH_POINTS"]
 
 # Most points one inflate step may make: admits silver 17 steps from one
 # tile (3,880,899 points, ~0.5 GB peak RSS) and cap 8 (974,170)
@@ -159,7 +159,7 @@ def truncate(patch: TypedPointSet, radius: float, center=None) -> TypedPointSet:
 
 
 def substitution_matrix(model: ModelSpec) -> np.ndarray:
-    """Exact cardinality matrix of the displacement entries."""
+    """Exact cardinality matrix, the read-only array ``card_matrix`` shares."""
     return model.require_displacement().card_matrix()
 
 

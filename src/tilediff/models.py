@@ -41,7 +41,7 @@ from .cps import LatticeBasis
 __all__ = [
     "DisplacementMatrix", "DeformationMap", "ModelSpec", "ModelDataError",
     "builtin", "builtin_names", "load_displacement", "save_displacement",
-    "validate_symmetry", "SymmetryReport", "pf_data",
+    "validate_symmetry", "SymmetryReport",
 ]
 
 # int64 sums and the conversion to float are exact up to this magnitude
@@ -82,6 +82,8 @@ class DisplacementMatrix:
         self.row_start = read_only(np.searchsorted(self.rows, np.arange(self.n + 1)))
         if not np.diff(self.row_start).all():
             raise ModelDataError("every tile type needs a translation")
+        self._M = read_only(np.bincount(self.rows * self.n + self.cols,
+                                        minlength=self.n ** 2).reshape(self.n, self.n))
 
     @cached_property
     def sixfold_violations(self) -> tuple:
@@ -115,9 +117,22 @@ class DisplacementMatrix:
                 MMk = M @ X
         return tuple(coeffs)
 
+    @cached_property
+    def perron(self) -> tuple:
+        """Float eigenvalues of M and its right PF vector v (summing to 1),
+        read-only, from one Wielandt check and one eigen-solve per matrix;
+        :class:`ModelDataError` unless M is primitive, its PF root real."""
+        _require_primitive(self._M)
+        eigs, vecs = np.linalg.eig(self._M.astype(float))
+        idx = int(np.argmax(eigs.real))
+        if abs(eigs[idx].imag) > 1e-9:
+            raise ModelDataError("leading eigenvalue is not real")
+        v = np.real(vecs[:, idx])
+        return read_only(eigs), read_only(v / v.sum())
+
     def card_matrix(self) -> np.ndarray:
-        counts = np.bincount(self.rows * self.n + self.cols, minlength=self.n ** 2)
-        return counts.reshape(self.n, self.n)
+        """The cardinality matrix M_ij = |T_ij|, one shared read-only array."""
+        return self._M
 
     def images(self, sources, linear, shifts):
         """One step of the graph-directed maps: yields, per target type i, the
@@ -223,14 +238,12 @@ class ModelSpec:
         """Raise :class:`ModelDataError` unless ``pf_eigenvalue`` is the
         Perron-Frobenius root of the primitive cardinality matrix M:
         det(xI - M) must vanish there exactly (Horner's rule in the field),
-        and among the float eigenvalues of M the one nearest to it must be
-        the one with the largest real part."""
-        lam, M = self.pf_eigenvalue, self.displacement.card_matrix()
-        _require_primitive(M)
+        and among the float eigenvalues of M (``DisplacementMatrix.perron``)
+        the one nearest to it must be the one with the largest real part."""
+        lam, (eigs, _) = self.pf_eigenvalue, self.displacement.perron
         value = self.field.zero()
         for c in self.displacement.charpoly:
             value = value * lam + c
-        eigs = np.linalg.eigvals(M.astype(float))
         nearest = np.argmin(np.abs(eigs - complex(*lam.embed_phys())))
         if value or nearest != np.argmax(eigs.real):
             raise ModelDataError(f"documented PF eigenvalue {lam} is not the PF "
@@ -356,32 +369,9 @@ class ModelSpec:
                 f"field={self.field.name!r}, displacement={data})")
 
 
-def pf_data(M: np.ndarray):
-    """Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix.
-
-    Raises :class:`ModelDataError` unless M is nonnegative and primitive.
-    The right eigenvector is frequency-normalized (entries sum to 1), and
-    the left eigenvector is scaled so that <u|v> = 1.
-    """
-    M = np.asarray(M)
-    _require_primitive(M)
-    lam, vecs = np.linalg.eig(M.astype(float))
-    idx = int(np.argmax(lam.real))
-    if abs(lam[idx].imag) > 1e-9:
-        raise ModelDataError("leading eigenvalue is not real")
-    v = np.real(vecs[:, idx])
-    v = v / v.sum()
-    lamT, vecsT = np.linalg.eig(M.T.astype(float))
-    u = np.real(vecsT[:, int(np.argmax(lamT.real))])
-    u = u / float(u @ v)
-    return float(lam[idx].real), u, v
-
-
 def _require_primitive(M: np.ndarray) -> None:
     """Wielandt: a nonnegative n x n matrix is primitive iff its pattern
     raised to any power >= (n-1)^2 + 1 is positive."""
-    if np.any(M < 0):
-        raise ModelDataError("matrix has negative entries")
     n = M.shape[0]
     pattern = (M > 0).astype(np.int64)
     power = 1

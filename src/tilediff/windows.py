@@ -128,6 +128,8 @@ def iterate_windows(model: ModelSpec, generations: int,
     the fixed point: the cloud is returned as it stands, with the
     requested generation.
     """
+    if generations < 0:
+        raise ValueError("generations must be >= 0")
     cloud = seed_clouds(model, resolution=resolution)
     front = None    # per type, the cells new in the last generation
     while cloud.generation < generations:
@@ -257,6 +259,8 @@ def hull_intervals(model: ModelSpec, steps: int = 80) -> list:
     recursion induced by the maps; iterating it from [0, 0] converges
     geometrically to the hull endpoints.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if model.dim != 1:
         raise ValueError("hull intervals only defined for 1d internal space")
     disp = model.require_displacement()

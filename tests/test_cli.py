@@ -98,6 +98,30 @@ def test_peaks_from_lengths_exact(tmp_path, capsys, monkeypatch):
     assert len(lines["zero"]) == 1
 
 
+_Q = 5 * 10 ** 23 - 1
+
+
+@pytest.mark.parametrize("argv, lo, hi", [
+    # one period of length 2.5e11, whose float residual is rounding alone
+    (["--model", "silver", "--radius", "2", "--deformation",
+      f"from-lengths:2000000000000/{_Q}-2/{_Q}*sqrt2,"
+      f"1000000000000000000000000/{_Q}-1000000000000/{_Q}*sqrt2"], 1e-5, 1e-4),
+    (["--model", "cap", "--deformation", "hat"], 0.0, 1e-15),
+])
+def test_peaks_period_line_prints_rounding_scale(argv, lo, hi, tmp_path,
+                                                 capsys, monkeypatch):
+    """The period line prints eps ||D|| max|p| before the residual, and still
+    ends in the residual, which the bench parses from the text after it."""
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    code, out, _ = run(["peaks"] + argv, capsys)
+    line = out.splitlines()[1]
+    assert code == 0 and line.startswith("intensity is lattice-periodic")
+    head, resid = line.rsplit("max residual ", 1)
+    scale = float(head.rsplit("rounding scale ", 1)[1].rstrip(", "))
+    assert lo < scale < hi
+    assert resid.endswith(")") and float(resid[:-1]) >= 0.0
+
+
 def test_peaks_from_lengths_rejects_decimals(capsys):
     code, _, err = run(["peaks", "--model", "silver", "--deformation",
                         "from-lengths:1.17157,1.17157"], capsys)

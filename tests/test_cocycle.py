@@ -69,8 +69,10 @@ def test_cocycle_at_zero_is_pf_projector(name):
     C = ev.cocycle_limit_batch(np.zeros(ev.d), 40)[0]
     assert np.max(np.abs(C @ C - C)) < 1e-10  # idempotent
     assert np.max(np.abs(C.imag)) < 1e-12
-    # rank one: C = |v><u|
-    expect = np.outer(ev.right, ev.left)
+    # rank one: C = |v><u|, u the left PF vector with <u|v> = 1
+    eigs, vecs = np.linalg.eig(ev.M.T.astype(float))
+    u = np.real(vecs[:, np.argmax(eigs.real)])
+    expect = np.outer(ev.right, u / (u @ ev.right))
     assert np.max(np.abs(C - expect)) < 1e-10
 
 

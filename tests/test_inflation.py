@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tilediff.algebra import SILVER
 from tilediff.cps import LatticeBasis
-from tilediff.inflation import (inflate, patch_to_csv, pf_data, seed_patch,
+from tilediff.inflation import (inflate, patch_to_csv, seed_patch,
                                 substitution_matrix, truncate)
-from tilediff.models import ModelDataError, builtin
+from tilediff.models import DisplacementMatrix, ModelDataError, builtin
 from test_cocycle import _with_synthetic_spectre_data
 
 S2 = math.sqrt(2)
@@ -185,7 +186,9 @@ def test_truncate_checks_the_center_dimension(silver):
 
 
 def test_substitution_matrices():
-    assert substitution_matrix(builtin("silver")).tolist() == [[1, 1], [2, 1]]
+    silver = builtin("silver")
+    assert substitution_matrix(silver).tolist() == [[1, 1], [2, 1]]
+    assert substitution_matrix(silver) is silver.displacement.card_matrix()
     assert substitution_matrix(builtin("silver_twisted")).tolist() == [[1, 1], [2, 1]]
     M = substitution_matrix(builtin("cap"))
     assert M.shape == (24, 24)
@@ -193,29 +196,29 @@ def test_substitution_matrices():
     assert abs(lam - ((1 + math.sqrt(5)) / 2) ** 4) < 1e-10
 
 
-def test_pf_data_silver():
-    lam, u, v = pf_data(np.array([[1, 1], [2, 1]]))
-    u = u * (4 / (2 + S2))   # <u|v> = 1, times the reciprocal density
-    assert abs(lam - LAM) < 1e-14
+def test_perron_silver():
+    eigs, v = builtin("silver").displacement.perron
+    assert abs(eigs.real.max() - LAM) < 1e-14
     assert np.allclose(v, [LAM - 2, 3 - LAM], atol=1e-12)
-    assert np.allclose(u, [S2, 1.0], atol=1e-12)
 
 
-def test_pf_data_identity():
-    lam, u, v = pf_data(np.array([[1]]))
-    assert lam == 1.0
-    assert np.allclose(u, [1.0]) and np.allclose(v, [1.0])
+def test_perron_one_type():
+    eigs, v = DisplacementMatrix(SILVER, [[(SILVER.zero(),)]]).perron
+    assert eigs.tolist() == [1.0] and v.tolist() == [1.0]
 
 
-def test_pf_data_cap():
-    lam, _, v = pf_data(substitution_matrix(builtin("cap")))
-    assert abs(lam - ((1 + math.sqrt(5)) / 2) ** 4) < 1e-10
+def test_perron_cap():
+    eigs, v = builtin("cap").displacement.perron
+    assert abs(eigs.real.max() - ((1 + math.sqrt(5)) / 2) ** 4) < 1e-10
     assert abs(v.sum() - 1.0) < 1e-12
 
 
-def test_pf_data_rejects_non_primitive():
-    with pytest.raises(ValueError):
-        pf_data(np.eye(2, dtype=int))
+def test_perron_rejects_reducible():
+    z = SILVER.zero()
+    disp = DisplacementMatrix(SILVER, [[(z,), ()], [(), (z,)]])
+    assert disp.card_matrix().tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(ModelDataError, match="not primitive"):
+        disp.perron   # noqa: B018
 
 
 def test_patch_csv(tmp_path, silver):

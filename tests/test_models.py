@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilediff import models
 from tilediff.algebra import CAP, SILVER, Surd, fraction_det
 from tilediff.cps import LatticeBasis
 from tilediff.models import (DisplacementMatrix, ModelDataError, builtin,
@@ -162,6 +164,29 @@ def test_with_displacement_is_a_distinct_model():
     assert other.evaluator.model is other and cap.evaluator.model is cap
 
 
+def test_one_pf_solve_per_matrix(monkeypatch):
+    """A model built on a fresh displacement matrix, with its evaluator, runs
+    one eigen-solve and one primitivity check: the matrix's cached
+    ``perron`` serves the PF rule and the evaluator's right vector alike."""
+    silver = builtin("silver")
+    disp = displacement_from_dict(displacement_to_dict(silver.displacement))
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(models, "_require_primitive",
+                        counted("primitive", models._require_primitive))
+    evaluator = silver.with_displacement(disp).evaluator
+    assert (calls["eig"], calls["eigvals"], calls["primitive"]) == (1, 0, 1)
+    assert evaluator.right is disp.perron[1]
+
+
 def _arrays(value, path):
     """(path, array) for every ndarray in ``value``, looking into tuples,
     lists and mappings."""
@@ -199,10 +224,11 @@ def test_shared_model_arrays_are_read_only(name):
         owners.update(evaluator=model.evaluator, displacement=model.displacement)
         expect |= {"model.translation_coords", "displacement.rows",
                    "displacement.cols", "displacement.stars",
-                   "displacement.row_start"}
+                   "displacement.row_start", "displacement._M",
+                   "displacement.perron[0]", "displacement.perron[1]"}
         expect |= {f"evaluator.{a}" for a in (
             "_row", "_col_start", "_cells", "_cell_start", "_t_star", "_phase",
-            "_flip", "M", "left", "right")}
+            "_flip", "M", "right")}
     arrays = [(f"{owner}.{path}", a) for owner, obj in owners.items()
               for key, value in vars(obj).items() for path, a in _arrays(value, key)]
     assert expect <= {path for path, _ in arrays}

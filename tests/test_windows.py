@@ -77,6 +77,17 @@ def test_hull_requires_1d():
         hull_intervals(builtin("cap"))
 
 
+def test_hull_rejects_negative_steps(silver):
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        hull_intervals(silver, steps=-1)
+
+
+def test_iterate_rejects_negative_generations(silver):
+    with pytest.raises(ValueError, match="generations must be >= 0"):
+        iterate_windows(silver, -3)
+    assert iterate_windows(silver, 0).generation == 0
+
+
 def test_fixed_point_property(silver):
     cloud = iterate_windows(silver, 22)
     nxt = ifs_step(cloud, silver)
