@@ -243,7 +243,7 @@ class ModulePoint:
         return acc
 
     def is_origin(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,10 +14,11 @@ computations (via Weyl sums) and can be exported as CSV.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraicElement, FieldMismatchError, FieldSpec
+from .algebra import AlgebraicElement, FieldMismatchError, FieldSpec, read_only
 from .models import _EXACT, ModelSpec
 
 __all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
@@ -61,14 +62,19 @@ class TypedPointSet:
                      zip(self.tile_types.tolist(), self.coords.tolist()))
 
     def positions_phys(self) -> np.ndarray:
-        """Float physical coordinates, shape (npoints, dim).
+        """Float physical coordinates, shape (npoints, dim), read-only and
+        computed once per patch.
 
         Bitwise equal to ``embed_phys()`` of each point: the batched
         matrix-vector product rounds like the per-point one, where
         ``F @ P.T`` and einsum do not.
         """
+        return self._positions_phys
+
+    @cached_property
+    def _positions_phys(self) -> np.ndarray:
         P = self.field.phys_columns
-        return (P[None] @ self.coords.astype(float)[:, :, None])[:, :, 0]
+        return read_only((P[None] @ self.coords.astype(float)[:, :, None])[:, :, 0])
 
     def types(self) -> np.ndarray:
         return self.tile_types

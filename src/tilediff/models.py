@@ -137,8 +137,9 @@ class DisplacementMatrix:
     def images(self, sources, linear, shifts):
         """One step of the graph-directed maps: yields, per target type i, the
         concatenation of ``sources[j] @ linear + shifts[r]`` over the
-        translations r of the entries (i, j), in table order."""
-        mapped = [s @ linear for s in sources]
+        translations r of the entries (i, j), in table order, each row mapped
+        by :func:`apply_linear`."""
+        mapped = [apply_linear(s, linear) for s in sources]
         cols, bounds = self.cols.tolist(), self.row_start.tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield np.concatenate([mapped[cols[r]] + shifts[r] for r in range(lo, hi)])
@@ -159,6 +160,16 @@ class DisplacementMatrix:
                 if {t.coords for t in c1} != {t.coords for t in c2}:
                     return False
         return True
+
+
+def apply_linear(points: np.ndarray, linear: np.ndarray) -> np.ndarray:
+    """``points @ linear`` by elementwise multiply-adds in a fixed order, so
+    that each row maps to the same bits in any batch: a BLAS matmul may
+    round one row differently alone and among others."""
+    out = points[..., :1] * linear[0]
+    for k in range(1, len(linear)):
+        out += points[..., k:k + 1] * linear[k]
+    return out
 
 
 def sixfold_shift(n: int) -> np.ndarray:

@@ -6,6 +6,8 @@ coordinates are formatted with fixed precision.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["SvgCanvas", "PALETTE"]
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -48,13 +50,17 @@ class SvgCanvas:
                         for x, y, r in zip(px.tolist(), py.tolist(),
                                            radii.tolist())]
 
-    def rect(self, x, y, w, h, color="#000000", opacity=1.0):
-        """Rectangle given in data coordinates (x, y lower-left corner)."""
-        px, py = self.map(x, y + h)
+    def rects(self, xs, ys, widths, heights, color="#000000", opacity=1.0):
+        """Rectangles given in data coordinates (``xs``, ``ys`` the
+        lower-left corners), float arrays or scalars mapped at once."""
+        xs, ys, widths, heights = np.broadcast_arrays(xs, ys, widths, heights)
+        px, py = self.map(xs, ys + heights)
         op = "" if opacity >= 1.0 else f' fill-opacity="{_f(opacity)}"'
-        self._parts.append(
-            f'<rect x="{_f(px)}" y="{_f(py)}" width="{_f(w * self.scale)}" '
-            f'height="{_f(h * self.scale)}" fill="{color}"{op}/>')
+        self._parts += [f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
+                        f'height="{_f(hh)}" fill="{color}"{op}/>'
+                        for x, y, w, hh in zip(px.tolist(), py.tolist(),
+                                               (widths * self.scale).tolist(),
+                                               (heights * self.scale).tolist())]
 
     def text(self, x, y, s):
         """Label ``s`` at font size 12 in #333333."""

@@ -5,7 +5,10 @@ the internal contraction; iterating the maps from any seed converges in
 Hausdorff distance at the contraction rate.  Clouds are dyadic-grid
 snapped point sets: one representation covers intervals, Cantorvals and
 fractal hexagons alike, and the occupied-cell count gives the Lebesgue
-volume with an explicit one-boundary-layer bracket.
+volume with an explicit one-boundary-layer bracket.  The iteration
+counts, per cell, the (source cell, translation) pairs that snap to it,
+so each generation maps only the cells that entered or left the cloud in
+the generation before (:func:`iterate_windows`).
 
 For one-dimensional models the interval hulls of the window components
 satisfy the induced endpoint recursion exactly, so hull endpoints are
@@ -20,18 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec
+from .models import ModelSpec, apply_linear
 from .svg import PALETTE, SvgCanvas
 
 __all__ = ["WindowCloud", "seed_clouds", "ifs_step", "iterate_windows",
            "volume", "hull_intervals", "render_windows",
            "TWISTED_BOUNDARY_DIM", "CAP_BOUNDARY_DIM", "MAX_STEP_CELLS"]
 
-# Most candidate cells one IFS step may map before deduplication; the
-# largest step of the CAP window at 12 generations, its seventh, maps
-# 504,004 at resolution 8 and 1,857,568 at resolution 9 (later steps map
-# only the frontier).
+# Most candidate cells one IFS step may map before deduplication: the
+# cells a step maps times the translations of their source types.  The
+# counted iteration of the CAP window at 12 generations maps at most
+# 19,940 in one step at resolution 6, 324,704 at resolution 8 and
+# 1,152,646 at resolution 9.
 MAX_STEP_CELLS = 2 ** 24
+
+# Most candidates the counted iteration maps at once, unless one target
+# type has more: a step maps its target types in ranges of this many, so
+# that its arrays stay small (256 kB per int64 array).
+_CHUNK_CANDIDATES = 2 ** 15
 
 # Documented boundary-dimension constants (read-only diagnostics).
 # Twisted silver: log(x_max)/log(1+sqrt2) with x_max the largest root of
@@ -101,18 +110,28 @@ def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
     """
     disp = model.require_displacement()
     count = int(np.array([len(c) for c in cloud.cells])[disp.cols].sum())
-    if count > MAX_STEP_CELLS:
-        raise ValueError(f"window step {cloud.generation + 1} maps {count} "
-                         f"candidate cells, above the ceiling {MAX_STEP_CELLS}")
+    _check_ceiling(count, cloud.generation + 1)
     A, h = model.int_contraction_matrix, cloud.cell_size
     out = []   # rows: p -> A @ p + t*
     for pts in disp.images([c * h for c in cloud.cells], A.T, disp.stars):
-        snapped = np.round(pts / h)
-        if not np.abs(snapped).max(initial=0) < 2.0 ** 53:   # NaN fails too
-            raise ValueError(f"window step {cloud.generation + 1} reaches "
-                             "cell indices of 2**53")
-        out.append(_unique_cells(snapped.astype(np.int64)))
+        out.append(_unique_cells(_snap(pts, h, cloud.generation + 1)))
     return WindowCloud(tuple(out), h, cloud.generation + 1)
+
+
+def _check_ceiling(count: int, step: int) -> None:
+    if count > MAX_STEP_CELLS:
+        raise ValueError(f"window step {step} maps {count} "
+                         f"candidate cells, above the ceiling {MAX_STEP_CELLS}")
+
+
+def _snap(pts: np.ndarray, h: float, step: int) -> np.ndarray:
+    """The int64 grid cells of the points ``pts``; raises ValueError before
+    the cast when a cell index reaches 2**53."""
+    snapped = np.round(pts / h)
+    lo, hi = snapped.min(initial=0), snapped.max(initial=0)
+    if not -2.0 ** 53 < lo <= hi < 2.0 ** 53:       # NaN fails too
+        raise ValueError(f"window step {step} reaches cell indices of 2**53")
+    return snapped.astype(np.int64)
 
 
 def iterate_windows(model: ModelSpec, generations: int,
@@ -120,51 +139,177 @@ def iterate_windows(model: ModelSpec, generations: int,
     """The cloud of ``generations`` IFS steps from the seed: the cells of
     that many :func:`ifs_step` calls, in lexicographic order.
 
-    A step maps each cell on its own, so it is monotone and distributes
-    over unions.  Once every type's generation g contains its generation
-    g-1, generation g+1 is generation g plus the images of the frontier
-    W^g minus W^(g-1) that are not yet present (semi-naive evaluation),
-    and only the frontier is mapped from then on.  An empty frontier is
-    the fixed point: the cloud is returned as it stands, with the
-    requested generation.
+    Counted incremental iteration (the counting algorithm of incremental
+    view maintenance).  A step maps each cell on its own, so a cell is in
+    generation g exactly when its preimage count, the number of (cell of
+    generation g-1, translation) pairs that snap to it, is positive.  The
+    iteration keeps these counts under one int64 key per (type, cell) on
+    a fixed grid, and each step maps only the cells that entered the
+    cloud in the step before (+1 to the counts of their images) or left
+    it (-1).  No change is the fixed point: the cloud is returned as it
+    stands, with the requested generation.  ``MAX_STEP_CELLS`` bounds
+    the candidates of each step.
     """
     if generations < 0:
         raise ValueError("generations must be >= 0")
     cloud = seed_clouds(model, resolution=resolution)
-    front = None    # per type, the cells new in the last generation
-    while cloud.generation < generations:
-        if front is None:
-            last, cloud = cloud, ifs_step(cloud, model)
-            # per type, which new cells the last generation holds
-            held = [_locate(c, o)[1] for o, c in zip(last.cells, cloud.cells)]
-            if all(h.sum() == len(o) for h, o in zip(held, last.cells)):
-                front = tuple(c[~h] for h, c in zip(held, cloud.cells))
-        elif not any(map(len, front)):
-            return WindowCloud(cloud.cells, cloud.cell_size, generations)
+    if not generations:
+        return cloud
+    grid = _Grid(model, cloud.cell_size)
+    # the (types, cells) that entered and that left the cloud in the last
+    # step, each in key order
+    entered = np.arange(cloud.n_types), np.vstack(cloud.cells)
+    left = entered[0][:0], entered[1][:0]
+    keys = counts = None        # sorted keys of the cloud, preimage counts
+    for step in range(1, generations + 1):
+        if not len(entered[0]) + len(left[0]):
+            break
+        keys, counts, new, gone = _step(grid, keys, counts, entered, left, step)
+        entered = grid.decode(new)
+        left = grid.decode(gone)
+    types, cells = grid.decode(keys)
+    per_type = np.split(cells, np.searchsorted(types, np.arange(1, cloud.n_types)))
+    return WindowCloud(tuple(per_type), cloud.cell_size, generations)
+
+
+def _step(grid, keys, counts, entered, left, step: int):
+    """One counted step: the cloud's sorted keys and their preimage counts
+    after mapping the (types, cells) that ``entered`` and ``left`` it, and
+    the keys that enter and leave in this step.  ``keys`` is None at the
+    first step, where each seed cell is its own preimage until now.
+    Maps the target types in ranges of about ``_CHUNK_CANDIDATES``."""
+    # candidates per target type: one per translation and changed cell of
+    # its source type
+    changed = np.bincount(np.concatenate([entered[0], left[0]]), minlength=grid.n)
+    sizes = np.bincount(grid.rows, weights=changed[grid.cols], minlength=grid.n)
+    _check_ceiling(int(sizes.sum()), step)
+    sources = [(types, grid.map(cells)) for types, cells in (entered, left)]
+    parts = []
+    for t0, t1 in _type_ranges(sizes, _CHUNK_CANDIDATES):
+        gained, lost = (grid.images(t, m, t0, t1, step) for t, m in sources)
+        if keys is None:
+            part_keys = grid.encode(np.arange(t0, t1), np.zeros(
+                (len(grid.mins), t1 - t0), dtype=np.int64))
+            part_counts = np.ones(t1 - t0, dtype=np.int64)
+            lost = np.concatenate([lost, part_keys])
         else:
-            images = ifs_step(WindowCloud(front, cloud.cell_size,
-                                          cloud.generation), model).cells
-            cells, front = zip(*map(_add_absent, cloud.cells, images))
-            cloud = WindowCloud(cells, cloud.cell_size, cloud.generation + 1)
-    return cloud
+            lo, hi = np.searchsorted(keys, (t0 * grid.size, t1 * grid.size))
+            part_keys, part_counts = keys[lo:hi], counts[lo:hi]
+        gained.sort()
+        lost.sort()
+        parts.append(_recount(part_keys, part_counts, _tally(gained), _tally(lost)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _add_absent(cells: np.ndarray, images: np.ndarray):
-    """``cells`` with the rows of ``images`` it lacks merged in, in
-    lexicographic order, and those rows."""
-    at, found = _locate(images, cells)
-    new = images[~found]
-    return np.insert(cells, at[~found], new, axis=0), new
+def _type_ranges(sizes: np.ndarray, limit: int) -> list:
+    """Consecutive ranges [t0, t1) of target types that cover them all,
+    each with at most ``limit`` candidates or of one type."""
+    ranges, t0, total = [], 0, 0
+    for t, size in enumerate(sizes.tolist()):
+        if total + size > limit and t > t0:
+            ranges.append((t0, t))
+            t0, total = t, 0
+        total += size
+    return ranges + [(t0, len(sizes))]
 
 
-def _locate(cells: np.ndarray, ref: np.ndarray):
-    """For each row of ``cells``, its insertion index in ``ref`` and
-    whether ``ref`` holds it; both arrays hold distinct rows in
-    lexicographic order, and ``ref`` is not empty."""
-    keys = row_keys(np.vstack([ref, cells]))[0]
-    have, want = keys[:len(ref)], keys[len(ref):]
-    at = np.searchsorted(have, want)
-    return at, have[np.minimum(at, len(have) - 1)] == want
+class _Grid:
+    """The maps of a model's window IFS on cells of size ``h``, and one
+    int64 key per (type, cell) on a grid fixed in advance.
+
+    A cell within distance R (in cells) of 0 maps to cells within
+    ||A|| R + tmax/h + sqrt(d)/2, so the iteration from 0 never leaves
+    the radius (tmax/h + sqrt(d)/2) / (1 - ||A||), plus one for rounding.
+    Keys are the type, then the cell's coordinates, in mixed radix over
+    that box: they ascend by type and then in lexicographic cell order,
+    and keys of different generations compare directly.
+    """
+
+    def __init__(self, model: ModelSpec, h: float):
+        disp = model.require_displacement()
+        A = model.int_contraction_matrix
+        contr = float(np.linalg.norm(A, 2))
+        tmax = float(np.linalg.norm(disp.stars, axis=1).max())
+        bound = (tmax / h + math.sqrt(model.dim) / 2) / (1.0 - contr) + 1
+        radius = int(min(bound, 2 ** 62))         # past any int64 key
+        span = 2 * radius + 1
+        self.size = span ** model.dim              # keys per type
+        self.fits = model.n_tiles * self.size < 2 ** 63
+        self.mins = (-radius,) * model.dim
+        self.mult = [span ** k for k in range(model.dim)][::-1]
+        self.h, self.linear, self.n = h, A.T, disp.n
+        self.rows, self.cols, self.row_start = disp.rows, disp.cols, disp.row_start
+        self.stars = np.ascontiguousarray(disp.stars.T)
+
+    def encode(self, types: np.ndarray, axes) -> np.ndarray:
+        """The keys of the cells of types ``types`` with coordinates
+        ``axes`` (one int64 array per axis)."""
+        if not self.fits:
+            raise ValueError("cell grid too large for int64 keys")
+        keys = types * self.size
+        for axis, lo, mult in zip(axes, self.mins, self.mult):
+            keys += (axis - lo) * mult
+        return keys
+
+    def decode(self, keys: np.ndarray):
+        """The types and cells of ``keys``, the inverse of :meth:`encode`."""
+        types, rest = np.divmod(keys, self.size)
+        return types, _decode(rest, self.mins, self.mult)
+
+    def map(self, cells: np.ndarray) -> np.ndarray:
+        """The cells' points mapped by A, one contiguous array per axis."""
+        return apply_linear(cells * self.h, self.linear).T.copy()
+
+    def images(self, types: np.ndarray, mapped: np.ndarray, t0: int, t1: int,
+               step: int) -> np.ndarray:
+        """The keys of the images in the target types [t0, t1) of cells of
+        the sorted types ``types``, whose points A maps to ``mapped``, by
+        translation.  Raises ValueError as :func:`ifs_step` does."""
+        lo, hi = self.row_start[t0], self.row_start[t1]
+        cols = self.cols[lo:hi]
+        first = np.searchsorted(types, np.arange(self.n + 1))   # per type
+        count = first[cols + 1] - first[cols]   # per translation
+        ends = np.cumsum(count)
+        r = np.repeat(np.arange(lo, hi), count)
+        source = np.arange(ends[-1]) + np.repeat(first[cols] - ends + count, count)
+        axes = [_snap(p[source] + t[r], self.h, step)
+                for p, t in zip(mapped, self.stars)]
+        return self.encode(self.rows[r], axes)
+
+
+def _recount(keys, counts, gained, lost):
+    """Sorted ``keys`` and their positive ``counts`` after adding the
+    tallies ``gained`` and subtracting the tallies ``lost`` (each distinct
+    sorted keys and their multiplicities), and the keys that entered and
+    left."""
+    gained, n_gained = gained
+    at = np.searchsorted(keys, gained)
+    new = ~_held(keys, gained, at)
+    keys = np.insert(keys, at[new], gained[new])
+    counts = np.insert(counts, at[new], 0)
+    counts[at + np.cumsum(new) - new] += n_gained
+    lost, n_lost = lost
+    at = np.searchsorted(keys, lost)        # keys holds every lost key
+    counts[at] -= n_lost
+    gone = at[counts[at] == 0]
+    return np.delete(keys, gone), np.delete(counts, gone), gained[new], keys[gone]
+
+
+def _tally(keys: np.ndarray):
+    """The distinct values of sorted ``keys`` and how often each occurs."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    counts = np.empty_like(start)
+    np.subtract(start[1:], start[:-1], out=counts[:-1])
+    counts[-1:] = len(keys) - start[-1:]
+    return keys[start], counts
+
+
+def _held(ref: np.ndarray, keys: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Whether sorted nonempty ``ref`` holds each of ``keys``, given their
+    insertion indices ``at``."""
+    return ref[np.minimum(at, len(ref) - 1)] == keys
 
 
 def row_keys(cells: np.ndarray):
@@ -189,24 +334,43 @@ def row_keys(cells: np.ndarray):
     return keys, mult
 
 
+def _decode(keys: np.ndarray, mins, mult: np.ndarray) -> np.ndarray:
+    """The rows with keys ``keys`` under the offsets ``mins`` and the
+    multipliers ``mult`` (descending, the last 1), as :func:`row_keys`
+    lays them out."""
+    rows = np.empty((len(keys), len(mult)), dtype=np.int64)
+    rest = keys
+    for k, step in enumerate(mult[:-1]):
+        rows[:, k], rest = np.divmod(rest, step)
+    rows[:, -1] = rest
+    rows += mins
+    return rows
+
+
+def _distinct_keys(cells: np.ndarray):
+    """The sorted distinct :func:`row_keys` of nonempty ``cells``, and the
+    multipliers."""
+    keys, mult = row_keys(cells)
+    return _tally(np.sort(keys))[0], mult
+
+
 def _unique_cells(cells: np.ndarray) -> np.ndarray:
     """Distinct rows in lexicographic order, as np.unique(cells, axis=0)."""
     if not len(cells):
         return cells
-    _, first = np.unique(row_keys(cells)[0], return_index=True)
-    return cells[first]
+    keys, mult = _distinct_keys(cells)
+    return _decode(keys, cells.min(axis=0).tolist(), mult)
 
 
 def _interior_mask(cells: np.ndarray) -> np.ndarray:
-    """True for occupied cells whose axis neighbors are all occupied."""
+    """For the distinct rows of ``cells`` in lexicographic order, True
+    where every axis neighbor is a row of ``cells`` too."""
     if cells.size == 0:
         return np.zeros(0, dtype=bool)
-    own, mult = row_keys(cells)
-    keys = np.sort(own)
-    mask = np.ones(len(cells), dtype=bool)
+    keys, mult = _distinct_keys(cells)
+    mask = np.ones(len(keys), dtype=bool)
     for off in np.concatenate([mult, -mult]):
-        idx = np.minimum(np.searchsorted(keys, own + off), len(keys) - 1)
-        mask &= keys[idx] == own + off
+        mask &= _held(keys, keys + off, np.searchsorted(keys, keys + off))
     return mask
 
 
@@ -221,9 +385,9 @@ def volume(cloud: WindowCloud):
     ambient dimension (silver/CAP windows, not the Cantorvals).
     """
     cell_vol = cloud.cell_size ** cloud.dim
-    union = _unique_cells(np.vstack(cloud.cells))
-    boundary = int(len(union) - _interior_mask(union).sum())
-    return union.shape[0] * cell_vol, boundary * cell_vol
+    interior = _interior_mask(np.vstack(cloud.cells))   # per union cell
+    boundary = int(len(interior) - interior.sum())
+    return len(interior) * cell_vol, boundary * cell_vol
 
 
 def window_volume_from_patch(model: ModelSpec):
@@ -318,8 +482,7 @@ def _render_1d(cloud, path, labels, zoom):
         y = 0.22 * (x1 - x0) * (cloud.n_types - 1 - i)
         color = PALETTE[i % len(PALETTE)]
         first, length = _runs(cells)
-        for x, n in zip(first[:, 0].tolist(), length.tolist()):
-            canvas.rect(x * h - h / 2, y, n * h, band, color=color)
+        canvas.rects(first[:, 0] * h - h / 2, y, length * h, band, color=color)
         if labels:
             canvas.text(x0, y + band / 2, labels[i])
     if zoom:
@@ -331,11 +494,11 @@ def _render_1d(cloud, path, labels, zoom):
         for i, cells in enumerate(cloud.cells):
             first, length = _runs(cells)
             color = PALETTE[i % len(PALETTE)]
-            for x, n in zip(first[:, 0].tolist(), length.tolist()):
-                a, b = max(x * h - h / 2, lo), min((x + n) * h - h / 2, hi)
-                if a < b:
-                    canvas.rect(x0 + (a - lo) * scale, y + i * sub,
-                                (b - a) * scale, sub, color=color, opacity=0.9)
+            a = np.maximum(first[:, 0] * h - h / 2, lo)
+            b = np.minimum((first[:, 0] + length) * h - h / 2, hi)
+            a, b = a[a < b], b[a < b]
+            canvas.rects(x0 + (a - lo) * scale, y + i * sub, (b - a) * scale, sub,
+                         color=color, opacity=0.9)
         canvas.text(x0, y + band, f"zoom [{lo:.6g}, {hi:.6g}]")
     canvas.write(path)
 
@@ -354,7 +517,6 @@ def _render_2d(cloud, path, orientations):
         group = i // orientations if orientations else i
         color = PALETTE[group % len(PALETTE)]
         first, length = _runs(cells)
-        for (x, y), n in zip(first.tolist(), length.tolist()):
-            canvas.rect(x * h - h / 2, y * h - h / 2, h, n * h,
-                        color=color, opacity=0.85)
+        canvas.rects(first[:, 0] * h - h / 2, first[:, 1] * h - h / 2, h,
+                     length * h, color=color, opacity=0.85)
     canvas.write(path)

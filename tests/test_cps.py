@@ -135,6 +135,8 @@ def test_module_point_projections(cap):
     # exact element projects to the same floats
     assert np.allclose(p.element.embed_phys(), p.k_phys, atol=1e-12)
     assert np.allclose(p.element.embed_int(), p.k_int, atol=1e-12)
+    assert not p.is_origin() and not module_point(cap.lattice, (0, 0, 1, 0)).is_origin()
+    assert module_point(cap.lattice, (0, 0, 0, 0)).is_origin()
 
 
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",

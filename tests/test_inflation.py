@@ -110,7 +110,10 @@ def test_integer_inflation_matches_fractions(name, steps):
     assert [(t, x.coords) for t, x in patch.points] == \
         [(t, x.coords) for t, x in ref]
     exact = np.array([x.embed_phys() for _, x in ref])
-    assert patch.positions_phys().tobytes() == exact.tobytes()
+    pos = patch.positions_phys()
+    assert pos.tobytes() == exact.tobytes()
+    # one read-only array per patch, which the Weyl sums share
+    assert pos is patch.positions_phys() and not pos.flags.writeable
 
 
 @pytest.mark.parametrize("name", [

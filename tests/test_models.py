@@ -426,10 +426,22 @@ def test_translation_table(name):
                                                 for row in disp.entries])
 
 
+def _row_image(p, L):
+    """p @ L for one row p in plain Python, summed in axis order."""
+    out = [p[0] * x for x in L[0]]
+    for k in range(1, len(L)):
+        out = [o + p[k] * x for o, x in zip(out, L[k])]
+    return out
+
+
 def _entry_loop(disp, sources, linear, shift):
-    """One step of the maps as a loop over the entries: the reference for
-    DisplacementMatrix.images."""
-    return [np.concatenate([sources[j] @ linear + shift(t)
+    """One step of the maps as a loop over the entries, each source row
+    mapped on its own: the reference for DisplacementMatrix.images."""
+    L = linear.tolist()
+    mapped = [np.array([_row_image(p, L) for p in s.tolist()],
+                       dtype=np.result_type(s, linear)).reshape(len(s), len(L[0]))
+              for s in sources]
+    return [np.concatenate([mapped[j] + shift(t)
                             for j in range(disp.n) for t in disp.entries[i][j]])
             for i in range(disp.n)]
 
@@ -457,6 +469,28 @@ def test_images_match_entry_loop(name):
         assert len(got) == disp.n
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_images_do_not_depend_on_the_batch():
+    """Each cell maps to the same bits alone and among all the others: on
+    the synthetic spectre window at resolution 10, a BLAS matmul rounded
+    about half of them differently in the batch."""
+    from test_cocycle import _with_synthetic_spectre_data
+    from tilediff.windows import iterate_windows
+    model = _with_synthetic_spectre_data()
+    disp, A = model.displacement, model.int_contraction_matrix.T
+    cloud = iterate_windows(model, 12, resolution=10)
+
+    def images(j, pts):     # of the points pts of type j, per target type
+        return list(disp.images([pts if k == j else pts[:0] for k in range(disp.n)],
+                                A, disp.stars))
+
+    for j, cells in enumerate(cloud.cells):
+        pts = cells * cloud.cell_size
+        together = [im.reshape(-1, len(pts), model.dim) for im in images(j, pts)]
+        for k in range(0, len(pts), 10):
+            for alone, all_ in zip(images(j, pts[k:k + 1]), together):
+                assert alone.tobytes() == all_[:, k].tobytes()
 
 
 def test_displacement_needs_a_translation_per_type():

@@ -158,13 +158,18 @@ def test_ifs_step_matches_unique_oracle(name, generations, resolution):
         assert set(map(tuple, cells[_interior_mask(cells)].tolist())) == expect
 
 
-def _plain_loop(model, generations, resolution=None):
-    """``generations`` full ifs_step calls from the seed: the reference for
-    the frontier iteration of iterate_windows."""
-    cloud = seed_clouds(model, resolution=resolution)
+
+def _plain_generations(model, generations, resolution=None):
+    """Generations 0 to ``generations`` of full ifs_step calls from the
+    seed: the reference for the counted iteration of iterate_windows."""
+    clouds = [seed_clouds(model, resolution=resolution)]
     for _ in range(generations):
-        cloud = ifs_step(cloud, model)
-    return cloud
+        clouds.append(ifs_step(clouds[-1], model))
+    return clouds
+
+
+def _plain_loop(model, generations, resolution=None):
+    return _plain_generations(model, generations, resolution)[-1]
 
 
 def _assert_same_cloud(got, ref):
@@ -188,21 +193,64 @@ def test_frontier_iteration_matches_plain_steps(name, generations, resolution):
                        _plain_loop(model, generations, resolution))
 
 
+def _spectre():
+    from test_cocycle import _with_synthetic_spectre_data
+    return _with_synthetic_spectre_data()
+
+
+def _cell_set(cloud):
+    return {(i, *c) for i, cells in enumerate(cloud.cells) for c in cells.tolist()}
+
+
+def _changes(clouds):
+    """Per step s >= 1, the (type, *cell) rows that entered or left the
+    cloud from generation s-2 to s-1 (generation -1 is empty), sorted."""
+    sets = [set()] + [_cell_set(c) for c in clouds]
+    return [sorted(b ^ a) for a, b in zip(sets, sets[1:])]
+
+
+@pytest.mark.parametrize("name,resolution,generations", [
+    ("cap", 5, 12), ("cap", 6, 12), ("cap", 7, 12), ("cap", 8, 12),
+    ("silver", None, 40), ("silver_twisted", None, 40),
+    ("synthetic-spectre", None, 12)])
+def test_counted_iteration_matches_plain_steps(name, resolution, generations):
+    """Each generation from 0 of the counted iteration is that many plain
+    steps, bit for bit.  Cells leave the CAP and silver clouds as well as
+    enter them (the seed's cell 0 from the first step); the other clouds
+    only grow."""
+    model = _spectre() if name == "synthetic-spectre" else builtin(name)
+    clouds = _plain_generations(model, generations, resolution)
+    for g, ref in enumerate(clouds):
+        _assert_same_cloud(iterate_windows(model, g, resolution=resolution), ref)
+    sets = [_cell_set(c) for c in clouds]
+    left = [len(a - b) for a, b in zip(sets, sets[1:])]
+    assert any(left) == (name in ("cap", "silver"))
+
+
 def test_frontier_stops_at_the_fixed_point(monkeypatch):
     """At resolution 6 the CAP cloud stops changing at generation 8: a
-    thousand generations are the saturated cloud, mapped a dozen times."""
+    thousand generations are the saturated cloud, and each step maps the
+    cells that entered or left the cloud in the step before, each once."""
     cap = builtin("cap")
-    saturated = _plain_loop(cap, 12, resolution=6)
+    clouds = _plain_generations(cap, 12, resolution=6)
+    saturated = clouds[-1]
     assert all(np.array_equal(a, b) for a, b in
                zip(ifs_step(saturated, cap).cells, saturated.cells))
-    calls = []
-    step = windows.ifs_step
-    monkeypatch.setattr(windows, "ifs_step",
-                        lambda cloud, model: calls.append(1) or step(cloud, model))
+    mapped = []     # per step, the (type, *cell) rows it maps
+    counted_step = windows._step
+
+    def record(grid, keys, counts, entered, left, step):
+        mapped.append(sorted((t, *c) for types, cells in (entered, left)
+                             for t, c in zip(types.tolist(), cells.tolist())))
+        return counted_step(grid, keys, counts, entered, left, step)
+
+    monkeypatch.setattr(windows, "_step", record)
     got = iterate_windows(cap, 1000, resolution=6)
     assert got.generation == 1000
     _assert_same_cloud(got, WindowCloud(saturated.cells, saturated.cell_size, 1000))
-    assert len(calls) <= 12
+    changes = _changes(clouds)
+    assert [len(c) for c in changes[9:]] == [0] * 4
+    assert mapped == changes[:9]
 
 
 def test_frontier_ceiling_counts_frontier_candidates(monkeypatch):
