@@ -13,9 +13,11 @@ and internal projections are float evaluations of one exact element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -218,20 +220,51 @@ class LatticeBasis:
         return f"LatticeBasis({self.field.name}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class ModulePoint:
+class Row(tuple):
+    """Base of the immutable rows ``ModulePoint`` and ``diffraction.Peak``,
+    named tuples built at tuple cost that compare like records: equal only
+    to a row of their own class, on their first ``_key`` fields (all when
+    None), hashed on the same fields, and never ordered, so no comparison
+    reaches an array field."""
+
+    __slots__ = ()
+    _key = None
+
+    # the one row builder: namedtuple's _make without a Python frame or
+    # its length check, for rows built from columns of one length
+    _make = classmethod(tuple.__new__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            # a plain tuple would compare its items with the fields
+            return False if isinstance(other, tuple) else NotImplemented
+        return self[:self._key] == other[:self._key]
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:self._key])
+
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+class ModulePoint(Row, namedtuple("ModulePoint", "lattice coords k_phys k_int")):
     """A Fourier-module point: integer coords in the dual basis.
 
     ``k_phys`` and ``k_int`` are the float physical/internal projections
     of the exact dual-lattice vector.  The internal projection *is* the
     starred argument fed to the cocycle; it is never reconstructed from a
-    scaled prefactor expression.
+    scaled prefactor expression.  Equality and hash see only ``lattice``
+    and ``coords`` (see :class:`Row`).
     """
 
-    lattice: LatticeBasis
-    coords: tuple
-    k_phys: np.ndarray = field(compare=False)
-    k_int: np.ndarray = field(compare=False)
+    __slots__ = ()
+    _key = 2
 
     @property
     def element(self) -> AlgebraicElement:
@@ -261,13 +294,14 @@ class ModuleSet:
         return len(self.coords)
 
     def __iter__(self):
-        return map(ModulePoint, [self.lattice] * len(self),
-                   zip(*self.coords.T.tolist()), self.k_phys, self.k_int)
+        return map(ModulePoint._make, zip(repeat(self.lattice),
+                                          zip(*self.coords.T.tolist()),
+                                          self.k_phys, self.k_int))
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return ModulePoint(self.lattice, tuple(self.coords[index].tolist()),
-                               self.k_phys[index], self.k_int[index])
+            return ModulePoint._make((self.lattice, tuple(self.coords[index].tolist()),
+                                      self.k_phys[index], self.k_int[index]))
         return ModuleSet(self.lattice, self.coords[index], self.k_phys[index],
                          self.k_int[index])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -17,11 +18,11 @@ from itertools import repeat
 import numpy as np
 
 from .algebra import Surd, _mat_mul, read_only
-from .cps import (ModulePoint, ModuleSet, enumerate_module, float_arguments,
+from .cps import (ModulePoint, ModuleSet, Row, enumerate_module, float_arguments,
                   internal_argument)
 from .inflation import TypedPointSet
 from .models import DeformationMap, ModelSpec, sixfold_shift
-from .svg import SvgCanvas
+from .svg import SvgCanvas, format_distinct
 from .windows import row_keys
 
 __all__ = [
@@ -37,15 +38,13 @@ _SILVER_LAMBDA = 1.0 + math.sqrt(2.0)
 _TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Peak:
-    """One Bragg peak; intensity is |amplitude|^2."""
+class Peak(Row, namedtuple("Peak", "k deformation amplitude intensity n_iters")):
+    """One Bragg peak, at the module point ``k`` (a ``ModulePoint``): the
+    deformation name or None, the complex ``amplitude``, the float
+    ``intensity`` |amplitude|^2 and ``n_iters``.  Compares on all five
+    fields (see ``cps.Row``)."""
 
-    k: ModulePoint
-    deformation: str | None
-    amplitude: complex
-    intensity: float
-    n_iters: int
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +69,15 @@ class PeakTable:
         return len(self.points)
 
     def __iter__(self):
-        return map(Peak, self.points, repeat(self.deformation),
-                   self.amplitude.tolist(), self.intensity.tolist(),
-                   repeat(self.n_iters))
+        return map(Peak._make, zip(self.points, repeat(self.deformation),
+                                   self.amplitude.tolist(), self.intensity.tolist(),
+                                   repeat(self.n_iters)))
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return Peak(self.points[index], self.deformation,
-                        self.amplitude[index].item(),
-                        self.intensity[index].item(), self.n_iters)
+            return Peak._make((self.points[index], self.deformation,
+                               self.amplitude[index].item(),
+                               self.intensity[index].item(), self.n_iters))
         return PeakTable(self.points[index], self.deformation, self.n_iters,
                          self.amplitude[index], self.intensity[index])
 
@@ -86,10 +85,10 @@ class PeakTable:
     def _fields(self) -> tuple:
         """The fields the CSV and the JSON share, one list of strings per
         column: the module coordinates joined by commas, then kx, ky, re_amp,
-        im_amp and intensity, each float formatted once with %.17g; ky is
-        the literal 0 in 1d."""
+        im_amp and intensity, each distinct float formatted once with %.17g
+        (``svg.format_distinct``); ky is the literal 0 in 1d."""
         def g17(x):
-            return list(map("%.17g".__mod__, x.tolist()))
+            return format_distinct(x, "%.17g".__mod__)
 
         coords = zip(*(map(str, c) for c in self.points.coords.T.tolist()))
         kx, *ky = self.points.k_phys.T

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SvgCanvas", "PALETTE"]
+__all__ = ["SvgCanvas", "PALETTE", "format_distinct"]
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -16,6 +16,18 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 def _f(x: float) -> str:
     return format(float(x), ".6f").rstrip("0").rstrip(".")
+
+
+def format_distinct(values, fmt=_f) -> list:
+    """``fmt`` of each float of ``values``, called once per distinct value
+    and gathered into nested lists of the shape of ``values``: the values
+    are keyed on their bit patterns, so -0.0 and 0.0 keep their own
+    strings."""
+    values = np.asarray(values, dtype=np.float64)
+    keys, inverse = np.unique(np.ascontiguousarray(values).view(np.int64),
+                              return_inverse=True)
+    strings = np.array(list(map(fmt, keys.view(np.float64).tolist())), dtype=object)
+    return strings[inverse].reshape(values.shape).tolist()
 
 
 class SvgCanvas:
@@ -45,10 +57,9 @@ class SvgCanvas:
         """Opaque disks of fill #111111 at the data points ``xs``, ``ys``,
         of pixel radii ``radii`` >= 0 (float arrays, mapped at once)."""
         px, py = self.map(xs, ys)
-        self._parts += [f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
-                        'fill="#111111"/>'
-                        for x, y, r in zip(px.tolist(), py.tolist(),
-                                           radii.tolist())]
+        self._parts += [f'<circle cx="{x}" cy="{y}" r="{r}" fill="#111111"/>'
+                        for x, y, r in zip(*format_distinct(
+                            np.reshape([px, py, radii], (3, -1))))]
 
     def rects(self, xs, ys, widths, heights, color="#000000", opacity=1.0):
         """Rectangles given in data coordinates (``xs``, ``ys`` the
@@ -56,11 +67,10 @@ class SvgCanvas:
         xs, ys, widths, heights = np.broadcast_arrays(xs, ys, widths, heights)
         px, py = self.map(xs, ys + heights)
         op = "" if opacity >= 1.0 else f' fill-opacity="{_f(opacity)}"'
-        self._parts += [f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
-                        f'height="{_f(hh)}" fill="{color}"{op}/>'
-                        for x, y, w, hh in zip(px.tolist(), py.tolist(),
-                                               (widths * self.scale).tolist(),
-                                               (heights * self.scale).tolist())]
+        self._parts += [f'<rect x="{x}" y="{y}" width="{w}" height="{hh}" '
+                        f'fill="{color}"{op}/>'
+                        for x, y, w, hh in zip(*format_distinct(np.reshape(
+                            [px, py, widths * self.scale, heights * self.scale], (4, -1))))]
 
     def text(self, x, y, s):
         """Label ``s`` at font size 12 in #333333."""

@@ -139,6 +139,31 @@ def test_module_point_projections(cap):
     assert module_point(cap.lattice, (0, 0, 0, 0)).is_origin()
 
 
+def test_module_point_row_semantics(cap):
+    """A ModulePoint is an immutable row that compares and hashes on its
+    lattice and coords only, as the frozen dataclass did: never equal to the
+    plain tuple of its fields, never ordered, never comparing its arrays."""
+    p = module_point(cap.lattice, (1, -2, 0, 3))
+    for name in ("lattice", "coords", "k_phys", "k_int", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    q = cps.ModulePoint(lattice=cap.lattice, coords=(1, -2, 0, 3),
+                        k_phys=p.k_phys + 1.0, k_int=np.zeros(2))
+    assert p == q and not p != q
+    assert hash(p) == hash(q) == hash((cap.lattice, (1, -2, 0, 3)))
+    assert p != module_point(cap.lattice, (1, -2, 0, 2))
+    fields = (p.lattice, p.coords, p.k_phys, p.k_int)
+    rebuilt = cps.ModulePoint(*fields)
+    assert rebuilt == p and type(rebuilt) is cps.ModulePoint
+    for plain in (fields, (q.lattice, q.coords, q.k_phys, q.k_int)):
+        assert p != plain and plain != p and not p == plain
+    with pytest.raises(TypeError):
+        p < q
+    assert {p: 1}[q] == 1 and len({p, q}) == 1
+    assert repr(p).startswith("ModulePoint(lattice=LatticeBasis(cap, rank=4), "
+                              "coords=(1, -2, 0, 3), k_phys=array(")
+
+
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap",
                                   "casper_scaffold"])
 def test_points_match_per_point_projection(name):

@@ -1009,6 +1009,38 @@ def test_peak_table_rows(cap, silver, cap_equal_peaks, case):
         table.intensity[0] = 0
 
 
+def test_peak_row_semantics(cap_equal_peaks):
+    """A Peak is an immutable row that compares and hashes on all five
+    fields, its k on lattice and coords, as the frozen dataclass did: rebuilt
+    from its fields it is equal, it never equals the plain tuple of its
+    fields, and sets and dicts keyed by ``p.k`` behave as before."""
+    table = cap_equal_peaks
+    p = table[1]
+    for name in ("k", "deformation", "amplitude", "intensity", "n_iters", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    k, fields = p.k, (p.k, p.deformation, p.amplitude, p.intensity, p.n_iters)
+    twin = type(k)(k.lattice, k.coords, k.k_phys.copy(), k.k_int.copy())
+    for same in (diffraction.Peak(*fields),
+                 diffraction.Peak(k=twin, deformation=p.deformation,
+                                  amplitude=p.amplitude, intensity=p.intensity,
+                                  n_iters=p.n_iters)):
+        assert same == p and not same != p and hash(same) == hash(p)
+    assert hash(p) == hash(fields)
+    for i, value in enumerate((table[2].k, "hat", p.amplitude + 1, p.intensity + 1,
+                               p.n_iters + 1)):
+        other = diffraction.Peak(*fields[:i], value, *fields[i + 1:])
+        assert other != p and not other == p
+    assert p != fields and fields != p and p != p.k
+    with pytest.raises(TypeError):
+        p < table[2]
+    rows = list(table)
+    by_k = {q.k: q for q in rows}
+    assert len(by_k) == len({q.k for q in rows}) == len(table)
+    assert by_k[twin] == p and twin in {q.k for q in rows}
+    assert repr(p).startswith("Peak(k=ModulePoint(lattice=LatticeBasis(cap, rank=4), ")
+
+
 def test_empty_peak_table_files(tmp_path, silver):
     """An empty table writes what the empty list wrote: the CSV header, an
     empty JSON array and the blank SVG."""
@@ -1052,6 +1084,74 @@ def test_svg_circles_match_per_circle_strings(tmp_path):
     expected = _per_circle(canvas, xs, ys, radii)
     assert 'r="0" ' in expected[1] and 'r="0.000001" ' in expected[2]
     assert "\n".join(expected) in (tmp_path / "c.svg").read_text()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_format_distinct_matches_per_value(seed):
+    """Formatting each distinct bit pattern once and gathering gives the
+    per-value strings of ``_f`` and %.17g, as nested lists of the input's
+    shape: heavy repetition, both zeros (``-0`` and ``0``), both
+    infinities, NaN and subnormals."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([rng.normal(scale=10.0 ** rng.integers(-8, 8, size=40)),
+                           [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2250738585072e-308, -4e-7, 6e-7, 1.0, -1.0]])
+    x = rng.choice(pool, size=(40, 25))
+    for fmt in (svg._f, "%.17g".__mod__):
+        for y in (x, x.T, x[0]):
+            expected = np.vectorize(fmt, otypes=[object])(y).tolist()
+            assert svg.format_distinct(y, fmt) == expected
+        assert svg.format_distinct(np.broadcast_to(-0.0, 7), fmt) == [fmt(-0.0)] * 7
+        assert svg.format_distinct(np.zeros(0), fmt) == []
+    assert svg.format_distinct(np.array([0.0, -0.0, -1e-9, 0.0])) == ["0", "-0", "-0", "0"]
+    assert svg.format_distinct(np.array([-0.0, 0.0]), "%.17g".__mod__) == ["-0", "0"]
+
+
+def test_svg_rect_of_scalars():
+    """Scalar arguments draw one rect; a height of -0.0 is written ``-0``."""
+    canvas = svg.SvgCanvas((0, 0, 2, 2))
+    canvas.rects(0.5, 0.25, 1.0, -0.0)
+    assert canvas._parts == ['<rect x="170" y="545" width="300" height="-0" '
+                             'fill="#000000"/>']
+
+
+class _PerValueCanvas(svg.SvgCanvas):
+    """The former writer: every coordinate formatted on its own with ``_f``."""
+
+    def circles(self, xs, ys, radii):
+        f = svg._f
+        px, py = self.map(xs, ys)
+        self._parts += [f'<circle cx="{f(x)}" cy="{f(y)}" r="{f(r)}" fill="#111111"/>'
+                        for x, y, r in zip(px.tolist(), py.tolist(), radii.tolist())]
+
+    def rects(self, xs, ys, widths, heights, color="#000000", opacity=1.0):
+        f = svg._f
+        xs, ys, widths, heights = np.broadcast_arrays(xs, ys, widths, heights)
+        px, py = self.map(xs, ys + heights)
+        op = "" if opacity >= 1.0 else f' fill-opacity="{f(opacity)}"'
+        self._parts += [f'<rect x="{f(x)}" y="{f(y)}" width="{f(w)}" '
+                        f'height="{f(hh)}" fill="{color}"{op}/>'
+                        for x, y, w, hh in zip(px.tolist(), py.tolist(),
+                                               (widths * self.scale).tolist(),
+                                               (heights * self.scale).tolist())]
+
+
+@pytest.mark.parametrize("argv", [["window", "--model", "cap", "--resolution", "8"],
+                                  ["window", "--model", "silver_twisted",
+                                   "--zoom", "0,0.4"],
+                                  ["peaks", "--model", "cap"]])
+def test_cli_svgs_match_per_value_writer(tmp_path, monkeypatch, argv):
+    """The window and peak SVGs of the CLI, whose canvases format each
+    distinct value once, are the bytes of the per-value writer."""
+    from tilediff.cli import main
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    out = ["--out", "new.svg" if argv[0] == "window" else "new"]
+    assert main(argv + out) == 0
+    with monkeypatch.context() as m:
+        for module in (windows, diffraction):
+            m.setattr(module, "SvgCanvas", _PerValueCanvas)
+        assert main(argv + ["--out", out[1].replace("new", "old")]) == 0
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
 
 
 def test_peak_fields_the_bench_reads(cap, silver):
