@@ -48,7 +48,11 @@ __all__ = [
     "fraction_matrix_inverse",
     "fraction_det",
     "hermite_normal_form",
+    "EXACT_LIMIT",
 ]
+
+# int64 sums and their conversion to float are exact up to this magnitude
+EXACT_LIMIT = 2 ** 53
 
 
 class FieldMismatchError(TypeError):
@@ -474,13 +478,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec({self.name!r}, degree={self.degree})"
-
-
-def _mat_mul(a, b) -> tuple:
-    """Product of two matrices given as rows, of any exact entries."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-                 for row in a)
 
 
 def _cx_mul(u, v) -> tuple:

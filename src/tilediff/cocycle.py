@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import read_only
-from .models import ModelSpec
 
 __all__ = ["FourierEvaluator", "AmplitudeVector"]
 
@@ -50,9 +49,10 @@ class AmplitudeVector:
 
 
 class FourierEvaluator:
-    """Precomputed starred-translation data for one model."""
+    """Precomputed starred-translation data for one model, a
+    ``models.ModelSpec`` with displacement data."""
 
-    def __init__(self, model: ModelSpec):
+    def __init__(self, model):
         disp = model.require_displacement()
         self.model = model
         self.n = disp.n

@@ -26,7 +26,8 @@ from .algebra import (AlgebraicElement, FieldSpec, Surd, fraction_det,
                       fraction_matrix_inverse, hermite_normal_form, read_only)
 
 __all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "enumerate_module",
-           "float_arguments", "internal_argument", "MAX_CANDIDATES"]
+           "float_arguments", "internal_argument", "row_keys", "decode_rows",
+           "MAX_CANDIDATES"]
 
 # Most candidates enumerate_module scans, checked before allocating; the
 # casper r=0.5 support scan needs 944,055 and cap r=0.6 needs 50,625.
@@ -356,6 +357,41 @@ def _lagrange(B: np.ndarray) -> np.ndarray:
     return V
 
 
+def row_keys(columns, box=None):
+    """One int64 key per row of the int64 ``columns`` (equal-length arrays,
+    or the rows of a 2-D array): mixed radix over ``box``, the offsets and
+    spans of the columns, so keys ascend in lexicographic row order.
+
+    The default box is the occupied bounding box with one spare slot per
+    column, so an axis neighbor (key +- the column's place value) outside
+    the box never aliases a row.  Returns the keys and the box; raises
+    ValueError when the box holds 2**63 keys or more.
+    """
+    if box is None:
+        offsets = [int(c.min()) for c in columns]
+        box = offsets, [int(c.max()) - m + 2 for c, m in zip(columns, offsets)]
+    offsets, spans = box
+    if math.prod(spans) >= 2 ** 63:
+        raise ValueError("cell grid too large for int64 keys")
+    keys = columns[0] - offsets[0]
+    for c, m, span in zip(columns[1:], offsets[1:], spans[1:]):
+        keys *= span
+        keys += c - m
+    return keys, box
+
+
+def decode_rows(keys: np.ndarray, box) -> np.ndarray:
+    """The (N, k) int64 rows with the keys ``keys`` under ``box``, the
+    inverse of :func:`row_keys`; each column is contiguous."""
+    offsets, spans = box
+    cols = np.empty((len(spans), len(keys)), dtype=np.int64)
+    cols[0] = keys
+    for k in range(len(spans) - 1, 0, -1):
+        np.divmod(cols[0], spans[k], out=(cols[0], cols[k]))
+    cols += np.array(offsets, dtype=np.int64)[:, None]
+    return cols.T
+
+
 def module_point(lattice: LatticeBasis, coords: Sequence[int]) -> ModulePoint:
     return lattice.points([coords])[0]
 
@@ -386,9 +422,11 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
 
     eps = 1e-9
     cols = lattice.columns  # primal basis, shape (2d, 2d)
-    mid = center @ cols[:d]
-    half = np.linalg.norm(cols[:d], axis=0) * (radius + eps) \
-        + np.linalg.norm(cols[d:], axis=0) * (internal_cutoff + eps)
+    # a huge centre or radius overflows to inf here, which the box check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = center @ cols[:d]
+        half = np.linalg.norm(cols[:d], axis=0) * (radius + eps) \
+            + np.linalg.norm(cols[d:], axis=0) * (internal_cutoff + eps)
     lo, hi = np.floor(mid - half), np.ceil(mid + half)
     # the comparisons also reject the NaN bounds of a NaN centre
     if not np.all((-2.0 ** 62 < lo) & (lo <= hi) & (hi < 2.0 ** 62)):

@@ -17,13 +17,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import Surd, _mat_mul, read_only
+from .algebra import Surd, read_only
 from .cps import (ModulePoint, ModuleSet, Row, enumerate_module, float_arguments,
-                  internal_argument)
+                  internal_argument, row_keys)
 from .inflation import TypedPointSet
 from .models import DeformationMap, ModelSpec, sixfold_shift
 from .svg import SvgCanvas, format_distinct
-from .windows import row_keys
 
 __all__ = [
     "Peak", "PeakTable", "weight_vector", "amplitude_at", "analytic_silver",
@@ -171,10 +170,10 @@ def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> co
     return complex(np.sum(w * np.exp(-2j * np.pi * phases)) / region_measure)
 
 
-def _rotation(x) -> tuple:
-    """Exact matrix of z -> x*z on the plane, entries :class:`Surd`."""
+def _rotation(x) -> np.ndarray:
+    """Exact matrix of z -> x*z on the plane, an object array of :class:`Surd`."""
     a, b = x.embed_phys_exact()
-    return ((a, -b), (b, a))
+    return np.array(((a, -b), (b, a)), dtype=object)
 
 
 def _orbit_action(model: ModelSpec, center, w: np.ndarray,
@@ -197,8 +196,8 @@ def _orbit_action(model: ModelSpec, center, w: np.ndarray,
         return identity
     xi = model.field.gen("xi")
     if deformation is not None:
-        DT = tuple(zip(*deformation.rows))
-        if _mat_mul(DT, _rotation(xi)) != _mat_mul(_rotation(xi.star()), DT):
+        DT = np.array(deformation.rows, dtype=object).T
+        if not np.array_equal(DT @ _rotation(xi), _rotation(xi.star()) @ DT):
             return identity
     R = model.lattice.dual_action(xi)
     return identity if R is None else R
@@ -232,7 +231,7 @@ def _orbit_representatives(points, action: np.ndarray, friedel: bool = False,
     images = points.lattice.argument_keys(points.coords, deformation, group)
     # row keys ascend in lexicographic row order; argmin takes the first
     # smallest image, so a power of ``action`` wins a tie with its negative
-    flat = row_keys(images)[0].reshape(len(group), len(points))
+    flat = row_keys(images.T)[0].reshape(len(group), len(points))
     which = flat.argmin(axis=0)
     _, first, inverse = np.unique(flat.min(axis=0), return_index=True,
                                   return_inverse=True)

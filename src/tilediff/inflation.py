@@ -18,8 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraicElement, FieldMismatchError, FieldSpec, read_only
-from .models import _EXACT, ModelSpec
+from .algebra import (EXACT_LIMIT, AlgebraicElement, FieldMismatchError,
+                      FieldSpec, read_only)
+from .models import ModelSpec
 
 __all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
            "substitution_matrix", "patch_to_csv", "MAX_PATCH_POINTS"]
@@ -49,7 +50,7 @@ class TypedPointSet:
     coords: np.ndarray
 
     def __post_init__(self):
-        if self.coords.size and int(np.abs(self.coords).max()) > _EXACT:
+        if self.coords.size and int(np.abs(self.coords).max()) > EXACT_LIMIT:
             raise ValueError("point coordinates exceed 2**53")
 
     def __len__(self):
@@ -136,7 +137,7 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
     C = np.array(C, dtype=np.int64).reshape(-1, model.lattice.rank)
     types, F = seed.tile_types, seed.coords
     for _ in range(steps):
-        if (int(np.abs(C).max(initial=0)) * e_norm + t_norm) * g_norm > _EXACT:
+        if (int(np.abs(C).max(initial=0)) * e_norm + t_norm) * g_norm > EXACT_LIMIT:
             raise ValueError("inflated coordinates could exceed 2**53")
         parts = list(disp.images([C[types == j] for j in range(disp.n)], E, T))
         C = np.concatenate(parts)

@@ -34,8 +34,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import (CAP, FIELDS, SILVER, SPECTRE, AlgebraicElement,
-                      FieldSpec, Surd, read_only)
+from .algebra import (CAP, EXACT_LIMIT, FIELDS, SILVER, SPECTRE,
+                      AlgebraicElement, FieldSpec, Surd, read_only)
+from .cocycle import FourierEvaluator
 from .cps import LatticeBasis
 
 __all__ = [
@@ -43,9 +44,6 @@ __all__ = [
     "builtin", "builtin_names", "load_displacement", "save_displacement",
     "validate_symmetry", "SymmetryReport",
 ]
-
-# int64 sums and the conversion to float are exact up to this magnitude
-_EXACT = 2 ** 53
 
 
 class ModelDataError(ValueError):
@@ -296,7 +294,7 @@ class ModelSpec:
             if not all(abs(x) < 2 ** 63 for x in c):
                 raise ModelDataError(f"translation at entry ({i},{j}) has "
                                      f"generator coordinates beyond int64: {t}")
-            if max(map(abs, c), default=0) * g_norm > _EXACT:
+            if max(map(abs, c), default=0) * g_norm > EXACT_LIMIT:
                 raise ModelDataError(f"translation at entry ({i},{j}) has field "
                                      f"coordinates that could pass 2**53: {t}")
             coords.append(c)
@@ -314,9 +312,8 @@ class ModelSpec:
         return read_only(np.array(coords, dtype=np.int64))
 
     @cached_property
-    def evaluator(self):
+    def evaluator(self) -> FourierEvaluator:
         """The Fourier evaluator, built on first use and kept on this model."""
-        from .cocycle import FourierEvaluator   # cocycle builds on this module
         return FourierEvaluator(self)
 
     @cached_property

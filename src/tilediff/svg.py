@@ -63,14 +63,17 @@ class SvgCanvas:
 
     def rects(self, xs, ys, widths, heights, color="#000000", opacity=1.0):
         """Rectangles given in data coordinates (``xs``, ``ys`` the
-        lower-left corners), float arrays or scalars mapped at once."""
-        xs, ys, widths, heights = np.broadcast_arrays(xs, ys, widths, heights)
+        lower-left corners), float arrays or scalars mapped at once, of
+        one ``color`` or one per rectangle."""
+        xs, ys, widths, heights, color = np.broadcast_arrays(
+            xs, ys, widths, heights, color)
         px, py = self.map(xs, ys + heights)
         op = "" if opacity >= 1.0 else f' fill-opacity="{_f(opacity)}"'
+        values = np.reshape([px, py, widths * self.scale, heights * self.scale],
+                            (4, -1))
         self._parts += [f'<rect x="{x}" y="{y}" width="{w}" height="{hh}" '
-                        f'fill="{color}"{op}/>'
-                        for x, y, w, hh in zip(*format_distinct(np.reshape(
-                            [px, py, widths * self.scale, heights * self.scale], (4, -1))))]
+                        f'fill="{c}"{op}/>' for x, y, w, hh, c in
+                        zip(*format_distinct(values), color.ravel().tolist())]
 
     def text(self, x, y, s):
         """Label ``s`` at font size 12 in #333333."""

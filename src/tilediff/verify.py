@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cps import LatticeBasis, float_arguments
+from .diffraction import analytic_silver
 from .models import ModelSpec, validate_symmetry
 
 __all__ = ["Check", "verification_suite", "run_verification"]
@@ -182,7 +183,6 @@ def _ht_constant_check(model: ModelSpec) -> Check:
 
 
 def _analytic_oracle_check(ev) -> Check:
-    from .diffraction import analytic_silver
     ks = np.linspace(-5.0, 5.0, 100)
     H = np.column_stack([ev.amplitude_batch(ks.reshape(-1, 1), n=30, weights=e)
                          for e in np.eye(ev.n)])

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import EXACT_LIMIT
+from .cps import decode_rows, row_keys
+from .inflation import inflate, seed_patch
 from .models import ModelSpec, apply_linear
 from .svg import PALETTE, SvgCanvas
 
@@ -70,15 +73,20 @@ class WindowCloud:
         return self.cells[0].shape[1]
 
 
+def _window_bound(model: ModelSpec) -> tuple:
+    """(tmax, ||A||_2), the longest starred translation and the norm of the
+    internal contraction A: every window lies within tmax / (1 - ||A||_2) of 0."""
+    stars = model.require_displacement().stars
+    return (float(np.linalg.norm(stars, axis=1).max()),
+            float(np.linalg.norm(model.int_contraction_matrix, 2)))
+
+
 def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
     """Grid resolution: 2^-resolution of a window diameter bound.
 
     Raises ValueError when that is not a positive normal float.
     """
-    stars = model.require_displacement().stars
-    A = model.int_contraction_matrix
-    contr = float(np.linalg.norm(A, 2))
-    tmax = float(np.linalg.norm(stars, axis=1).max())
+    tmax, contr = _window_bound(model)
     if resolution is None:
         resolution = 10 if model.dim == 1 else 9
     # scale the binary exponent exactly, in integers: 2.0 ** -resolution
@@ -129,7 +137,7 @@ def _snap(pts: np.ndarray, h: float, step: int) -> np.ndarray:
     the cast when a cell index reaches 2**53."""
     snapped = np.round(pts / h)
     lo, hi = snapped.min(initial=0), snapped.max(initial=0)
-    if not -2.0 ** 53 < lo <= hi < 2.0 ** 53:       # NaN fails too
+    if not -EXACT_LIMIT < lo <= hi < EXACT_LIMIT:       # NaN fails too
         raise ValueError(f"window step {step} reaches cell indices of 2**53")
     return snapped.astype(np.int64)
 
@@ -168,7 +176,9 @@ def iterate_windows(model: ModelSpec, generations: int,
         entered = grid.decode(new)
         left = grid.decode(gone)
     types, cells = grid.decode(keys)
-    per_type = np.split(cells, np.searchsorted(types, np.arange(1, cloud.n_types)))
+    # row-major cells, which do not keep the decoded types alive
+    per_type = np.split(np.ascontiguousarray(cells),
+                        np.searchsorted(types, np.arange(1, cloud.n_types)))
     return WindowCloud(tuple(per_type), cloud.cell_size, generations)
 
 
@@ -188,12 +198,14 @@ def _step(grid, keys, counts, entered, left, step: int):
     for t0, t1 in _type_ranges(sizes, _CHUNK_CANDIDATES):
         gained, lost = (grid.images(t, m, t0, t1, step) for t, m in sources)
         if keys is None:
-            part_keys = grid.encode(np.arange(t0, t1), np.zeros(
-                (len(grid.mins), t1 - t0), dtype=np.int64))
+            seeds = np.zeros((len(grid.box[0]), t1 - t0), dtype=np.int64)
+            seeds[0] = np.arange(t0, t1)        # cell 0 of each type
+            part_keys = row_keys(seeds, grid.box)[0]
             part_counts = np.ones(t1 - t0, dtype=np.int64)
             lost = np.concatenate([lost, part_keys])
         else:
-            lo, hi = np.searchsorted(keys, (t0 * grid.size, t1 * grid.size))
+            size = math.prod(grid.box[1][1:])        # keys per type
+            lo, hi = np.searchsorted(keys, (t0 * size, t1 * size))
             part_keys, part_counts = keys[lo:hi], counts[lo:hi]
         gained.sort()
         lost.sort()
@@ -214,47 +226,31 @@ def _type_ranges(sizes: np.ndarray, limit: int) -> list:
 
 
 class _Grid:
-    """The maps of a model's window IFS on cells of size ``h``, and one
-    int64 key per (type, cell) on a grid fixed in advance.
+    """The maps of a model's window IFS on cells of size ``h``, and the box
+    of the :func:`cps.row_keys` of its (type, cell) rows, fixed in advance.
 
     A cell within distance R (in cells) of 0 maps to cells within
     ||A|| R + tmax/h + sqrt(d)/2, so the iteration from 0 never leaves
     the radius (tmax/h + sqrt(d)/2) / (1 - ||A||), plus one for rounding.
-    Keys are the type, then the cell's coordinates, in mixed radix over
-    that box: they ascend by type and then in lexicographic cell order,
-    and keys of different generations compare directly.
+    Keys ascend by type and then in lexicographic cell order, and keys of
+    different generations compare directly.
     """
 
     def __init__(self, model: ModelSpec, h: float):
         disp = model.require_displacement()
-        A = model.int_contraction_matrix
-        contr = float(np.linalg.norm(A, 2))
-        tmax = float(np.linalg.norm(disp.stars, axis=1).max())
+        tmax, contr = _window_bound(model)
         bound = (tmax / h + math.sqrt(model.dim) / 2) / (1.0 - contr) + 1
         radius = int(min(bound, 2 ** 62))         # past any int64 key
-        span = 2 * radius + 1
-        self.size = span ** model.dim              # keys per type
-        self.fits = model.n_tiles * self.size < 2 ** 63
-        self.mins = (-radius,) * model.dim
-        self.mult = [span ** k for k in range(model.dim)][::-1]
-        self.h, self.linear, self.n = h, A.T, disp.n
+        self.box = ((0,) + (-radius,) * model.dim,
+                    (disp.n,) + (2 * radius + 1,) * model.dim)
+        self.h, self.linear, self.n = h, model.int_contraction_matrix.T, disp.n
         self.rows, self.cols, self.row_start = disp.rows, disp.cols, disp.row_start
         self.stars = np.ascontiguousarray(disp.stars.T)
 
-    def encode(self, types: np.ndarray, axes) -> np.ndarray:
-        """The keys of the cells of types ``types`` with coordinates
-        ``axes`` (one int64 array per axis)."""
-        if not self.fits:
-            raise ValueError("cell grid too large for int64 keys")
-        keys = types * self.size
-        for axis, lo, mult in zip(axes, self.mins, self.mult):
-            keys += (axis - lo) * mult
-        return keys
-
     def decode(self, keys: np.ndarray):
-        """The types and cells of ``keys``, the inverse of :meth:`encode`."""
-        types, rest = np.divmod(keys, self.size)
-        return types, _decode(rest, self.mins, self.mult)
+        """The types and cells of ``keys``."""
+        rows = decode_rows(keys, self.box)
+        return rows[:, 0], rows[:, 1:]
 
     def map(self, cells: np.ndarray) -> np.ndarray:
         """The cells' points mapped by A, one contiguous array per axis."""
@@ -274,7 +270,7 @@ class _Grid:
         source = np.arange(ends[-1]) + np.repeat(first[cols] - ends + count, count)
         axes = [_snap(p[source] + t[r], self.h, step)
                 for p, t in zip(mapped, self.stars)]
-        return self.encode(self.rows[r], axes)
+        return row_keys([self.rows[r], *axes], self.box)[0]
 
 
 def _recount(keys, counts, gained, lost):
@@ -312,54 +308,12 @@ def _held(ref: np.ndarray, keys: np.ndarray, at: np.ndarray) -> np.ndarray:
     return ref[np.minimum(at, len(ref) - 1)] == keys
 
 
-def row_keys(cells: np.ndarray):
-    """Encode the rows of a nonempty int64 array (grid cells, module
-    coordinates) as one int64 key per row.
-
-    Mixed radix over the occupied bounding box with one spare slot per
-    axis, so keys ascend in lexicographic row order and an axis
-    neighbor (key +- mult[k]) outside the box never aliases an
-    occupied cell.  Returns the keys and the per-axis multipliers.
-    """
-    cols = cells.T
-    mins = [int(c.min()) for c in cols]
-    spans = [int(c.max()) - m + 2 for c, m in zip(cols, mins)]
-    if math.prod(spans) >= 2 ** 63:
-        raise ValueError("cell grid too large for int64 keys")
-    keys = np.zeros(len(cells), dtype=np.int64)
-    for c, m, span in zip(cols, mins, spans):
-        keys = keys * span + (c - m)
-    mult = np.array([math.prod(spans[k + 1:]) for k in range(len(spans))],
-                    dtype=np.int64)
-    return keys, mult
-
-
-def _decode(keys: np.ndarray, mins, mult: np.ndarray) -> np.ndarray:
-    """The rows with keys ``keys`` under the offsets ``mins`` and the
-    multipliers ``mult`` (descending, the last 1), as :func:`row_keys`
-    lays them out."""
-    rows = np.empty((len(keys), len(mult)), dtype=np.int64)
-    rest = keys
-    for k, step in enumerate(mult[:-1]):
-        rows[:, k], rest = np.divmod(rest, step)
-    rows[:, -1] = rest
-    rows += mins
-    return rows
-
-
-def _distinct_keys(cells: np.ndarray):
-    """The sorted distinct :func:`row_keys` of nonempty ``cells``, and the
-    multipliers."""
-    keys, mult = row_keys(cells)
-    return _tally(np.sort(keys))[0], mult
-
-
 def _unique_cells(cells: np.ndarray) -> np.ndarray:
     """Distinct rows in lexicographic order, as np.unique(cells, axis=0)."""
     if not len(cells):
         return cells
-    keys, mult = _distinct_keys(cells)
-    return _decode(keys, cells.min(axis=0).tolist(), mult)
+    keys, box = row_keys(cells.T)
+    return decode_rows(_tally(np.sort(keys))[0], box)
 
 
 def _interior_mask(cells: np.ndarray) -> np.ndarray:
@@ -367,9 +321,11 @@ def _interior_mask(cells: np.ndarray) -> np.ndarray:
     where every axis neighbor is a row of ``cells`` too."""
     if cells.size == 0:
         return np.zeros(0, dtype=bool)
-    keys, mult = _distinct_keys(cells)
+    keys, (_, spans) = row_keys(cells.T)
+    keys = _tally(np.sort(keys))[0]
+    place = [math.prod(spans[k + 1:]) for k in range(len(spans))]
     mask = np.ones(len(keys), dtype=bool)
-    for off in np.concatenate([mult, -mult]):
+    for off in place + [-p for p in place]:
         mask &= _held(keys, keys + off, np.searchsorted(keys, keys + off))
     return mask
 
@@ -400,7 +356,6 @@ def window_volume_from_patch(model: ModelSpec):
     practical route when the window boundary dimension is close to the
     ambient dimension (the twisted Cantorval windows).
     """
-    from .inflation import inflate, seed_patch
     patch = inflate(seed_patch(model), model, 12)
     pos = patch.positions_phys()
     if model.dim == 1:
@@ -467,6 +422,15 @@ def _runs(cells: np.ndarray):
     return cells[start], np.diff(np.append(start, len(cells)))
 
 
+def _typed_runs(cells_per_type):
+    """The :func:`_runs` of each type's cells, concatenated in type order,
+    and the type of each run."""
+    runs = [_runs(cells) for cells in cells_per_type]
+    return (np.vstack([first for first, _ in runs]),
+            np.concatenate([length for _, length in runs]),
+            np.repeat(np.arange(len(runs)), [len(length) for _, length in runs]))
+
+
 def _render_1d(cloud, path, labels, zoom):
     h = cloud.cell_size
     occupied = [c for c in cloud.cells if c.size]
@@ -491,14 +455,12 @@ def _render_1d(cloud, path, labels, zoom):
         span = hi - lo
         scale = (x1 - x0) / span if span > 0 else 1.0
         sub = band / cloud.n_types
-        for i, cells in enumerate(cloud.cells):
-            first, length = _runs(cells)
-            color = PALETTE[i % len(PALETTE)]
-            a = np.maximum(first[:, 0] * h - h / 2, lo)
-            b = np.minimum((first[:, 0] + length) * h - h / 2, hi)
-            a, b = a[a < b], b[a < b]
-            canvas.rects(x0 + (a - lo) * scale, y + i * sub, (b - a) * scale, sub,
-                         color=color, opacity=0.9)
+        first, length, types = _typed_runs(cloud.cells)
+        a = np.maximum(first[:, 0] * h - h / 2, lo)
+        b = np.minimum((first[:, 0] + length) * h - h / 2, hi)
+        a, b, types = a[a < b], b[a < b], types[a < b]
+        canvas.rects(x0 + (a - lo) * scale, y + types * sub, (b - a) * scale, sub,
+                     color=np.array(PALETTE)[types % len(PALETTE)], opacity=0.9)
         canvas.text(x0, y + band, f"zoom [{lo:.6g}, {hi:.6g}]")
     canvas.write(path)
 
@@ -513,10 +475,9 @@ def _render_2d(cloud, path, orientations):
     # column by column: numpy reduces axis 0 of an (N, 2) array ~15x slower
     (x0, x1), (y0, y1) = ((c.min() - h, c.max() + h) for c in allc.T)
     canvas = SvgCanvas((x0, y0, x1, y1), size=900, margin=24)
-    for i, cells in enumerate(cloud.cells):
-        group = i // orientations if orientations else i
-        color = PALETTE[group % len(PALETTE)]
-        first, length = _runs(cells)
-        canvas.rects(first[:, 0] * h - h / 2, first[:, 1] * h - h / 2, h,
-                     length * h, color=color, opacity=0.85)
+    first, length, types = _typed_runs(cloud.cells)
+    groups = types // orientations if orientations else types
+    canvas.rects(first[:, 0] * h - h / 2, first[:, 1] * h - h / 2, h,
+                 length * h, color=np.array(PALETTE)[groups % len(PALETTE)],
+                 opacity=0.85)
     canvas.write(path)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -473,3 +474,47 @@ def test_translation_beyond_int64_exit_code(command, tmp_path, capsys,
                        capsys)
     assert code == 3
     assert "data error" in err and "entry (1,0)" in err and "int64" in err
+
+
+# The exit-code contract (0 success, 1 usage error, 3 missing or malformed
+# data) on edge inputs: each exits with its code and a message, and none
+# prints a traceback or a warning.  DIR stands for an existing directory.
+@pytest.mark.parametrize("argv,code,message", [
+    # a centre or radius this large overflows the search box to inf
+    (["peaks", "--model", "cap", "--radius", "1e308"], 1, "search box leaves int64"),
+    (["peaks", "--model", "cap", "--center", "1e308,1e308"], 1,
+     "search box leaves int64"),
+    (["peaks", "--model", "silver", "--radius", "1e308"], 1, "search box leaves int64"),
+    (["peaks", "--model", "silver", "--radius", "inf"], 1, "--radius"),
+    (["peaks", "--model", "cap", "--center", "1e300,0"], 1, "search box leaves int64"),
+    (["peaks", "--model", "silver", "--threshold", "-1"], 1, "--threshold"),
+    (["peaks", "--model", "silver", "--threshold", "inf"], 1, "--threshold"),
+    (["peaks", "--model", "silver", "--weights", "1e308,1e308"], 1, "--weights"),
+    (["peaks", "--model", "silver", "--weights", "inf,1"], 1, "--weights"),
+    (["peaks", "--model", "silver", "--deformation", "from-lengths:1,1"], 1,
+     "lengths must satisfy"),
+    (["peaks", "--model", "silver", "--deformation", "from-lengths:0,1"], 1,
+     "lengths must satisfy"),
+    (["peaks", "--model", "silver", "--deformation", "from-lengths:1/0,1"], 1,
+     "cannot parse length"),
+    (["peaks", "--model", "silver", "--data", "/dev/null"], 3, "invalid JSON"),
+    (["peaks", "--model", "silver", "--data", "DIR"], 1, "i/o error"),
+    (["peaks", "--model", "silver", "--radius", "1", "--out", "missing/dir/x"], 1,
+     "i/o error"),
+    (["window", "--model", "silver_twisted", "--zoom", "0.5,0.4"], 1, "--zoom"),
+    (["window", "--model", "silver_twisted", "--zoom", "nan,1"], 1, "--zoom"),
+    (["patch", "--model", "cap", "--steps", "9"], 1, "--steps"),
+    (["peaks", "--model", "silver", "--radius", "0.5", "--iters", "1000"], 0, ""),
+    (["peaks", "--model", "silver", "--internal-cutoff", "1e6"], 1, "candidates"),
+    (["verify", "--model", "casper_scaffold"], 0, ""),
+    (["peaks", "--model", "casper_scaffold"], 3, "needs displacement data")])
+def test_exit_code_contract(argv, code, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run(argv, capsys)
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught

@@ -8,8 +8,8 @@ import pytest
 from tilediff import cps
 from tilediff.algebra import (CAP, SILVER, SPECTRE, Surd, fraction_solve,
                               hermite_normal_form)
-from tilediff.cps import (LatticeBasis, enumerate_module, float_arguments,
-                          internal_argument, module_point)
+from tilediff.cps import (LatticeBasis, decode_rows, enumerate_module,
+                          float_arguments, internal_argument, module_point, row_keys)
 from tilediff.models import DeformationMap, builtin
 
 S2, S3, S5, S15 = (math.sqrt(x) for x in (2, 3, 5, 15))
@@ -565,3 +565,68 @@ def test_fourier_module_prefactor_form(name):
         assert alt.integer_coords(g) is not None
     for g in alt_gens:
         assert dual.integer_coords(g) is not None
+
+
+def _random_rows(seed, n=400, k=3):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-50, 50, size=(n, k)) * rng.integers(1, 4, size=k) \
+        + rng.integers(-10 ** 12, 10 ** 12, size=k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_keys_round_trip(seed):
+    """decode_rows inverts row_keys on int64 rows with negative entries,
+    in the default box and in a fixed one that holds them."""
+    rows = _random_rows(seed)
+    keys, box = row_keys(rows.T)
+    offsets, spans = box
+    assert offsets == rows.min(axis=0).tolist()
+    assert spans == (rows.max(axis=0) - rows.min(axis=0) + 2).tolist()
+    assert np.array_equal(decode_rows(keys, box), rows)
+    fixed = ([int(m) - 7 for m in offsets], [int(s) + 20 for s in spans])
+    keys, box = row_keys(list(rows.T), fixed)
+    assert box is fixed
+    got = decode_rows(keys, fixed)
+    assert got.dtype == np.int64 and np.array_equal(got, rows)
+    assert all(got[:, k].flags.c_contiguous for k in range(rows.shape[1]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_keys_ascend_in_row_order(seed):
+    rows = _random_rows(seed)
+    order = np.lexsort(rows.T[::-1])
+    offsets, spans = row_keys(rows.T)[1]
+    for box in (None, ([m - 3 for m in offsets], [s + 5 for s in spans])):
+        keys = row_keys(rows.T, box)[0]
+        assert np.all(np.diff(keys[order]) >= 0)
+        assert len(np.unique(keys)) == len(np.unique(rows, axis=0))
+
+
+def test_row_keys_neighbors_outside_box_do_not_alias():
+    """An axis neighbor of a row that is no row has a key that no row has,
+    also where the neighbor lies outside the default box."""
+    rng = np.random.default_rng(3)
+    rows = rng.integers(-4, 4, size=(60, 3))
+    keys, (_, spans) = row_keys(rows.T)
+    held = set(keys.tolist())
+    occupied = set(map(tuple, rows.tolist()))
+    for k in range(3):
+        place = math.prod(spans[k + 1:])
+        for row, key in zip(rows.tolist(), keys.tolist()):
+            for step in (1, -1):
+                neighbor = list(row)
+                neighbor[k] += step
+                assert (key + step * place in held) == (tuple(neighbor) in occupied)
+
+
+@pytest.mark.parametrize("box", [None, ([0, 0], [2 ** 32, 2 ** 31])])
+def test_row_keys_reject_boxes_past_int64(box):
+    """A box of 2**63 keys or more raises: the default box here spans
+    2**32 + 1 by 2**31, the fixed one 2**32 by 2**31; one key fewer per
+    leading value fits."""
+    rows = np.array([[0, 0], [2 ** 32 - 1, 2 ** 31 - 2]], dtype=np.int64)
+    with pytest.raises(ValueError, match="cell grid too large for int64 keys"):
+        row_keys(rows.T, box)
+    keys, box = row_keys(rows.T, ([0, 0], [2 ** 32, 2 ** 31 - 1]))
+    assert keys[1] == 2 ** 63 - 2 ** 32 - 1
+    assert np.array_equal(decode_rows(keys, box), rows)

@@ -1115,6 +1115,19 @@ def test_svg_rect_of_scalars():
                              'fill="#000000"/>']
 
 
+def test_svg_rects_take_a_color_column():
+    """A color per rect fills each rect in order; a scalar color fills all."""
+    canvas = svg.SvgCanvas((0, 0, 2, 2))
+    canvas.rects(np.array([0.0, 1.0, 0.5]), 0.5, 0.5, np.array([0.5, 0.5, 1.0]),
+                 color=np.array(["#aaaaaa", "#bbbbbb", "#aaaaaa"]), opacity=0.5)
+    canvas.rects(np.array([0.0, 1.0]), 0.0, 0.25, 0.25, color="#cccccc")
+    fills = [part.split('fill="')[1].split('"')[0] for part in canvas._parts]
+    assert fills == ["#aaaaaa", "#bbbbbb", "#aaaaaa", "#cccccc", "#cccccc"]
+    assert all('fill-opacity="0.5"' in part for part in canvas._parts[:3])
+    assert canvas._parts[1] == ('<rect x="320" y="320" width="150" height="150" '
+                                'fill="#bbbbbb" fill-opacity="0.5"/>')
+
+
 class _PerValueCanvas(svg.SvgCanvas):
     """The former writer: every coordinate formatted on its own with ``_f``."""
 
@@ -1126,14 +1139,16 @@ class _PerValueCanvas(svg.SvgCanvas):
 
     def rects(self, xs, ys, widths, heights, color="#000000", opacity=1.0):
         f = svg._f
-        xs, ys, widths, heights = np.broadcast_arrays(xs, ys, widths, heights)
+        xs, ys, widths, heights, color = np.broadcast_arrays(
+            xs, ys, widths, heights, color)
         px, py = self.map(xs, ys + heights)
         op = "" if opacity >= 1.0 else f' fill-opacity="{f(opacity)}"'
         self._parts += [f'<rect x="{f(x)}" y="{f(y)}" width="{f(w)}" '
-                        f'height="{f(hh)}" fill="{color}"{op}/>'
-                        for x, y, w, hh in zip(px.tolist(), py.tolist(),
-                                               (widths * self.scale).tolist(),
-                                               (heights * self.scale).tolist())]
+                        f'height="{f(hh)}" fill="{c}"{op}/>'
+                        for x, y, w, hh, c in zip(px.tolist(), py.tolist(),
+                                                  (widths * self.scale).tolist(),
+                                                  (heights * self.scale).tolist(),
+                                                  color.tolist())]
 
 
 @pytest.mark.parametrize("argv", [["window", "--model", "cap", "--resolution", "8"],
