@@ -190,10 +190,19 @@ class FourierEvaluator:
 
     def amplitudes(self, k_int, n: int | None = None) -> AmplitudeVector:
         """H(k) = ``scale`` C_n(k) v from the matrix product, normalized as
-        the sweep is, with the rank-one diagnostic sigma2/sigma1 of C_n(k)."""
+        the sweep is, with the rank-one diagnostic sigma2/sigma1 of C_n(k).
+
+        ``k_int`` has shape (d,), or is a scalar when d = 1; anything else
+        raises ValueError.
+        """
         if n is None:
             n = self.model.default_iters
-        P = self.cocycle_limit_batch(k_int, n)[0]
+        k = np.asarray(k_int, dtype=float)
+        if k.shape != (self.d,) and not (self.d == 1 and k.ndim == 0):
+            scalar = " or be a scalar" if self.d == 1 else ""
+            raise ValueError(f"argument must have shape ({self.d},){scalar}, "
+                             f"got {k.shape}")
+        P = self.cocycle_limit_batch(k, n)[0]
         sv = np.linalg.svd(P, compute_uv=False)
         residual = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
         return AmplitudeVector(H=self.scale * (P @ self.right), n_iters=n,

@@ -33,6 +33,10 @@ __all__ = ["LatticeBasis", "ModulePoint", "ModuleSet", "enumerate_module",
 # casper r=0.5 support scan needs 944,055 and cap r=0.6 needs 50,625.
 MAX_CANDIDATES = 2 ** 27
 
+# Fewest candidates enumerate_module scans at once: silver at r=50 has a
+# long first axis with a few hundred candidates per first coordinate
+_BLOCK_CANDIDATES = 8192
+
 
 class LatticeBasis:
     """Minkowski lattice spanned by the lifts of module generators.
@@ -407,7 +411,10 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
     of the dual lattice is dense for every registered model, hence the
     internal cutoff is mandatory.  Raises ValueError before allocating
     when the box leaves int64 or holds more than ``MAX_CANDIDATES``
-    candidates.  Points come out in lexicographic coordinate order.
+    candidates.  Scans the box in blocks of consecutive first coordinates,
+    each block (but the last) of at least ``_BLOCK_CANDIDATES`` = 8192
+    candidates, and of one first coordinate when that alone has as many.
+    Points come out in lexicographic coordinate order.
     """
     if not radius >= 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -443,12 +450,18 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
 
     out_coords = [np.zeros((0, lattice.rank), dtype=np.int64)]
     axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-    # one slice per first coordinate keeps the grids small; the slices run
-    # in m_0 order and "ij" meshgrid orders the rest lexicographically
+    # blocks of consecutive first coordinates keep the grids small; the
+    # blocks run in m_0 order and "ij" meshgrid orders the rest
+    # lexicographically
     rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")])
     n_rest = rest.shape[1]
-    for m0 in axes[0]:
-        grid = np.vstack([np.full(n_rest, m0, dtype=np.int64), rest])
+    per_block = -(-_BLOCK_CANDIDATES // n_rest)      # first coordinates
+    for start in range(0, len(axes[0]), per_block):
+        m0 = axes[0][start:start + per_block]
+        grid = np.empty((lattice.rank, len(m0), n_rest), dtype=np.int64)
+        grid[0] = m0[:, None]
+        grid[1:] = rest[:, None]
+        grid = grid.reshape(lattice.rank, -1)
         kp = phys_rows @ grid
         ki = int_rows @ grid
         ok = (np.linalg.norm(kp - center[:, None], axis=0) <= radius + eps) \

@@ -29,6 +29,9 @@ __all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
 # tile (3,880,899 points, ~0.5 GB peak RSS) and cap 8 (974,170)
 MAX_PATCH_POINTS = 2 ** 22
 
+# Rows patch_to_csv formats with one % at a time
+_CSV_BLOCK = 4096
+
 
 def _field_ints(x: AlgebraicElement) -> list:
     if any(c.denominator != 1 for c in x.coords):
@@ -171,12 +174,24 @@ def substitution_matrix(model: ModelSpec) -> np.ndarray:
 
 
 def patch_to_csv(patch: TypedPointSet, path, model: ModelSpec | None = None) -> None:
-    """Write (type, x, y) rows; y is 0 for one-dimensional models."""
-    pos, names = patch.positions_phys(), patch.tile_types.tolist()
-    if model is not None and model.tile_labels:
-        names = [model.tile_labels[ty] for ty in names]
+    """Write (type, x, y) rows; y is 0 for one-dimensional models.
+
+    Formats ``_CSV_BLOCK`` = 4096 rows with one ``%`` at a time, over their
+    fields interleaved in one flat list, so memory is bounded by one block.
+    """
+    pos, types = patch.positions_phys(), patch.tile_types
+    labels = model.tile_labels if model is not None else None
     # "%.17g" % 0.0 is "0": the 1d y column is written as that literal
     fmt = "%s,%.17g,%.17g\n" if pos.shape[1] == 2 else "%s,%.17g,0\n"
+    width = 1 + pos.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("type,x,y\n")
-        fh.writelines(fmt % row for row in zip(names, *pos.T.tolist()))
+        for lo in range(0, len(types), _CSV_BLOCK):
+            names = types[lo:lo + _CSV_BLOCK].tolist()
+            if labels:
+                names = [labels[ty] for ty in names]
+            flat = [None] * (width * len(names))
+            flat[::width] = names
+            for k, column in enumerate(pos[lo:lo + _CSV_BLOCK].T.tolist(), 1):
+                flat[k::width] = column
+            fh.write(fmt * len(names) % tuple(flat))

@@ -107,6 +107,23 @@ def test_cap_central_intensity(ev_cap):
     assert abs(abs(av.H.sum()) ** 2 - expect) < 1e-9
 
 
+def test_amplitudes_take_one_argument(ev_silver, ev_cap):
+    """One argument of shape (d,), or a scalar when d = 1: a batch no
+    longer returns its first row, and a wrong length no longer fails
+    inside matmul."""
+    for k in ([[0.3, 0.1], [1.0, 2.0]], [[0.3, 0.1]], 0.3, [0.3, 0.1, 0.0]):
+        with pytest.raises(ValueError, match=r"argument must have shape \(2,\), "
+                           r"got \("):
+            ev_cap.amplitudes(k, n=3)
+    for k in ([0.3, 0.1], [[0.3]], np.zeros((2, 1))):
+        with pytest.raises(ValueError, match=r"shape \(1,\) or be a scalar"):
+            ev_silver.amplitudes(k, n=3)
+    one = ev_silver.amplitudes([0.3], n=3).H
+    assert np.array_equal(ev_silver.amplitudes(0.3, n=3).H, one)
+    ref = ev_cap.scale * (ev_cap.cocycle_limit_batch([[0.3, 0.1]], 3)[0] @ ev_cap.right)
+    assert np.array_equal(ev_cap.amplitudes((0.3, 0.1), n=3).H, ref)
+
+
 @pytest.mark.parametrize("name", ["silver", "silver_twisted", "cap"])
 def test_amplitude_normalization(name):
     m = builtin(name)

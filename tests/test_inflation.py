@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tilediff import inflation
 from tilediff.algebra import SILVER
 from tilediff.cps import LatticeBasis
-from tilediff.inflation import (inflate, patch_to_csv, seed_patch,
-                                substitution_matrix, truncate)
+from tilediff.inflation import (TypedPointSet, inflate, patch_to_csv,
+                                seed_patch, substitution_matrix, truncate)
 from tilediff.models import DisplacementMatrix, ModelDataError, builtin
 from test_cocycle import _with_synthetic_spectre_data
 
@@ -260,3 +261,46 @@ def test_patch_csv_bytes(tmp_path, name, steps):
             (tmp_path / "old.csv").read_bytes()
     if name == "silver":
         assert len(patch) == 47321
+
+
+def _csv_one_row_at_a_time(patch, path, model=None):
+    """The per-row writer: one %-format and one write per point."""
+    labels = model.tile_labels if model is not None else None
+    pos = patch.positions_phys()
+    fmt = "%s,%.17g,%.17g\n" if pos.shape[1] == 2 else "%s,%.17g,0\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("type,x,y\n")
+        for ty, xy in zip(patch.tile_types.tolist(), pos.tolist()):
+            fh.write(fmt % (labels[ty] if labels else ty, *xy))
+
+
+def _silver_patch(steps):
+    silver = builtin("silver")
+    return silver, inflate(seed_patch(silver), silver, steps)
+
+
+@pytest.mark.parametrize("case", ["silver-12", "cap-4", "block-multiple",
+                                  "empty"])
+def test_patch_csv_blocks_match_per_row_writer(tmp_path, case):
+    """The block writer writes the bytes of the per-row writer: 1d rows
+    across block boundaries, 2d rows with tile labels, a row count that
+    is a multiple of the block, and a patch with no rows (header only)."""
+    block = inflation._CSV_BLOCK
+    if case == "cap-4":
+        model = builtin("cap")
+        patch = inflate(seed_patch(model), model, 4)
+    else:
+        model, patch = _silver_patch(12)
+        if case == "block-multiple":
+            patch = TypedPointSet(patch.field, patch.tile_types[:2 * block],
+                                  patch.coords[:2 * block])
+        elif case == "empty":
+            patch = truncate(patch, 1.0, [1e6])
+    expect = {"silver-12": 47321, "block-multiple": 2 * block, "empty": 0}
+    assert len(patch) == expect.get(case, len(patch)) and len(patch) != block
+    for labelled in (model, None):
+        patch_to_csv(patch, tmp_path / "new.csv", model=labelled)
+        _csv_one_row_at_a_time(patch, tmp_path / "ref.csv", model=labelled)
+        got = (tmp_path / "new.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\n") == len(patch) + 1

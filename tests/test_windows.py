@@ -10,9 +10,10 @@ from tilediff import windows
 from tilediff.models import builtin
 from tilediff.svg import PALETTE, SvgCanvas
 from tilediff.windows import (CAP_BOUNDARY_DIM, TWISTED_BOUNDARY_DIM,
-                              WindowCloud, _interior_mask, hull_intervals,
-                              ifs_step, iterate_windows, render_windows,
-                              seed_clouds, volume, window_volume_from_patch)
+                              WindowCloud, _interior_mask, _recount,
+                              hull_intervals, ifs_step, iterate_windows,
+                              render_windows, seed_clouds, volume,
+                              window_volume_from_patch)
 
 S2 = math.sqrt(2)
 LAM = 1 + S2
@@ -157,6 +158,94 @@ def test_ifs_step_matches_unique_oracle(name, generations, resolution):
                   if all(tuple(np.add(c, e).tolist()) in occupied for e in axes)}
         assert set(map(tuple, cells[_interior_mask(cells)].tolist())) == expect
 
+
+
+def _recount_reference(keys, counts, gained, lost):
+    """_recount on a dict of counts."""
+    held = dict(zip(keys.tolist(), counts.tolist()))
+    after = dict(held)
+    for key, n in zip(*(a.tolist() for a in gained)):
+        after[key] = after.get(key, 0) + n
+    for key, n in zip(*(a.tolist() for a in lost)):
+        after[key] -= n
+    kept = sorted(k for k, n in after.items() if n > 0)
+    return (kept, [after[k] for k in kept],
+            sorted(set(gained[0].tolist()) - set(held)),
+            sorted(k for k in lost[0].tolist() if after[k] == 0))
+
+
+def _recount_case(rng, case):
+    """Random sorted keys with positive counts, and the tallies gained and
+    lost of one step: distinct sorted keys with multiplicities, every lost
+    key held after the gain and lost at most as often as it is counted."""
+    keys = np.sort(rng.choice(np.arange(100, 400), rng.integers(1, 60),
+                              replace=False))
+    if case == "no keys":
+        keys = keys[:0]
+    counts = rng.integers(1, 4, len(keys))
+    if case in ("no gain", "all leave"):
+        gained = keys[:0]
+    else:
+        new = rng.choice(np.arange(0, 500), rng.integers(1, 30), replace=False)
+        if case == "ends":      # before the first key and after the last
+            new = np.concatenate([new, [0, 1, 498, 499]])
+        old = rng.choice(keys, min(len(keys), rng.integers(0, 20)), replace=False)
+        gained = np.unique(np.concatenate([new, old]))
+    n_gained = rng.integers(1, 4, len(gained))
+    after = _recount_reference(keys, counts, (gained, n_gained),
+                               (keys[:0], keys[:0]))
+    pool, pool_counts = map(np.array, after[:2])
+    if case == "no loss":
+        lost = np.zeros(0, dtype=bool)
+    elif case == "all leave":
+        lost = np.ones(len(pool), dtype=bool)
+    else:
+        lost = rng.random(len(pool)) < 0.4
+    n_lost = (pool_counts if case == "all leave" else
+              np.where(rng.random(len(pool)) < 0.5, pool_counts,
+                       rng.integers(1, pool_counts + 1)))
+    return (keys.astype(np.int64), counts.astype(np.int64),
+            (gained.astype(np.int64), n_gained.astype(np.int64)),
+            (pool[lost].astype(np.int64), n_lost[lost].astype(np.int64)))
+
+
+@pytest.mark.parametrize("case", ["random", "no gain", "no loss", "ends",
+                                  "all leave", "no keys"])
+def test_recount_matches_dict_of_counts(case):
+    rng = np.random.default_rng(list(map(ord, case)))
+    for _ in range(40):
+        keys, counts, gained, lost = _recount_case(rng, case)
+        want = _recount_reference(keys, counts, gained, lost)
+        got = _recount(keys.copy(), counts.copy(), gained, lost)
+        assert [a.dtype for a in got] == [np.int64] * 4
+        assert [a.tolist() for a in got] == [list(w) for w in want]
+        if case == "all leave":
+            assert not len(got[0]) and got[3].tolist() == keys.tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interior_mask_matches_set_scan(dim):
+    """Random clouds with repeated rows, in random order, with cells at
+    negative coordinates and on every face of the occupied box, whose
+    faces are full in about half of them."""
+    rng = np.random.default_rng(dim)
+    axes = [tuple(s * e) for e in np.eye(dim, dtype=int) for s in (1, -1)]
+    for _ in range(20):
+        lo = rng.integers(-9, 3, dim)
+        hi = lo + rng.integers(0, 12, dim)
+        box = np.stack(np.meshgrid(*map(np.arange, lo, hi + 1), indexing="ij"),
+                       axis=-1).reshape(-1, dim)
+        on_face = ((box == lo) | (box == hi)).any(axis=1)
+        keep = rng.random(len(box)) < rng.uniform(0.3, 1.0)
+        cells = np.concatenate([box[keep | (on_face & (rng.random() < 0.5))],
+                                box[rng.integers(0, len(box), 5)]])
+        cells = cells[rng.permutation(len(cells))]
+        rows = sorted(set(map(tuple, cells.tolist())))
+        occupied = set(rows)
+        want = [all(tuple(np.add(c, e).tolist()) in occupied for e in axes)
+                for c in rows]
+        assert _interior_mask(cells).tolist() == want
+    assert _interior_mask(np.zeros((0, dim), dtype=np.int64)).tolist() == []
 
 
 def _plain_generations(model, generations, resolution=None):
