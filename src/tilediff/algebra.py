@@ -447,35 +447,6 @@ class FieldSpec:
         prod = self.mul_coords(a.coords, self.apply_matrix(self.conj_matrix, b.coords))
         return self.tr_factor * self.trace(prod)
 
-    def self_check(self) -> None:
-        """Verify the derived tables: multiplication is commutative and
-        associative, star multiplicative; the relations hold in the exact
-        physical embedding and conj conjugates it; the float columns match
-        the exact ones and ``embed_int`` is a ring map (both to 1e-12)."""
-        basis = [self.gen(name) for name in self.basis_names]
-        flip = (1, -1)[:self.dim]
-        for a in basis:
-            ea = a.embed_phys_exact()
-            if a.conj().embed_phys_exact() != tuple(s * x for s, x in zip(flip, ea)):
-                raise AssertionError("conj is not complex conjugation")
-            for b in basis:
-                ab = a * b
-                if ab.coords != (b * a).coords:
-                    raise AssertionError("multiplication not commutative")
-                if ab.star().coords != (a.star() * b.star()).coords:
-                    raise AssertionError("star is not multiplicative")
-                if ab.embed_phys_exact() != _cx_mul(ea, b.embed_phys_exact()):
-                    raise AssertionError("relations do not hold in the embedding")
-                got = _cx_mul(a.embed_int(), b.embed_int())
-                if np.max(np.abs(np.subtract(got, ab.embed_int()))) > 1e-12:
-                    raise AssertionError("embed_int is not a ring homomorphism")
-                for c in basis:
-                    if (ab * c).coords != (a * (b * c)).coords:
-                        raise AssertionError("multiplication not associative")
-        exact = np.array([[float(x) for x in row] for row in self.exact_phys_columns])
-        if np.max(np.abs(exact - self.phys_columns)) > 1e-12:
-            raise AssertionError("exact and float physical embeddings differ")
-
     def __repr__(self):
         return f"FieldSpec({self.name!r}, degree={self.degree})"
 

@@ -44,7 +44,6 @@ class AmplitudeVector:
     """Per-tile-type amplitudes at one internal argument."""
 
     H: np.ndarray
-    n_iters: int
     rank1_residual: float
 
 
@@ -205,6 +204,6 @@ class FourierEvaluator:
         P = self.cocycle_limit_batch(k, n)[0]
         sv = np.linalg.svd(P, compute_uv=False)
         residual = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
-        return AmplitudeVector(H=self.scale * (P @ self.right), n_iters=n,
+        return AmplitudeVector(H=self.scale * (P @ self.right),
                                rank1_residual=residual)
 

@@ -104,12 +104,9 @@ class LatticeBasis:
             for g in self.dual_generators]))
 
     @cached_property
-    def _dual(self) -> "LatticeBasis":
-        return LatticeBasis(self.dual_generators)
-
     def dual(self) -> "LatticeBasis":
         """The dual lattice, built once per basis."""
-        return self._dual
+        return LatticeBasis(self.dual_generators)
 
     def points(self, coords) -> "ModuleSet":
         """Dual-lattice points with integer coordinates ``coords`` (N, rank).
@@ -146,7 +143,7 @@ class LatticeBasis:
         per element on this basis."""
         cache = self.__dict__.setdefault("_dual_actions", {})
         if x not in cache:
-            cols = [self.dual().integer_coords(x * g) for g in self.dual_generators]
+            cols = [self.dual.integer_coords(x * g) for g in self.dual_generators]
             cache[x] = None if None in cols else \
                 read_only(np.array(cols, dtype=np.int64).T)
         return cache[x]
@@ -401,7 +398,7 @@ def module_point(lattice: LatticeBasis, coords: Sequence[int]) -> ModulePoint:
 
 
 def enumerate_module(lattice: LatticeBasis, center, radius: float,
-                     internal_cutoff: float | None = None) -> ModuleSet:
+                     internal_cutoff: float) -> ModuleSet:
     """All module points with |k_phys - center| <= radius, |k_int| <= cutoff.
 
     Complete by construction: the integer coordinates of a dual vector y
@@ -418,8 +415,6 @@ def enumerate_module(lattice: LatticeBasis, center, radius: float,
     """
     if not radius >= 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if internal_cutoff is None:
-        raise ValueError("internal_cutoff is required (dense projection)")
     if not internal_cutoff >= 0:
         raise ValueError(f"internal_cutoff must be >= 0, got {internal_cutoff}")
     d = lattice.dim

@@ -165,7 +165,7 @@ def weyl_sum(patch: TypedPointSet, k_phys, weights, region_measure: float) -> co
     if k.shape != (patch.field.dim,):
         raise ValueError(f"k_phys must have shape ({patch.field.dim},), got {k.shape}")
     pos = patch.positions_phys()
-    w = np.asarray(weights, dtype=complex)[patch.types()]
+    w = np.asarray(weights, dtype=complex)[patch.tile_types]
     phases = pos @ k
     return complex(np.sum(w * np.exp(-2j * np.pi * phases)) / region_measure)
 

@@ -80,28 +80,15 @@ class TypedPointSet:
         P = self.field.phys_columns
         return read_only((P[None] @ self.coords.astype(float)[:, :, None])[:, :, 0])
 
-    def types(self) -> np.ndarray:
-        return self.tile_types
 
-    def translated(self, t: AlgebraicElement) -> "TypedPointSet":
-        if t.field is not self.field:
-            raise FieldMismatchError(
-                f"cannot combine {self.field.name} with {t.field.name}")
-        shift = np.array(_field_ints(t), dtype=np.int64)
-        return TypedPointSet(self.field, self.tile_types, self.coords + shift)
+def seed_patch(model: ModelSpec) -> TypedPointSet:
+    """Single tile of type 0 at the origin.
 
-
-def seed_patch(model: ModelSpec, tile_type: int = 0) -> TypedPointSet:
-    """Single tile of the given type at the origin.
-
-    Raises ValueError unless 0 <= tile_type < ``model.n_tiles``.  Legality
-    of the seed is not enforced; patches are only used as volume-averaged
-    oracles where the boundary mismatch of an illegal seed is absorbed by
-    the tolerance.
+    Legality of the seed is not enforced; patches are only used as
+    volume-averaged oracles where the boundary mismatch of an illegal seed
+    is absorbed by the tolerance.
     """
-    if not 0 <= tile_type < model.n_tiles:
-        raise ValueError(f"tile type {tile_type} is not in [0, {model.n_tiles})")
-    return TypedPointSet(model.field, np.array([tile_type], dtype=np.int64),
+    return TypedPointSet(model.field, np.zeros(1, dtype=np.int64),
                          np.zeros((1, model.field.degree), dtype=np.int64))
 
 

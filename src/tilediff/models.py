@@ -148,17 +148,6 @@ class DisplacementMatrix:
                 for t in cell:
                     yield i, j, t
 
-    def __eq__(self, other):
-        if not isinstance(other, DisplacementMatrix):
-            return NotImplemented
-        if self.n != other.n or self.field is not other.field:
-            return False
-        for r1, r2 in zip(self.entries, other.entries):
-            for c1, c2 in zip(r1, r2):
-                if {t.coords for t in c1} != {t.coords for t in c2}:
-                    return False
-        return True
-
 
 def apply_linear(points: np.ndarray, linear: np.ndarray) -> np.ndarray:
     """``points @ linear`` by elementwise multiply-adds in a fixed order, so

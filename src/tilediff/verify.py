@@ -159,7 +159,7 @@ def _fourier_module_check_spectre(model: ModelSpec) -> Check:
 
 def _module_equality_check(model: ModelSpec, alt_gens) -> Check:
     """Dual module equals the documented prefactor module (both inclusions)."""
-    dual = model.lattice.dual()
+    dual = model.lattice.dual
     alt = LatticeBasis(alt_gens)
     ok = all(alt.integer_coords(g) is not None for g in dual.generators) and \
         all(dual.integer_coords(g) is not None for g in alt_gens)

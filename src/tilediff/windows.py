@@ -377,43 +377,36 @@ def volume(cloud: WindowCloud):
 
 def window_volume_from_patch(model: ModelSpec):
     """Total window volume via the point density of an inflation patch of
-    12 steps.
+    12 steps (1d only).
 
     Regular model sets equidistribute in their window, so the window
     volume equals point density times the lattice covolume.  The patch
     estimate converges at the inflation rate, which makes this the only
     practical route when the window boundary dimension is close to the
-    ambient dimension (the twisted Cantorval windows).
+    ambient dimension (the twisted Cantorval windows).  A planar model
+    raises ValueError: twelve steps at its PF root would pass
+    ``inflation.MAX_PATCH_POINTS``.
     """
-    patch = inflate(seed_patch(model), model, 12)
-    pos = patch.positions_phys()
-    if model.dim == 1:
-        xs = pos[:, 0]
-        measure = float(xs.max() - xs.min())
-        count = len(xs) - 1
-    else:
-        center = pos.mean(axis=0)
-        r = 0.6 * float(np.linalg.norm(pos - center, axis=1).max())
-        count = int((np.linalg.norm(pos - center, axis=1) <= r).sum())
-        measure = float(np.pi * r * r)
-    dens = count / measure
+    if model.dim != 1:
+        raise ValueError("window volume from a patch only defined for 1d "
+                         "internal space")
+    xs = inflate(seed_patch(model), model, 12).positions_phys()[:, 0]
+    dens = (len(xs) - 1) / float(xs.max() - xs.min())
     return dens * model.lattice.covolume
 
 
-def hull_intervals(model: ModelSpec, steps: int = 80) -> list:
+def hull_intervals(model: ModelSpec) -> list:
     """Exact-endpoint interval hulls of the window components (1d only).
 
     The convex hulls of the attractor components satisfy the interval
-    recursion induced by the maps; iterating it from [0, 0] converges
+    recursion induced by the maps; 80 steps of it from [0, 0] converge
     geometrically to the hull endpoints.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     if model.dim != 1:
         raise ValueError("hull intervals only defined for 1d internal space")
     disp = model.require_displacement()
     hulls = np.zeros((disp.n, 2, 1))   # both endpoints of each hull, as points
-    for _ in range(steps):
+    for _ in range(80):
         ends = disp.images(hulls, model.int_contraction_matrix, disp.stars)
         hulls = np.array([[e.min(), e.max()] for e in ends])[:, :, None]
     return [(float(lo), float(hi)) for lo, hi in hulls[:, :, 0]]

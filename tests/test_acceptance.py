@@ -22,6 +22,7 @@ from tilediff.inflation import inflate, seed_patch
 from tilediff.models import builtin, load_displacement, validate_symmetry
 from tilediff.windows import (hull_intervals, iterate_windows, volume,
                               window_volume_from_patch)
+from test_inflation import _translated
 
 S2, S3, S5, S15 = (math.sqrt(x) for x in (2, 3, 5, 15))
 LAM = 1 + S2
@@ -197,7 +198,7 @@ def test_c08_weyl_oracle():
     t = silver.field.element([3, 1])
     k = strongest[0].k
     a = weyl_sum(patch, k.k_phys, w, measure)
-    b = weyl_sum(patch.translated(t), k.k_phys, w, measure)
+    b = weyl_sum(_translated(patch, t), k.k_phys, w, measure)
     phase = np.exp(-2j * np.pi * k.k_phys[0] * t.embed_phys()[0])
     cov = abs(b - phase * a)
     report(8, "weyl-sum oracle", ok_amp and cov < 1e-6,

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +20,14 @@ def silver():
     return builtin("silver")
 
 
+def _translated(patch: TypedPointSet, t) -> TypedPointSet:
+    """``patch`` shifted by the field element ``t``, whose field-basis
+    coordinates are integers."""
+    assert t.field is patch.field and all(c.denominator == 1 for c in t.coords)
+    shift = np.array([int(c) for c in t.coords], dtype=np.int64)
+    return TypedPointSet(patch.field, patch.tile_types, patch.coords + shift)
+
+
 def test_one_step(silver):
     patch = inflate(seed_patch(silver), silver, 1)
     got = {(t, x.coords) for t, x in patch.points}
@@ -28,7 +35,7 @@ def test_one_step(silver):
 
 
 def test_zero_steps_identity(silver):
-    seed = seed_patch(silver, tile_type=1)
+    seed = seed_patch(silver)
     assert inflate(seed, silver, 0).points == seed.points
     with pytest.raises(ValueError):
         inflate(seed, silver, -1)
@@ -38,7 +45,7 @@ def test_two_steps_word(silver):
     patch = inflate(seed_patch(silver), silver, 2)
     assert len(patch) == 7
     order = np.argsort(patch.positions_phys()[:, 0])
-    word = "".join("ab"[patch.types()[i]] for i in order)
+    word = "".join("ab"[patch.tile_types[i]] for i in order)
     assert word == "abbabab"
 
 
@@ -48,7 +55,7 @@ def test_point_counts_match_matrix_powers(silver):
         patch = inflate(seed_patch(silver), silver, n)
         counts = np.linalg.matrix_power(M, n) @ np.array([1, 0])
         assert len(patch) == counts.sum()
-        types = patch.types()
+        types = patch.tile_types
         assert (types == 0).sum() == counts[0]
         assert (types == 1).sum() == counts[1]
 
@@ -62,7 +69,7 @@ def test_positions_in_return_module(silver):
 
 def test_type_frequencies_converge(silver):
     patch = inflate(seed_patch(silver), silver, 10)
-    types = patch.types()
+    types = patch.tile_types
     freq = np.array([(types == 0).mean(), (types == 1).mean()])
     expect = np.array([LAM - 2, 3 - LAM])
     assert np.max(np.abs(freq - expect)) < 0.02
@@ -143,26 +150,18 @@ def test_inflate_reads_the_model_tables(monkeypatch):
     solve = LatticeBasis.integer_coords
     monkeypatch.setattr(LatticeBasis, "integer_coords",
                         lambda self, x: solved.append(x.coords) or solve(self, x))
-    patch = inflate(seed_patch(cap).translated(cap.generators[0]), cap, 4)
+    patch = inflate(_translated(seed_patch(cap), cap.generators[0]), cap, 4)
     assert len(patch) == 442 and solved == [cap.generators[0].coords]
 
 
 def test_inflate_rejects_inexact_seeds(silver):
     cap = builtin("cap")
-    outside = seed_patch(cap).translated(cap.field.one())
+    outside = _translated(seed_patch(cap), cap.field.one())
     with pytest.raises(ValueError, match="outside the return module"):
         inflate(outside, cap, 1)
-    far = seed_patch(silver).translated(silver.field.element([2 ** 52, 0]))
+    far = _translated(seed_patch(silver), silver.field.element([2 ** 52, 0]))
     with pytest.raises(ValueError, match="2\\*\\*53"):
         inflate(far, silver, 1)
-    with pytest.raises(ValueError):
-        seed_patch(silver).translated(silver.field.element([Fraction(1, 2), 0]))
-
-
-def test_seed_patch_rejects_unknown_tile_types(silver):
-    for tile_type in (5, -1, silver.n_tiles):
-        with pytest.raises(ValueError, match="tile type"):
-            seed_patch(silver, tile_type)
 
 
 def test_truncate(silver):

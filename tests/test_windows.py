@@ -66,21 +66,15 @@ def _loop_hulls(model, steps=80):
 @pytest.mark.parametrize("name", ["silver", "silver_twisted"])
 def test_hull_intervals_match_loop(name):
     model = builtin(name)
-    for steps in (1, 5, 80):
-        got = hull_intervals(model, steps)
-        assert all(type(x) is float for h in got for x in h)
-        bits = lambda hulls: [tuple(map(float.hex, h)) for h in hulls]
-        assert bits(got) == bits(_loop_hulls(model, steps))
+    got = hull_intervals(model)
+    assert all(type(x) is float for h in got for x in h)
+    bits = lambda hulls: [tuple(map(float.hex, h)) for h in hulls]
+    assert bits(got) == bits(_loop_hulls(model, 80))
 
 
 def test_hull_requires_1d():
     with pytest.raises(ValueError):
         hull_intervals(builtin("cap"))
-
-
-def test_hull_rejects_negative_steps(silver):
-    with pytest.raises(ValueError, match="steps must be >= 0"):
-        hull_intervals(silver, steps=-1)
 
 
 def test_iterate_rejects_negative_generations(silver):
@@ -409,6 +403,14 @@ def test_twisted_volume_from_patch(twisted):
 def test_silver_volume_from_patch(silver):
     v = window_volume_from_patch(silver)
     assert abs(v - LAM) / LAM < 0.001
+
+
+def test_volume_from_patch_requires_1d(monkeypatch):
+    """A planar model fails before it inflates: twelve steps at its PF root
+    would pass ``inflation.MAX_PATCH_POINTS``."""
+    monkeypatch.setattr(windows, "inflate", None)
+    with pytest.raises(ValueError, match="patch only defined for 1d"):
+        window_volume_from_patch(builtin("cap"))
 
 
 def test_twisted_windows_interleave_only_at_boundaries(twisted):
