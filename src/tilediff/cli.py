@@ -69,10 +69,11 @@ def _finite_floats(token: str) -> list:
 
 
 def _zoom(token: str) -> tuple:
-    """argparse type: 'lo,hi' with finite lo < hi."""
+    """argparse type: 'lo,hi' with lo < hi and a finite span hi - lo."""
     xs = _finite_floats(token)
-    if len(xs) != 2 or not xs[0] < xs[1]:
-        raise argparse.ArgumentTypeError(f"{token!r} must be lo,hi with lo < hi")
+    if len(xs) != 2 or not 0 < xs[1] - xs[0] < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{token!r} must be lo,hi with lo < hi and a finite hi - lo")
     return tuple(xs)
 
 
@@ -242,7 +243,7 @@ def cmd_verify(args) -> int:
 def cmd_patch(args) -> int:
     model = _load_model(args)
     try:
-        patch = inflation.inflate(inflation.seed_patch(model), model, args.steps)
+        patch = inflation.inflate(model, args.steps)
     except ValueError as exc:   # e.g. above inflation.MAX_PATCH_POINTS
         raise UsageError(f"--steps: {exc}") from exc
     if args.radius is not None:

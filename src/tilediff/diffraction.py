@@ -409,9 +409,9 @@ def periodicity_residual(model: ModelSpec, deformation: DeformationMap | str,
 
 
 def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
-                       internal_cutoff: float | None = None, weights="equal",
                        n: int | None = None) -> float:
-    """Mean log-intensity over module points with k_phys in [k_lo, k_hi].
+    """Mean log-intensity over module points with k_phys in [k_lo, k_hi],
+    within the model's ``internal_cutoff``, at equal weights.
 
     Near-extinctions, intensities <= 1e-25, are excluded, and ValueError
     is raised when no point is left; used to compare decay rates between
@@ -419,12 +419,10 @@ def mean_log_intensity(model: ModelSpec, k_lo: float, k_hi: float,
     """
     if model.dim != 1:
         raise ValueError("decay comparison is for 1d models")
-    if internal_cutoff is None:
-        internal_cutoff = model.internal_cutoff
-    w = weight_vector(model, weights)
+    w = weight_vector(model, "equal")
     center = np.array([(k_lo + k_hi) / 2.0])
     pts = enumerate_module(model.lattice, center, (k_hi - k_lo) / 2.0,
-                           internal_cutoff)
+                           model.internal_cutoff)
     I = np.abs(model.evaluator.amplitude_batch(pts.arguments(), n,
                                                weights=w)) ** 2
     I = I[I > 1e-25]

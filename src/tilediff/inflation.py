@@ -18,11 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (EXACT_LIMIT, AlgebraicElement, FieldMismatchError,
-                      FieldSpec, read_only)
+from .algebra import EXACT_LIMIT, AlgebraicElement, FieldSpec, read_only
 from .models import ModelSpec
 
-__all__ = ["TypedPointSet", "seed_patch", "inflate", "truncate",
+__all__ = ["TypedPointSet", "inflate", "truncate",
            "substitution_matrix", "patch_to_csv", "MAX_PATCH_POINTS"]
 
 # Most points one inflate step may make: admits silver 17 steps from one
@@ -59,12 +58,6 @@ class TypedPointSet:
     def __len__(self):
         return len(self.tile_types)
 
-    @property
-    def points(self) -> tuple:
-        """(type, AlgebraicElement) pairs, built on demand."""
-        return tuple((t, self.field.element(c)) for t, c in
-                     zip(self.tile_types.tolist(), self.coords.tolist()))
-
     def positions_phys(self) -> np.ndarray:
         """Float physical coordinates, shape (npoints, dim), read-only and
         computed once per patch.
@@ -81,33 +74,23 @@ class TypedPointSet:
         return read_only((P[None] @ self.coords.astype(float)[:, :, None])[:, :, 0])
 
 
-def seed_patch(model: ModelSpec) -> TypedPointSet:
-    """Single tile of type 0 at the origin.
+def inflate(model: ModelSpec, steps: int) -> TypedPointSet:
+    """The type-0 tile at the origin after ``steps`` applications of
+    x -> expansion(x) + t for every displacement entry.
 
-    Legality of the seed is not enforced; patches are only used as
-    volume-averaged oracles where the boundary mismatch of an illegal seed
-    is absorbed by the tolerance.
-    """
-    return TypedPointSet(model.field, np.zeros(1, dtype=np.int64),
-                         np.zeros((1, model.field.degree), dtype=np.int64))
-
-
-def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
-    """Apply x -> expansion(x) + t for every displacement entry, `steps` times.
-
-    Points come out sorted by (field-basis coordinates, type).  Raises
-    ValueError for a seed position outside the return module, before a
-    step whose coordinates could pass 2**53, and, before any step, when
-    a step could make more than ``MAX_PATCH_POINTS`` points.
+    Points come out sorted by (field-basis coordinates, type).  Legality
+    of the seed is not enforced; patches are only used as volume-averaged
+    oracles where the boundary mismatch of an illegal seed is absorbed by
+    the tolerance.  Raises ValueError before a step whose coordinates
+    could pass 2**53, and, before any step, when a step could make more
+    than ``MAX_PATCH_POINTS`` points.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if seed.field is not model.field:
-        raise FieldMismatchError(
-            f"cannot inflate a {seed.field.name} patch with model {model.name!r}")
     disp = model.require_displacement()
-    # step s makes at most 1^T M^s e_seed points; Python ints keep it exact
-    bound = np.bincount(seed.tile_types, minlength=disp.n).astype(object)
+    # step s makes at most 1^T M^s e_0 points; Python ints keep it exact
+    bound = np.zeros(disp.n, dtype=object)
+    bound[0] = 1
     M = disp.card_matrix().astype(object)
     for step in range(1, steps + 1):
         bound = M @ bound
@@ -121,11 +104,9 @@ def inflate(seed: TypedPointSet, model: ModelSpec, steps: int) -> TypedPointSet:
     g_norm = int(np.abs(G).sum(axis=0).max())
     t_norm = int(np.abs(T).max(initial=0))
 
-    C = [model.lattice.integer_coords(x) for _, x in seed.points]
-    if None in C:
-        raise ValueError("a seed position lies outside the return module")
-    C = np.array(C, dtype=np.int64).reshape(-1, model.lattice.rank)
-    types, F = seed.tile_types, seed.coords
+    types = np.zeros(1, dtype=np.int64)
+    C = np.zeros((1, model.lattice.rank), dtype=np.int64)
+    F = np.zeros((1, model.field.degree), dtype=np.int64)
     for _ in range(steps):
         if (int(np.abs(C).max(initial=0)) * e_norm + t_norm) * g_norm > EXACT_LIMIT:
             raise ValueError("inflated coordinates could exceed 2**53")
@@ -160,23 +141,22 @@ def substitution_matrix(model: ModelSpec) -> np.ndarray:
     return model.require_displacement().card_matrix()
 
 
-def patch_to_csv(patch: TypedPointSet, path, model: ModelSpec | None = None) -> None:
-    """Write (type, x, y) rows; y is 0 for one-dimensional models.
+def patch_to_csv(patch: TypedPointSet, path, model: ModelSpec) -> None:
+    """Write (type, x, y) rows, the type by its ``model`` label; y is 0 for
+    one-dimensional models.
 
     Formats ``_CSV_BLOCK`` = 4096 rows with one ``%`` at a time, over their
     fields interleaved in one flat list, so memory is bounded by one block.
     """
     pos, types = patch.positions_phys(), patch.tile_types
-    labels = model.tile_labels if model is not None else None
+    labels = model.tile_labels
     # "%.17g" % 0.0 is "0": the 1d y column is written as that literal
     fmt = "%s,%.17g,%.17g\n" if pos.shape[1] == 2 else "%s,%.17g,0\n"
     width = 1 + pos.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("type,x,y\n")
         for lo in range(0, len(types), _CSV_BLOCK):
-            names = types[lo:lo + _CSV_BLOCK].tolist()
-            if labels:
-                names = [labels[ty] for ty in names]
+            names = [labels[ty] for ty in types[lo:lo + _CSV_BLOCK].tolist()]
             flat = [None] * (width * len(names))
             flat[::width] = names
             for k, column in enumerate(pos[lo:lo + _CSV_BLOCK].T.tolist(), 1):

@@ -25,13 +25,13 @@ import numpy as np
 
 from .algebra import EXACT_LIMIT
 from .cps import decode_rows, row_keys
-from .inflation import inflate, seed_patch
+from .inflation import inflate
 from .models import ModelSpec, apply_linear
 from .svg import PALETTE, SvgCanvas
 
-__all__ = ["WindowCloud", "seed_clouds", "ifs_step", "iterate_windows",
-           "volume", "hull_intervals", "render_windows",
-           "TWISTED_BOUNDARY_DIM", "CAP_BOUNDARY_DIM", "MAX_STEP_CELLS"]
+__all__ = ["WindowCloud", "iterate_windows", "volume", "hull_intervals",
+           "render_windows", "TWISTED_BOUNDARY_DIM", "CAP_BOUNDARY_DIM",
+           "MAX_STEP_CELLS"]
 
 # Most candidate cells one IFS step may map before deduplication: the
 # cells a step maps times the translations of their source types.  The
@@ -99,39 +99,6 @@ def default_cell_size(model: ModelSpec, resolution: int | None = None) -> float:
     return math.ldexp(mantissa, exponent)
 
 
-def seed_clouds(model: ModelSpec, resolution: int | None = None) -> WindowCloud:
-    """Single point 0 per type (0 lies in every window closure here), on
-    the grid of :func:`default_cell_size` at ``resolution``."""
-    z = np.zeros((1, model.dim), dtype=np.int64)
-    return WindowCloud(tuple(z.copy() for _ in range(model.n_tiles)),
-                       default_cell_size(model, resolution), 0)
-
-
-def ifs_step(cloud: WindowCloud, model: ModelSpec) -> WindowCloud:
-    """One application of the star-mapped inflation maps, grid-deduplicated.
-
-    The targets come one at a time from :meth:`DisplacementMatrix.images`,
-    which maps each source cloud by A once.  Raises ValueError before
-    mapping when the step has more than ``MAX_STEP_CELLS`` candidate cells
-    (one per translation and cell of its source type), and before the
-    cast when a cell index reaches 2**53.
-    """
-    disp = model.require_displacement()
-    count = int(np.array([len(c) for c in cloud.cells])[disp.cols].sum())
-    _check_ceiling(count, cloud.generation + 1)
-    A, h = model.int_contraction_matrix, cloud.cell_size
-    out = []   # rows: p -> A @ p + t*
-    for pts in disp.images([c * h for c in cloud.cells], A.T, disp.stars):
-        out.append(_unique_cells(_snap(pts, h, cloud.generation + 1)))
-    return WindowCloud(tuple(out), h, cloud.generation + 1)
-
-
-def _check_ceiling(count: int, step: int) -> None:
-    if count > MAX_STEP_CELLS:
-        raise ValueError(f"window step {step} maps {count} "
-                         f"candidate cells, above the ceiling {MAX_STEP_CELLS}")
-
-
 def _snap(pts: np.ndarray, h: float, step: int) -> np.ndarray:
     """The int64 grid cells of the points ``pts``; raises ValueError before
     the cast when a cell index reaches 2**53."""
@@ -144,8 +111,10 @@ def _snap(pts: np.ndarray, h: float, step: int) -> np.ndarray:
 
 def iterate_windows(model: ModelSpec, generations: int,
                     resolution: int | None = None) -> WindowCloud:
-    """The cloud of ``generations`` IFS steps from the seed: the cells of
-    that many :func:`ifs_step` calls, in lexicographic order.
+    """The cloud of ``generations`` IFS steps from the seed, cell 0 of
+    every type (0 lies in every window closure here), on the grid of
+    :func:`default_cell_size` at ``resolution``; each type's cells in
+    lexicographic order.
 
     Counted incremental iteration (the counting algorithm of incremental
     view maintenance).  A step maps each cell on its own, so a cell is in
@@ -156,17 +125,15 @@ def iterate_windows(model: ModelSpec, generations: int,
     cloud in the step before (+1 to the counts of their images) or left
     it (-1).  No change is the fixed point: the cloud is returned as it
     stands, with the requested generation.  ``MAX_STEP_CELLS`` bounds
-    the candidates of each step.
+    the candidates of each step: a step with more raises ValueError
+    before mapping.
     """
     if generations < 0:
         raise ValueError("generations must be >= 0")
-    cloud = seed_clouds(model, resolution=resolution)
-    if not generations:
-        return cloud
-    grid = _Grid(model, cloud.cell_size)
+    grid = _Grid(model, default_cell_size(model, resolution))
     # the (types, cells) that entered and that left the cloud in the last
-    # step, each in key order
-    entered = np.arange(cloud.n_types), np.vstack(cloud.cells)
+    # step, each in key order; the seed enters first
+    entered = np.arange(grid.n), np.zeros((grid.n, model.dim), dtype=np.int64)
     left = entered[0][:0], entered[1][:0]
     keys = counts = None        # sorted keys of the cloud, preimage counts
     for step in range(1, generations + 1):
@@ -175,11 +142,11 @@ def iterate_windows(model: ModelSpec, generations: int,
         keys, counts, new, gone = _step(grid, keys, counts, entered, left, step)
         entered = grid.decode(new)
         left = grid.decode(gone)
-    types, cells = grid.decode(keys)
+    types, cells = entered if keys is None else grid.decode(keys)
     # row-major cells, which do not keep the decoded types alive
     per_type = np.split(np.ascontiguousarray(cells),
-                        np.searchsorted(types, np.arange(1, cloud.n_types)))
-    return WindowCloud(tuple(per_type), cloud.cell_size, generations)
+                        np.searchsorted(types, np.arange(1, grid.n)))
+    return WindowCloud(tuple(per_type), grid.h, generations)
 
 
 def _step(grid, keys, counts, entered, left, step: int):
@@ -192,7 +159,10 @@ def _step(grid, keys, counts, entered, left, step: int):
     # its source type
     changed = np.bincount(np.concatenate([entered[0], left[0]]), minlength=grid.n)
     sizes = np.bincount(grid.rows, weights=changed[grid.cols], minlength=grid.n)
-    _check_ceiling(int(sizes.sum()), step)
+    count = int(sizes.sum())
+    if count > MAX_STEP_CELLS:
+        raise ValueError(f"window step {step} maps {count} "
+                         f"candidate cells, above the ceiling {MAX_STEP_CELLS}")
     sources = [(types, grid.map(cells)) for types, cells in (entered, left)]
     parts = []
     for t0, t1 in _type_ranges(sizes, _CHUNK_CANDIDATES):
@@ -260,7 +230,7 @@ class _Grid:
                step: int) -> np.ndarray:
         """The keys of the images in the target types [t0, t1) of cells of
         the sorted types ``types``, whose points A maps to ``mapped``, by
-        translation.  Raises ValueError as :func:`ifs_step` does."""
+        translation.  Raises ValueError as :func:`_snap` does."""
         lo, hi = self.row_start[t0], self.row_start[t1]
         cols = self.cols[lo:hi]
         first = np.searchsorted(types, np.arange(self.n + 1))   # per type
@@ -327,14 +297,6 @@ def _tally(keys: np.ndarray):
     return keys[start], counts
 
 
-def _unique_cells(cells: np.ndarray) -> np.ndarray:
-    """Distinct rows in lexicographic order, as np.unique(cells, axis=0)."""
-    if not len(cells):
-        return cells
-    keys, box = row_keys(cells.T)
-    return decode_rows(_tally(np.sort(keys))[0], box)
-
-
 def _interior_mask(cells: np.ndarray) -> np.ndarray:
     """For the distinct rows of ``cells`` in lexicographic order, True
     where every axis neighbor is a row of ``cells`` too.
@@ -390,7 +352,7 @@ def window_volume_from_patch(model: ModelSpec):
     if model.dim != 1:
         raise ValueError("window volume from a patch only defined for 1d "
                          "internal space")
-    xs = inflate(seed_patch(model), model, 12).positions_phys()[:, 0]
+    xs = inflate(model, 12).positions_phys()[:, 0]
     dens = (len(xs) - 1) / float(xs.max() - xs.min())
     return dens * model.lattice.covolume
 
@@ -433,8 +395,8 @@ def render_windows(cloud: WindowCloud, path, model: ModelSpec | None = None,
 def _runs(cells: np.ndarray):
     """Maximal runs of cells adjacent along the last axis.
 
-    ``cells`` are distinct rows in lexicographic order, as from
-    ``_unique_cells``; a run is consecutive last coordinates at fixed
+    ``cells`` are distinct rows in lexicographic order, as in a
+    :class:`WindowCloud`; a run is consecutive last coordinates at fixed
     leading ones.  Returns the first cell of each run and its length.
     """
     brk = np.ones(len(cells), dtype=bool)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from tilediff.cocycle import FourierEvaluator
-from tilediff.cps import enumerate_module, module_point
+from tilediff.cps import module_point
 from tilediff.diffraction import (amplitude_at, analytic_silver, peak_list,
                                   peaks_to_csv, periodicity_residual,
-                                  symmetry_report, weight_vector, weyl_sum)
-from tilediff.inflation import inflate, seed_patch
+                                  symmetry_report, weyl_sum)
+from tilediff.inflation import inflate
 from tilediff.models import builtin, load_displacement, validate_symmetry
 from tilediff.windows import (hull_intervals, iterate_windows, volume,
                               window_volume_from_patch)
@@ -183,7 +183,7 @@ def test_c07_windows():
 
 def test_c08_weyl_oracle():
     silver = builtin("silver")
-    patch = inflate(seed_patch(silver), silver, 12)
+    patch = inflate(silver, 12)
     pos = patch.positions_phys()[:, 0]
     measure = float(pos.max() - pos.min())
     w = np.ones(2)

@@ -17,8 +17,6 @@ OUTSIDE = [*sorted((ROOT / "perfbench").glob("*.py")),
 
 # definitions kept without a caller, one reason each
 ALLOWED = {
-    "ifs_step": "the plain window step, the reference the tests hold the "
-                "counted iteration to",
     "save_displacement": "writes the documented displacement schema that "
                          "load_displacement reads",
 }

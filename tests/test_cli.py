@@ -507,7 +507,9 @@ def test_translation_beyond_int64_exit_code(command, tmp_path, capsys,
     (["peaks", "--model", "silver", "--radius", "0.5", "--iters", "1000"], 0, ""),
     (["peaks", "--model", "silver", "--internal-cutoff", "1e6"], 1, "candidates"),
     (["verify", "--model", "casper_scaffold"], 0, ""),
-    (["peaks", "--model", "casper_scaffold"], 3, "needs displacement data")])
+    (["peaks", "--model", "casper_scaffold"], 3, "needs displacement data"),
+    # finite ends whose span hi - lo overflows to inf
+    (["window", "--model", "silver_twisted", "--zoom=-1e308,1e308"], 1, "--zoom")])
 def test_exit_code_contract(argv, code, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILEDIFF_OUTDIR", str(tmp_path))
     argv = [str(tmp_path) if a == "DIR" else a for a in argv]

@@ -19,7 +19,7 @@ from tilediff.diffraction import (_group_matrix, _orbit_action,
                                   peaks_to_csv, peaks_to_json, peaks_to_svg,
                                   periodicity_residual, symmetry_report,
                                   weight_vector, weyl_sum)
-from tilediff.inflation import inflate, seed_patch, truncate
+from tilediff.inflation import inflate, truncate
 from tilediff.models import (DeformationMap, DisplacementMatrix,
                              ModelDataError, ModelSpec,
                              builtin, load_displacement, save_displacement,
@@ -136,7 +136,7 @@ def test_analytic_silver_values():
 
 @pytest.fixture(scope="module")
 def silver_patch(silver):
-    return inflate(seed_patch(silver), silver, 12)
+    return inflate(silver, 12)
 
 
 def test_weyl_density(silver, silver_patch):
@@ -865,8 +865,9 @@ def test_twisted_decays_slower():
 
 
 def test_mean_log_intensity_rejects_empty_range():
+    """[0.3001, 0.3002] holds no silver module point within the cutoff 30."""
     with pytest.raises(ValueError, match="no module point"):
-        mean_log_intensity(builtin("silver"), 0.3001, 0.3002, internal_cutoff=0.1)
+        mean_log_intensity(builtin("silver"), 0.3001, 0.3002)
 
 
 def test_mean_log_intensity_rejects_zero_factors():

@@ -7,7 +7,7 @@ from tilediff import inflation
 from tilediff.algebra import SILVER
 from tilediff.cps import LatticeBasis
 from tilediff.inflation import (TypedPointSet, inflate, patch_to_csv,
-                                seed_patch, substitution_matrix, truncate)
+                                substitution_matrix, truncate)
 from tilediff.models import DisplacementMatrix, ModelDataError, builtin
 from test_cocycle import _with_synthetic_spectre_data
 
@@ -28,21 +28,27 @@ def _translated(patch: TypedPointSet, t) -> TypedPointSet:
     return TypedPointSet(patch.field, patch.tile_types, patch.coords + shift)
 
 
+def _points(patch):
+    """(type, field-basis coordinates) of each point, in patch order."""
+    return list(zip(patch.tile_types.tolist(), map(tuple, patch.coords.tolist())))
+
+
 def test_one_step(silver):
-    patch = inflate(seed_patch(silver), silver, 1)
-    got = {(t, x.coords) for t, x in patch.points}
-    assert got == {(0, (0, 0)), (1, (0, 1)), (1, (1, 1))}
+    patch = inflate(silver, 1)
+    assert set(_points(patch)) == {(0, (0, 0)), (1, (0, 1)), (1, (1, 1))}
 
 
 def test_zero_steps_identity(silver):
-    seed = seed_patch(silver)
-    assert inflate(seed, silver, 0).points == seed.points
+    """Step 0 is the seed: one type-0 point at the origin."""
+    seed = inflate(silver, 0)
+    assert _points(seed) == [(0, (0, 0))] and seed.field is silver.field
+    assert seed.tile_types.dtype == seed.coords.dtype == np.int64
     with pytest.raises(ValueError):
-        inflate(seed, silver, -1)
+        inflate(silver, -1)
 
 
 def test_two_steps_word(silver):
-    patch = inflate(seed_patch(silver), silver, 2)
+    patch = inflate(silver, 2)
     assert len(patch) == 7
     order = np.argsort(patch.positions_phys()[:, 0])
     word = "".join("ab"[patch.tile_types[i]] for i in order)
@@ -52,7 +58,7 @@ def test_two_steps_word(silver):
 def test_point_counts_match_matrix_powers(silver):
     M = substitution_matrix(silver)
     for n in range(13):
-        patch = inflate(seed_patch(silver), silver, n)
+        patch = inflate(silver, n)
         counts = np.linalg.matrix_power(M, n) @ np.array([1, 0])
         assert len(patch) == counts.sum()
         types = patch.tile_types
@@ -61,14 +67,14 @@ def test_point_counts_match_matrix_powers(silver):
 
 
 def test_positions_in_return_module(silver):
-    patch = inflate(seed_patch(silver), silver, 6)
+    patch = inflate(silver, 6)
     lat = silver.lattice
-    for _, x in patch.points:
-        assert lat.integer_coords(x) is not None
+    for c in patch.coords.tolist():
+        assert lat.integer_coords(patch.field.element(c)) is not None
 
 
 def test_type_frequencies_converge(silver):
-    patch = inflate(seed_patch(silver), silver, 10)
+    patch = inflate(silver, 10)
     types = patch.tile_types
     freq = np.array([(types == 0).mean(), (types == 1).mean()])
     expect = np.array([LAM - 2, 3 - LAM])
@@ -78,18 +84,18 @@ def test_type_frequencies_converge(silver):
 def test_scaffold_refuses_inflation():
     m = builtin("casper_scaffold")
     with pytest.raises(ModelDataError):
-        inflate(seed_patch(m), m, 1)
+        inflate(m, 1)
 
 
 def test_cap_inflation_stays_in_module():
     cap = builtin("cap")
-    patch = inflate(seed_patch(cap), cap, 2)
+    patch = inflate(cap, 2)
     M = substitution_matrix(cap)
     counts = np.linalg.matrix_power(M, 2) @ np.eye(24, dtype=int)[0]
     assert len(patch) == counts.sum()
     lat = cap.lattice
-    for _, x in patch.points:
-        assert lat.integer_coords(x) is not None
+    for c in patch.coords.tolist():
+        assert lat.integer_coords(patch.field.element(c)) is not None
 
 
 def _fraction_inflate(model, steps):
@@ -113,10 +119,9 @@ def _fraction_inflate(model, steps):
 def test_integer_inflation_matches_fractions(name, steps):
     model = _with_synthetic_spectre_data() if name == "synthetic-spectre" \
         else builtin(name)
-    patch = inflate(seed_patch(model), model, steps)
+    patch = inflate(model, steps)
     ref = _fraction_inflate(model, steps)
-    assert [(t, x.coords) for t, x in patch.points] == \
-        [(t, x.coords) for t, x in ref]
+    assert _points(patch) == [(t, x.coords) for t, x in ref]
     exact = np.array([x.embed_phys() for _, x in ref])
     pos = patch.positions_phys()
     assert pos.tobytes() == exact.tobytes()
@@ -143,29 +148,32 @@ def test_integer_tables_match_float_tables(name):
 
 
 def test_inflate_reads_the_model_tables(monkeypatch):
-    """After the first call, inflate solves only the seed positions."""
+    """Once the model's tables are built, inflate solves no position."""
     cap = builtin("cap")
-    inflate(seed_patch(cap), cap, 1)
+    inflate(cap, 1)
     solved = []
-    solve = LatticeBasis.integer_coords
     monkeypatch.setattr(LatticeBasis, "integer_coords",
-                        lambda self, x: solved.append(x.coords) or solve(self, x))
-    patch = inflate(_translated(seed_patch(cap), cap.generators[0]), cap, 4)
-    assert len(patch) == 442 and solved == [cap.generators[0].coords]
+                        lambda self, x: solved.append(x.coords))
+    assert len(inflate(cap, 4)) == 442 and solved == []
 
 
-def test_inflate_rejects_inexact_seeds(silver):
-    cap = builtin("cap")
-    outside = _translated(seed_patch(cap), cap.field.one())
-    with pytest.raises(ValueError, match="outside the return module"):
-        inflate(outside, cap, 1)
-    far = _translated(seed_patch(silver), silver.field.element([2 ** 52, 0]))
-    with pytest.raises(ValueError, match="2\\*\\*53"):
-        inflate(far, silver, 1)
+def test_inflate_stops_before_coordinates_pass_2_53(silver):
+    """A translation of 2**52 passes the model's 2**53 budget and one step,
+    but the bound of the second, (3 * 2**52 + 2**52) with the expansion's
+    column norm 3, is past it."""
+    far = silver.field.element([2 ** 52, 0])
+    entries = [list(row) for row in silver.displacement.entries]
+    entries[0][0] = (far,)
+    variant = silver.with_displacement(DisplacementMatrix(silver.field, entries))
+    assert int(np.abs(variant.expansion_coords).sum(axis=0).max()) == 3
+    assert int(np.abs(variant.translation_coords).max()) == 2 ** 52
+    assert _points(inflate(variant, 1))[-1] == (0, (2 ** 52, 0))
+    with pytest.raises(ValueError, match="could exceed 2\\*\\*53"):
+        inflate(variant, 2)
 
 
 def test_truncate(silver):
-    patch = inflate(seed_patch(silver), silver, 5)
+    patch = inflate(silver, 5)
     r = 10.0
     cut = truncate(patch, r)
     pos = cut.positions_phys()[:, 0]
@@ -175,13 +183,13 @@ def test_truncate(silver):
 
 @pytest.mark.parametrize("radius", [-1.0, float("nan")])
 def test_truncate_rejects_a_bad_radius(silver, radius):
-    patch = inflate(seed_patch(silver), silver, 3)
+    patch = inflate(silver, 3)
     with pytest.raises(ValueError, match="radius must be >= 0"):
         truncate(patch, radius)
 
 
 def test_truncate_checks_the_center_dimension(silver):
-    patch = inflate(seed_patch(silver), silver, 8)
+    patch = inflate(silver, 8)
     c = patch.positions_phys().mean(axis=0)[0]
     assert len(truncate(patch, 5.0, [c])) == len(truncate(patch, 5.0, c)) == 9
     with pytest.raises(ValueError, match="dimension 1"):
@@ -225,7 +233,7 @@ def test_perron_rejects_reducible():
 
 
 def test_patch_csv(tmp_path, silver):
-    patch = inflate(seed_patch(silver), silver, 3)
+    patch = inflate(silver, 3)
     out = tmp_path / "patch.csv"
     patch_to_csv(patch, out, model=silver)
     lines = out.read_text().splitlines()
@@ -234,15 +242,15 @@ def test_patch_csv(tmp_path, silver):
     assert lines[1].startswith("a,")
 
 
-def _csv_formatting_every_y(patch, path, model=None):
+def _csv_formatting_every_y(patch, path, model):
     """The former writer, which formatted the constant 1d y too."""
-    labels = model.tile_labels if model is not None else None
+    labels = model.tile_labels
     pos = patch.positions_phys()
     ys = pos[:, 1] if pos.shape[1] == 2 else np.zeros(len(pos))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("type,x,y\n")
         fh.writelines(
-            f"{labels[ty] if labels else ty},{format(x, '.17g')},{format(y, '.17g')}\n"
+            f"{labels[ty]},{format(x, '.17g')},{format(y, '.17g')}\n"
             for ty, x, y in zip(patch.tile_types.tolist(), pos[:, 0].tolist(),
                                 ys.tolist()))
 
@@ -252,30 +260,28 @@ def test_patch_csv_bytes(tmp_path, name, steps):
     """One %-format per point, with the literal 1d y column, writes the
     bytes of formatting each field, 0.0 too."""
     model = builtin(name)
-    patch = inflate(seed_patch(model), model, steps)
-    for labelled in (model, None):
-        patch_to_csv(patch, tmp_path / "new.csv", model=labelled)
-        _csv_formatting_every_y(patch, tmp_path / "old.csv", model=labelled)
-        assert (tmp_path / "new.csv").read_bytes() == \
-            (tmp_path / "old.csv").read_bytes()
+    patch = inflate(model, steps)
+    patch_to_csv(patch, tmp_path / "new.csv", model=model)
+    _csv_formatting_every_y(patch, tmp_path / "old.csv", model)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     if name == "silver":
         assert len(patch) == 47321
 
 
-def _csv_one_row_at_a_time(patch, path, model=None):
+def _csv_one_row_at_a_time(patch, path, model):
     """The per-row writer: one %-format and one write per point."""
-    labels = model.tile_labels if model is not None else None
+    labels = model.tile_labels
     pos = patch.positions_phys()
     fmt = "%s,%.17g,%.17g\n" if pos.shape[1] == 2 else "%s,%.17g,0\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("type,x,y\n")
         for ty, xy in zip(patch.tile_types.tolist(), pos.tolist()):
-            fh.write(fmt % (labels[ty] if labels else ty, *xy))
+            fh.write(fmt % (labels[ty], *xy))
 
 
 def _silver_patch(steps):
     silver = builtin("silver")
-    return silver, inflate(seed_patch(silver), silver, steps)
+    return silver, inflate(silver, steps)
 
 
 @pytest.mark.parametrize("case", ["silver-12", "cap-4", "block-multiple",
@@ -287,7 +293,7 @@ def test_patch_csv_blocks_match_per_row_writer(tmp_path, case):
     block = inflation._CSV_BLOCK
     if case == "cap-4":
         model = builtin("cap")
-        patch = inflate(seed_patch(model), model, 4)
+        patch = inflate(model, 4)
     else:
         model, patch = _silver_patch(12)
         if case == "block-multiple":
@@ -297,9 +303,8 @@ def test_patch_csv_blocks_match_per_row_writer(tmp_path, case):
             patch = truncate(patch, 1.0, [1e6])
     expect = {"silver-12": 47321, "block-multiple": 2 * block, "empty": 0}
     assert len(patch) == expect.get(case, len(patch)) and len(patch) != block
-    for labelled in (model, None):
-        patch_to_csv(patch, tmp_path / "new.csv", model=labelled)
-        _csv_one_row_at_a_time(patch, tmp_path / "ref.csv", model=labelled)
-        got = (tmp_path / "new.csv").read_bytes()
-        assert got == (tmp_path / "ref.csv").read_bytes()
-        assert got.count(b"\n") == len(patch) + 1
+    patch_to_csv(patch, tmp_path / "new.csv", model=model)
+    _csv_one_row_at_a_time(patch, tmp_path / "ref.csv", model)
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\n") == len(patch) + 1

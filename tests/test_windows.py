@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from tilediff import windows
+from tilediff.cps import decode_rows, row_keys
 from tilediff.models import builtin
 from tilediff.svg import PALETTE, SvgCanvas
 from tilediff.windows import (CAP_BOUNDARY_DIM, TWISTED_BOUNDARY_DIM,
-                              WindowCloud, _interior_mask, _recount,
-                              hull_intervals, ifs_step, iterate_windows,
-                              render_windows, seed_clouds, volume,
-                              window_volume_from_patch)
+                              WindowCloud, _interior_mask, _recount, _snap,
+                              _tally, hull_intervals, iterate_windows,
+                              render_windows, volume, window_volume_from_patch)
 
 S2 = math.sqrt(2)
 LAM = 1 + S2
@@ -85,7 +85,7 @@ def test_iterate_rejects_negative_generations(silver):
 
 def test_fixed_point_property(silver):
     cloud = iterate_windows(silver, 22)
-    nxt = ifs_step(cloud, silver)
+    nxt = _plain_step(cloud, silver)
     # one more step moves the grid-projected cloud by at most one cell
     for a, b in zip(cloud.cells, nxt.cells):
         sa = set(map(tuple, a))
@@ -101,7 +101,7 @@ def test_hausdorff_contraction_rate(silver):
     cloud = WindowCloud((seed,) * silver.n_tiles, 1e-7, 0)
     gens = [cloud]
     for _ in range(16):
-        gens.append(ifs_step(gens[-1], silver))
+        gens.append(_plain_step(gens[-1], silver))
 
     def hausdorff(c1, c2):
         x = np.sort(np.concatenate([c.astype(float)[:, 0] for c in c1.cells]))
@@ -118,9 +118,25 @@ def test_hausdorff_contraction_rate(silver):
     assert abs(np.mean(ratios) - (LAM - 2)) < 0.1
 
 
+def _plain_step(cloud, model):
+    """One full IFS step: every cell of every type mapped by A and each
+    translation of its type, snapped, and deduplicated through int64 row
+    keys.  The reference for the counted iteration of iterate_windows."""
+    disp = model.require_displacement()
+    A, h = model.int_contraction_matrix, cloud.cell_size
+    out = []   # rows: p -> A @ p + t*
+    for pts in disp.images([c * h for c in cloud.cells], A.T, disp.stars):
+        cells = _snap(pts, h, cloud.generation + 1)
+        if len(cells):
+            keys, box = row_keys(cells.T)
+            cells = decode_rows(_tally(np.sort(keys))[0], box)
+        out.append(cells)
+    return WindowCloud(tuple(out), h, cloud.generation + 1)
+
+
 def _unique_step(cloud, model):
-    """One IFS step deduplicated by np.unique(axis=0): the reference for
-    the int64-key dedup."""
+    """One IFS step deduplicated by np.unique(axis=0): the independent
+    reference for the int64-key dedup of _plain_step."""
     disp = model.require_displacement()
     A, h = model.int_contraction_matrix, cloud.cell_size
     out = []
@@ -136,9 +152,9 @@ def _unique_step(cloud, model):
     ("cap", 8, 7), ("silver_twisted", 20, 12)])
 def test_ifs_step_matches_unique_oracle(name, generations, resolution):
     model = builtin(name)
-    ref = got = seed_clouds(model, resolution=resolution)
+    ref = got = iterate_windows(model, 0, resolution=resolution)
     for _ in range(generations):
-        ref, got = _unique_step(ref, model), ifs_step(got, model)
+        ref, got = _unique_step(ref, model), _plain_step(got, model)
     once = iterate_windows(model, generations, resolution=resolution)
     assert once.generation == got.generation == ref.generation
     for a, b, c in zip(got.cells, ref.cells, once.cells):
@@ -243,11 +259,11 @@ def test_interior_mask_matches_set_scan(dim):
 
 
 def _plain_generations(model, generations, resolution=None):
-    """Generations 0 to ``generations`` of full ifs_step calls from the
-    seed: the reference for the counted iteration of iterate_windows."""
-    clouds = [seed_clouds(model, resolution=resolution)]
+    """Generations 0 to ``generations`` of _plain_step calls from the
+    seed, cell 0 of every type."""
+    clouds = [iterate_windows(model, 0, resolution=resolution)]
     for _ in range(generations):
-        clouds.append(ifs_step(clouds[-1], model))
+        clouds.append(_plain_step(clouds[-1], model))
     return clouds
 
 
@@ -318,7 +334,7 @@ def test_frontier_stops_at_the_fixed_point(monkeypatch):
     clouds = _plain_generations(cap, 12, resolution=6)
     saturated = clouds[-1]
     assert all(np.array_equal(a, b) for a, b in
-               zip(ifs_step(saturated, cap).cells, saturated.cells))
+               zip(_plain_step(saturated, cap).cells, saturated.cells))
     mapped = []     # per step, the (type, *cell) rows it maps
     counted_step = windows._step
 
@@ -341,34 +357,40 @@ def test_frontier_ceiling_counts_frontier_candidates(monkeypatch):
     candidates: a ceiling the plain steps pass at generation 5 and break
     at 6 still lets the frontier iteration reach generation 12."""
     cap = builtin("cap")
-    ref = _plain_loop(cap, 12, resolution=6)
-    gen4 = _plain_loop(cap, 4, resolution=6)
-    sizes = np.array([len(c) for c in gen4.cells])
-    ceiling = int(sizes[cap.displacement.cols].sum())
+    clouds = _plain_generations(cap, 12, resolution=6)
+    # a plain step maps every cell of the generation before, per translation
+    cols = cap.displacement.cols
+    plain = [int(np.array([len(c) for c in cloud.cells])[cols].sum())
+             for cloud in clouds[:-1]]
+    ceiling = plain[4]
+    assert max(plain[:5]) == ceiling < plain[5]
     monkeypatch.setattr(windows, "MAX_STEP_CELLS", ceiling)
-    with pytest.raises(ValueError, match="window step 6 maps"):
-        ifs_step(ifs_step(gen4, cap), cap)
-    _assert_same_cloud(iterate_windows(cap, 12, resolution=6), ref)
+    _assert_same_cloud(iterate_windows(cap, 12, resolution=6), clouds[-1])
 
 
 def test_ifs_step_ceiling_counts_candidates_exactly(monkeypatch):
+    """A step maps, per translation, the cells of its source type that
+    entered or left the cloud in the step before: 2,632 in step 3."""
     cap = builtin("cap")
-    cloud = iterate_windows(cap, 2, resolution=6)
     disp = cap.displacement
-    expect = sum(len(disp.entries[i][j]) * len(cloud.cells[j])
-                 for i in range(disp.n) for j in range(disp.n))
+    changed = [np.bincount([t for t, *_ in c], minlength=disp.n).tolist()
+               for c in _changes(_plain_generations(cap, 2, resolution=6))]
+    counts = [sum(len(disp.entries[i][j]) * c[j] for i in range(disp.n)
+                  for j in range(disp.n)) for c in changed]
+    assert counts == [132, 528, 2632]
+    expect = counts[-1]
     monkeypatch.setattr(windows, "MAX_STEP_CELLS", expect)
-    assert ifs_step(cloud, cap).generation == 3     # at the ceiling: allowed
+    assert iterate_windows(cap, 3, resolution=6).generation == 3   # at the ceiling
     monkeypatch.setattr(windows, "MAX_STEP_CELLS", expect - 1)
-    with pytest.raises(ValueError, match=f"maps {expect} candidate cells"):
-        ifs_step(cloud, cap)
+    with pytest.raises(ValueError, match=f"window step 3 maps {expect} candidate"):
+        iterate_windows(cap, 3, resolution=6)
     # the seed has one cell per type: one candidate per translation
     monkeypatch.setattr(windows, "MAX_STEP_CELLS", len(disp.rows) - 1)
     with pytest.raises(ValueError, match="step 1 maps 132 candidate cells"):
         iterate_windows(cap, 1, resolution=6)
 
 
-def test_ifs_step_rejects_cell_indices_past_2_53(silver):
+def test_iterate_windows_rejects_cell_indices_past_2_53(silver):
     """At resolution 70 the first step's cell indices pass 2**53, where
     the int64 cast would overflow without a warning."""
     with pytest.raises(ValueError, match="step 1 reaches cell indices of 2\\*\\*53"):
